@@ -8,8 +8,8 @@
 
 use adaptbf_model::config::paper;
 use adaptbf_model::{JobId, SimDuration, SimTime, TbfSchedulerConfig};
+use adaptbf_node::ControllerDriver;
 use adaptbf_node::OstNode;
-use adaptbf_sim::controller_driver::ControllerDriver;
 use adaptbf_sim::ost::OstState;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 

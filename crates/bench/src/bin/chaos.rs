@@ -25,26 +25,11 @@ use adaptbf_bench::chaos::{
     campaign_json, check_floor, check_live_floor, floor_text, live_floor_text, run_campaign,
     run_live_campaign, shrink_case, summary_table, worst_cases, CampaignConfig,
 };
-use std::path::{Path, PathBuf};
-
-fn workspace_root() -> PathBuf {
-    std::env::var("CARGO_MANIFEST_DIR")
-        .map(|d| Path::new(&d).join("../.."))
-        .unwrap_or_else(|_| PathBuf::from("."))
-}
+use adaptbf_bench::{arg_value, workspace_root};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let flag = |name: &str| args.iter().any(|a| a == name);
-    let value = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .map(|v| {
-                v.parse()
-                    .unwrap_or_else(|_| panic!("{name} takes a number"))
-            })
-    };
+    let flag = |name: &str| std::env::args().any(|a| a == name);
+    let value = arg_value::<u64>;
     let seed = value("--seed").unwrap_or(42);
     if flag("--live") {
         let mut config = if flag("--smoke") {

@@ -11,8 +11,8 @@ use adaptbf_bench::{write_artifact, Options};
 use adaptbf_core::AllocationController;
 use adaptbf_model::config::paper;
 use adaptbf_model::{JobId, JobObservation, SimTime, TbfSchedulerConfig};
+use adaptbf_node::ControllerDriver;
 use adaptbf_node::OstNode;
-use adaptbf_sim::controller_driver::ControllerDriver;
 use adaptbf_sim::ost::OstState;
 use adaptbf_sim::RunGrid;
 use std::time::Instant;

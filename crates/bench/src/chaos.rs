@@ -698,15 +698,7 @@ pub fn scored_run(file: &ScenarioFile, tolerance: f64) -> Option<ScoredRun> {
     let jobs = plan.scenario.job_ids();
     let (out, trace) =
         Cluster::build_with(&plan.scenario, plan.policy, plan.seed, plan.cluster).run_traced();
-    let report = RunReport::from_run(
-        plan.scenario.name.clone(),
-        plan.policy.name(),
-        horizon,
-        out.metrics,
-        &jobs,
-        out.overheads,
-        out.fault_stats,
-    );
+    let report = out.into_report(plan.scenario.name.clone(), plan.policy, &jobs);
     let replayed = replay_report(
         &trace,
         plan.policy,

@@ -1,22 +1,20 @@
 //! # adaptbf-bench
 //!
-//! The benchmark harness that regenerates **every table and figure** of the
-//! paper's evaluation (Section IV). Each figure has a thin binary under
-//! `src/bin/` calling into this library; `--bin all` runs the lot and
-//! writes CSV series under `results/`.
+//! The harness that regenerates **every table and figure** of the paper's
+//! evaluation (Section IV) and runs the chaos campaigns. Binaries under
+//! `src/bin/` are thin callers into this library; CSV series land under
+//! `results/`.
 //!
-//! | Binary | Paper artifact |
+//! | Binary | What it produces |
 //! |---|---|
-//! | `fig3` | Fig. 3 — token-allocation timelines under the three policies |
-//! | `fig4` | Fig. 4 — per-job/overall bandwidth bars + gains vs No BW |
-//! | `fig5` | Fig. 5 — redistribution timelines (bursty vs continuous) |
-//! | `fig6` | Fig. 6 — redistribution bars + gains |
-//! | `fig7` | Fig. 7 — records & demand over time (lend → re-compensate) |
-//! | `fig8` | Fig. 8 — re-compensation bars + gains |
-//! | `fig9` | Fig. 9 — throughput vs allocation frequency |
+//! | `figs [--fig N]` | Figs. 3–9 — timelines, bars + gains, records & demand, frequency sweep (all of them without `--fig`) |
 //! | `overhead` | §IV-G — allocation cost scaling, framework overhead, Table II config |
-//! | `hotpath` | hot-path baseline → `BENCH_hotpath.json` (classify, reconcile, grid) |
-//! | `all` | everything above except `hotpath` |
+//! | `ablations` | design ablations of the allocation algorithm |
+//! | `replay` | record once, replay under all three policies |
+//! | `chaos` | seeded fault campaigns → `BENCH_chaos.json` + floors |
+//!
+//! Performance is measured elsewhere: the repository's one benchmark is
+//! the standalone `benchmark/` package (see `benchmark/README.md`).
 //!
 //! Absolute numbers come from the simulated substrate (a calibrated model
 //! of the paper's CloudLab testbed — see the "Reproduction scope" section
@@ -40,9 +38,8 @@ use std::path::{Path, PathBuf};
 /// Default seed used by all figure binaries (override with `--seed N`).
 pub const DEFAULT_SEED: u64 = 42;
 
-/// Hot-path fixture helpers shared by the criterion benches and the
-/// `hotpath` baseline binary, so the measured setup cannot silently
-/// drift between them.
+/// Hot-path fixture helpers shared by the criterion benches, so the
+/// measured setup cannot silently drift between them.
 pub mod hotpath_fixture {
     use adaptbf_model::{ClientId, JobId, ProcId, Rpc, RpcId, SimTime, TbfSchedulerConfig};
     use adaptbf_tbf::{NrsTbfScheduler, RpcMatcher};
@@ -78,44 +75,35 @@ pub struct Options {
     pub scale: f64,
 }
 
-impl Default for Options {
-    fn default() -> Self {
-        Options {
-            seed: DEFAULT_SEED,
-            scale: 1.0,
-        }
-    }
-}
-
 impl Options {
     /// Parse `--seed N` and `--scale F` from argv (ignores anything else).
     pub fn from_args() -> Self {
-        let mut opts = Options::default();
-        let args: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--seed" if i + 1 < args.len() => {
-                    opts.seed = args[i + 1].parse().expect("--seed takes an integer");
-                    i += 2;
-                }
-                "--scale" if i + 1 < args.len() => {
-                    opts.scale = args[i + 1].parse().expect("--scale takes a float");
-                    i += 2;
-                }
-                _ => i += 1,
-            }
+        Options {
+            seed: arg_value("--seed").unwrap_or(DEFAULT_SEED),
+            scale: arg_value("--scale").unwrap_or(1.0),
         }
-        opts
     }
 }
 
-/// Where `results/*.csv` land (workspace root when run via cargo).
-pub fn results_dir() -> PathBuf {
-    let root = std::env::var("CARGO_MANIFEST_DIR")
+/// The value following flag `name` on the command line, parsed — `None`
+/// when the flag (or its value) is absent. Panics on an unparsable value.
+pub fn arg_value<T: std::str::FromStr>(name: &str) -> Option<T> {
+    let args: Vec<String> = std::env::args().collect();
+    let value = args.get(args.iter().position(|a| a == name)? + 1)?;
+    let parsed = value.parse();
+    Some(parsed.unwrap_or_else(|_| panic!("{name}: cannot parse {value:?}")))
+}
+
+/// The workspace root when run via cargo (else the working directory).
+pub fn workspace_root() -> PathBuf {
+    std::env::var("CARGO_MANIFEST_DIR")
         .map(|d| Path::new(&d).join("../.."))
-        .unwrap_or_else(|_| PathBuf::from("."));
-    let dir = root.join("results");
+        .unwrap_or_else(|_| PathBuf::from("."))
+}
+
+/// Where `results/*.csv` land.
+pub fn results_dir() -> PathBuf {
+    let dir = workspace_root().join("results");
     fs::create_dir_all(&dir).expect("create results dir");
     dir
 }
@@ -129,8 +117,6 @@ pub fn write_artifact(name: &str, contents: &str) {
 
 /// A figure built from one three-policy comparison.
 pub struct ComparisonFig {
-    /// The workload that was run.
-    pub scenario: Scenario,
     /// The three policy reports.
     pub comparison: Comparison,
 }
@@ -139,10 +125,7 @@ impl ComparisonFig {
     /// Run the given scenario under all three policies.
     pub fn run(scenario: Scenario, seed: u64) -> Self {
         let comparison = Comparison::run(&scenario, seed);
-        ComparisonFig {
-            scenario,
-            comparison,
-        }
+        ComparisonFig { comparison }
     }
 
     /// Dump the three throughput timelines (Figures 3/5 panels a-c).
@@ -182,27 +165,6 @@ impl ComparisonFig {
         write_artifact(&format!("{prefix}_summary.csv"), &csv);
         adaptbf_sim::report::comparison_table(&rows, overall)
     }
-}
-
-/// Figure 3/4 driver (Section IV-D).
-pub fn fig3_comparison(opts: Options) -> ComparisonFig {
-    ComparisonFig::run(scenarios::token_allocation_scaled(opts.scale), opts.seed)
-}
-
-/// Figure 5/6 driver (Section IV-E).
-pub fn fig5_comparison(opts: Options) -> ComparisonFig {
-    ComparisonFig::run(
-        scenarios::token_redistribution_scaled(opts.scale),
-        opts.seed,
-    )
-}
-
-/// Figure 7/8 driver (Section IV-F).
-pub fn fig7_comparison(opts: Options) -> ComparisonFig {
-    ComparisonFig::run(
-        scenarios::token_recompensation_scaled(opts.scale),
-        opts.seed,
-    )
 }
 
 /// Figure 7's extra panels: per-job record and demand series from the

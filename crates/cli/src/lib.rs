@@ -192,7 +192,7 @@ impl RawOptions {
                     raw.period_ms = Some(ms);
                 }
                 "--policy" => {
-                    if !["no_bw", "static_bw", "adaptbf"].contains(&value.as_str()) {
+                    if policy_by_name(value, AdapTbfConfig::default()).is_none() {
                         return Err(usage(format!("unknown policy {value}")));
                     }
                     raw.policy = Some(value.clone());
@@ -428,7 +428,7 @@ fn list_scenarios() -> String {
         let s = file.to_scenario().expect("valid built-in");
         // The live runtime runs the full fault battery; a plan is only
         // refused if it fails validation outright.
-        let live = match LiveCluster::check_faults(&file.faults) {
+        let live = match file.faults.validate() {
             Ok(()) => "live: ok",
             Err(_) => "live: invalid fault plan",
         };
@@ -446,11 +446,7 @@ fn list_scenarios() -> String {
 }
 
 fn policy_from(opts: &Options) -> Policy {
-    match opts.policy.as_str() {
-        "no_bw" => Policy::NoBw,
-        "static_bw" => Policy::StaticBw,
-        _ => Policy::AdapTbf(adaptbf_config(opts)),
-    }
+    policy_by_name(&opts.policy, adaptbf_config(opts)).expect("policy names are checked at parse")
 }
 
 fn render_report(report: &RunReport, seed: u64) -> String {
@@ -501,8 +497,8 @@ fn cmd_run(
 /// The live-testbed analogue of a simulated wiring: same OST model, TBF
 /// knobs and topology, with small payloads so emulated RPCs move real
 /// bytes without shoveling 1 MiB each through memory. This is *the*
-/// `ClusterConfig` → `LiveTuning` mapping — `livebench` uses it too, so
-/// live-vs-sim comparisons cannot silently run on different hardware.
+/// `ClusterConfig` → `LiveTuning` mapping, so live-vs-sim comparisons
+/// cannot silently run on different hardware.
 pub fn live_tuning_from(cluster: &ClusterConfig) -> LiveTuning {
     LiveTuning {
         ost: cluster.ost,

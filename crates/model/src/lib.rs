@@ -33,5 +33,5 @@ pub use ids::{ClientId, JobId, OstId, ProcId, RpcId, RuleId};
 pub use interner::JobSlots;
 pub use latency::LatencyHistogram;
 pub use rpc::{OpCode, Rpc};
-pub use stats::{BucketSeries, JobAllocation, JobObservation, PerJobSeries};
+pub use stats::{BucketSeries, CycleGate, JobAllocation, JobObservation, PerJobSeries};
 pub use time::{SimDuration, SimTime};

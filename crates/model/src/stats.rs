@@ -43,6 +43,22 @@ pub struct JobAllocation {
     pub rate_tps: f64,
 }
 
+/// A fault plan's verdict on one control cycle: what the System Stats
+/// Controller gets to see of it. The plan decides (`FaultPlan::cycle_gate`
+/// in `adaptbf-workload`), the node obeys (`OstNode::control_cycle` in
+/// `adaptbf-node`); the type lives here because those two crates do not
+/// know each other.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CycleGate {
+    /// The cycle runs on the period's real statistics.
+    Healthy,
+    /// The `job_stats` read fails: the cycle runs over an empty active set.
+    StatsLost,
+    /// The OSS is down or its daemon hung: no collection, no allocation,
+    /// no rule changes; statistics keep accumulating.
+    Skip,
+}
+
 /// A fixed-width time-bucketed scalar series (e.g. RPCs served per 100 ms).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BucketSeries {

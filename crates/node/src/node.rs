@@ -10,9 +10,10 @@
 //! another node's state.
 
 use crate::control::{ControllerDriver, ControllerOverhead};
+use crate::metrics::Metrics;
 use crate::policy::Policy;
 use adaptbf_core::{AllocationController, AllocationOutcome};
-use adaptbf_model::{JobId, Rpc, SimTime, TbfSchedulerConfig};
+use adaptbf_model::{CycleGate, JobId, Rpc, SimTime, TbfSchedulerConfig};
 use adaptbf_tbf::{JobStatsTracker, NrsTbfScheduler, RpcMatcher};
 use std::collections::BTreeMap;
 
@@ -99,6 +100,40 @@ impl OstNode {
         Some(driver.tick(&mut self.scheduler, &mut self.job_stats, now))
     }
 
+    /// One fault-gated control cycle at `now`, plus the gauge walk that
+    /// follows it — the whole per-period sequence both executors run.
+    ///
+    /// `gate` is the fault plan's verdict on this cycle: [`CycleGate::Skip`]
+    /// leaves everything untouched (stats keep accumulating for the next
+    /// healthy cycle), [`CycleGate::StatsLost`] wipes `job_stats` first so
+    /// the controller allocates over an empty active set. After the tick,
+    /// `metrics` gets the allocation gauges of every traced job and the
+    /// record gauge of every idle ledger entry (records of idle jobs
+    /// persist; their gauge lines stay continuous).
+    ///
+    /// Returns whether a cycle ran — rule rates may have changed, so the
+    /// embedder should re-dispatch. Always `false` under the baselines.
+    pub fn control_cycle(&mut self, now: SimTime, gate: CycleGate, metrics: &mut Metrics) -> bool {
+        let Some(driver) = self.driver.as_mut() else {
+            return false;
+        };
+        match gate {
+            CycleGate::Skip => return false,
+            CycleGate::StatsLost => self.job_stats.clear(),
+            CycleGate::Healthy => {}
+        }
+        let outcome = driver.tick(&mut self.scheduler, &mut self.job_stats, now);
+        for jt in &outcome.trace.jobs {
+            metrics.on_allocation(jt.job, now, jt.record_after, jt.after_recompensation);
+        }
+        for (job, entry) in driver.controller.ledger().iter() {
+            if outcome.trace.job(job).is_none() {
+                metrics.set_record(job, now, entry.record as f64);
+            }
+        }
+        true
+    }
+
     /// The allocation controller, if this node runs one.
     pub fn controller(&self) -> Option<&AllocationController> {
         self.driver.as_ref().map(|d| &d.controller)
@@ -175,7 +210,7 @@ pub fn install_static_rules(
 mod tests {
     use super::*;
     use adaptbf_model::config::paper;
-    use adaptbf_model::{ClientId, ProcId, RpcId};
+    use adaptbf_model::{ClientId, ProcId, RpcId, SimDuration};
 
     fn jobs() -> Vec<(JobId, u64)> {
         vec![(JobId(1), 1), (JobId(2), 3)]
@@ -236,6 +271,109 @@ mod tests {
         assert_eq!(node.scheduler.rules().len(), 1);
         assert_eq!(node.ticks(), 1);
         assert!(node.ledger_records().contains_key(&JobId(2)));
+    }
+
+    fn adaptbf_node() -> OstNode {
+        OstNode::new(
+            Policy::adaptbf_default(),
+            TbfSchedulerConfig::default(),
+            &jobs(),
+            paper::MAX_TOKEN_RATE,
+            SimTime::ZERO,
+        )
+    }
+
+    fn offer(node: &mut OstNode, job: u32, n: u64, now: SimTime) {
+        for i in 0..n {
+            node.job_stats.record_arrival(JobId(job));
+            node.scheduler.enqueue(rpc(job, i), now);
+        }
+    }
+
+    #[test]
+    fn skipped_cycle_touches_nothing() {
+        // A stalled daemon or a crashed OSS: stats keep accumulating for
+        // the next healthy cycle, no rule changes, no gauges.
+        let mut node = adaptbf_node();
+        let mut metrics = Metrics::new(SimDuration::from_millis(100));
+        offer(&mut node, 2, 50, SimTime::ZERO);
+        let now = SimTime::from_millis(100);
+        assert!(!node.control_cycle(now, CycleGate::Skip, &mut metrics));
+        assert_eq!(node.job_stats.period_total(), 50, "stats intact");
+        assert_eq!((node.ticks(), node.scheduler.rules().len()), (0, 0));
+        assert!(metrics.allocations().jobs().is_empty(), "no gauges");
+        assert!(metrics.records().jobs().is_empty(), "no gauges");
+        // The next healthy cycle sees the whole backlog of observations.
+        assert!(node.control_cycle(SimTime::from_millis(200), CycleGate::Healthy, &mut metrics));
+        assert_eq!(node.job_stats.period_total(), 0, "collected and cleared");
+        assert_eq!(metrics.allocations().jobs(), vec![JobId(2)]);
+    }
+
+    #[test]
+    fn stats_lost_cycle_allocates_over_an_empty_active_set() {
+        let mut node = adaptbf_node();
+        let mut metrics = Metrics::new(SimDuration::from_millis(100));
+        offer(&mut node, 2, 50, SimTime::ZERO);
+        assert!(node.control_cycle(SimTime::from_millis(100), CycleGate::Healthy, &mut metrics));
+        assert_eq!(node.scheduler.rules().len(), 1, "job 2 is ruled");
+        // The read fails although job 2 kept issuing: the controller sees
+        // nobody and stops every rule until the next healthy cycle.
+        offer(&mut node, 2, 50, SimTime::from_millis(150));
+        assert!(node.control_cycle(
+            SimTime::from_millis(200),
+            CycleGate::StatsLost,
+            &mut metrics
+        ));
+        assert_eq!(node.ticks(), 2, "the cycle ran");
+        assert_eq!(node.job_stats.period_total(), 0);
+        assert_eq!(node.scheduler.rules().len(), 0, "empty active set");
+    }
+
+    #[test]
+    fn idle_jobs_keep_a_continuous_record_gauge() {
+        let mut node = adaptbf_node();
+        let mut metrics = Metrics::new(SimDuration::from_millis(100));
+        // Cycle 1: both jobs active, so both enter the ledger.
+        offer(&mut node, 1, 400, SimTime::ZERO);
+        offer(&mut node, 2, 5, SimTime::ZERO);
+        assert!(node.control_cycle(SimTime::from_millis(100), CycleGate::Healthy, &mut metrics));
+        let ledger = node.ledger_records();
+        assert!(ledger.contains_key(&JobId(2)), "{ledger:?}");
+        // Cycles 2–3: job 2 idles. It is no longer traced, but its ledger
+        // record persists — and so must its gauge line, bucket by bucket.
+        for cycle in 2..=3u64 {
+            offer(&mut node, 1, 400, SimTime::from_millis(cycle * 100 - 50));
+            let now = SimTime::from_millis(cycle * 100);
+            assert!(node.control_cycle(now, CycleGate::Healthy, &mut metrics));
+        }
+        let records = metrics.records();
+        let idle = records.get(JobId(2)).expect("idle job keeps its gauge");
+        let expected = node.ledger_records()[&JobId(2)] as f64;
+        assert!(expected != 0.0, "job 2 lent its unused share");
+        assert_eq!(idle.get(3), expected, "walked at the last cycle");
+        assert_eq!(idle.get(2), expected, "…and the one before");
+        let allocations = metrics.allocations();
+        let granted = allocations.get(JobId(2)).expect("allocated once");
+        assert_eq!(granted.get(3), 0.0, "idle jobs get no allocation gauge");
+    }
+
+    #[test]
+    fn baselines_never_run_a_cycle() {
+        let mut node = OstNode::new(
+            Policy::StaticBw,
+            TbfSchedulerConfig::default(),
+            &jobs(),
+            1000.0,
+            SimTime::ZERO,
+        );
+        let mut metrics = Metrics::new(SimDuration::from_millis(100));
+        offer(&mut node, 1, 3, SimTime::ZERO);
+        assert!(!node.control_cycle(
+            SimTime::from_millis(100),
+            CycleGate::StatsLost,
+            &mut metrics
+        ));
+        assert_eq!(node.job_stats.period_total(), 3, "nothing to blind");
     }
 
     #[test]

@@ -41,6 +41,13 @@ impl Policy {
             _ => None,
         }
     }
+
+    /// What a trace header records of the policy: its name and, under
+    /// AdapTBF, the observation period in whole milliseconds.
+    pub fn trace_header(&self) -> (String, Option<u64>) {
+        let period_ms = self.period().map(|p| p.as_nanos() / 1_000_000);
+        (self.name().to_string(), period_ms)
+    }
 }
 
 impl Default for Policy {

@@ -45,6 +45,19 @@ pub struct FaultStats {
     pub undelivered: u64,
 }
 
+impl FaultStats {
+    /// Fold another shard's / OST thread's share of the partition into
+    /// this one. Every displaced RPC is counted on exactly one path by
+    /// exactly one owner, so the fold is a plain sum.
+    pub fn absorb(&mut self, other: &FaultStats) {
+        self.resent += other.resent;
+        self.lost_in_service += other.lost_in_service;
+        self.rerouted += other.rerouted;
+        self.parked += other.parked;
+        self.undelivered += other.undelivered;
+    }
+}
+
 /// Per-job outcome of one run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobOutcome {

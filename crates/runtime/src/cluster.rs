@@ -19,8 +19,11 @@ use crate::metrics::LiveMetrics;
 use crate::ost::{LiveBatch, LiveOst, OstFinal, OstWiring};
 use adaptbf_model::{ClientId, JobId, OstConfig, ProcId, SimDuration, TbfSchedulerConfig};
 use adaptbf_node::{FaultStats, OstNode, Policy, RunReport};
+use adaptbf_workload::faults::{
+    base_ost, client_of, stripe_ost, validate_wiring, FaultPlan, WiringError,
+};
 use adaptbf_workload::trace::{Trace, TraceMeta};
-use adaptbf_workload::{FaultPlan, Scenario};
+use adaptbf_workload::Scenario;
 use bytes::Bytes;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use std::collections::BTreeMap;
@@ -86,26 +89,9 @@ impl LiveTuning {
     }
 }
 
-/// Why a live run could not start.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LiveError {
-    /// The fault plan fails its own validation (or addresses an OST
-    /// outside the wiring).
-    InvalidFault(String),
-    /// The wiring is inconsistent (e.g. stripe wider than the cluster).
-    InvalidWiring(String),
-}
-
-impl std::fmt::Display for LiveError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            LiveError::InvalidFault(msg) => write!(f, "invalid fault plan: {msg}"),
-            LiveError::InvalidWiring(msg) => write!(f, "invalid live wiring: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for LiveError {}
+/// Why a live run could not start: the wiring or the fault plan failed
+/// the validation both executors share ([`validate_wiring`]).
+pub type LiveError = WiringError;
 
 /// Outcome of a live run: the common report plus live-only extras.
 #[derive(Debug)]
@@ -150,14 +136,6 @@ impl LiveReport {
 pub struct LiveCluster;
 
 impl LiveCluster {
-    /// Validate a fault plan for a live run. Every `FaultPlan` dimension
-    /// runs on real threads now — crash windows through the live
-    /// crash-epoch/resend machinery, stalls and stats loss through
-    /// per-OST cycle counters — so only genuine plan validation remains.
-    pub fn check_faults(faults: &FaultPlan) -> Result<(), LiveError> {
-        faults.validate().map_err(LiveError::InvalidFault)
-    }
-
     /// Run `scenario` under `policy` with the given tuning and no faults.
     /// Blocks for the scenario's (wall-clock) duration.
     pub fn run(scenario: &Scenario, policy: Policy, tuning: LiveTuning, seed: u64) -> LiveReport {
@@ -201,26 +179,7 @@ impl LiveCluster {
         seed: u64,
         record: bool,
     ) -> Result<(LiveReport, Option<Trace>), LiveError> {
-        Self::check_faults(faults)?;
-        if tuning.n_osts == 0 || tuning.n_clients == 0 {
-            return Err(LiveError::InvalidWiring(
-                "n_osts and n_clients must be positive".into(),
-            ));
-        }
-        if tuning.stripe_count == 0 || tuning.stripe_count > tuning.n_osts {
-            return Err(LiveError::InvalidWiring(format!(
-                "stripe_count must be in 1..={}, got {}",
-                tuning.n_osts, tuning.stripe_count
-            )));
-        }
-        if let Some(crash) = faults.ost_crash {
-            if crash.ost >= tuning.n_osts {
-                return Err(LiveError::InvalidFault(format!(
-                    "ost_crash.ost {} out of range (n_osts {})",
-                    crash.ost, tuning.n_osts
-                )));
-            }
-        }
+        validate_wiring(tuning.n_clients, tuning.n_osts, tuning.stripe_count, faults)?;
 
         let clock = WallClock::start();
         // One issued-counter slot per client process, keyed back to its
@@ -238,16 +197,11 @@ impl LiveCluster {
         let horizon = adaptbf_model::SimTime::ZERO + scenario.duration;
         let started = std::time::Instant::now();
 
-        // Released-work accounting: the same `ProcessSpec::released_within`
-        // denominator the simulator's builder uses, so completion
-        // detection cannot drift between executors.
-        for job in &scenario.jobs {
-            let released = job
-                .processes
-                .iter()
-                .map(|spec| spec.released_within(scenario.duration))
-                .sum();
-            metrics.set_released(job.id, released);
+        // Released-work accounting: the same denominator the simulator's
+        // builder uses, so completion detection cannot drift between
+        // executors.
+        for (job, released) in scenario.released_by_job() {
+            metrics.set_released(job, released);
         }
 
         // All ingest channels exist before any thread starts, so the OST a
@@ -264,7 +218,7 @@ impl LiveCluster {
         // One independent OST thread each, wrapping the shared per-OST
         // control-plane assembly — no state is shared between OSTs (the
         // crashed OST's peer senders carry displaced work, never state).
-        let jobs: Vec<(JobId, u64)> = scenario.jobs.iter().map(|j| (j.id, j.nodes)).collect();
+        let jobs = scenario.job_weights();
         let osts: Vec<_> = rxs
             .into_iter()
             .enumerate()
@@ -310,22 +264,21 @@ impl LiveCluster {
             .collect();
         drop(txs); // handles + clients now own the only ingest senders
 
-        // Client process threads, striped over clients and OSTs exactly
-        // like the simulator: process p's stripe set is the
-        // `stripe_count`-wide window starting at OST `p % n_osts`.
+        // Client process threads, placed over clients and OSTs by the
+        // same `client_of`/`base_ost`/`stripe_ost` rule as the simulator.
         let rpc_ids = Arc::new(AtomicU64::new(0));
         let mut handles = Vec::new();
         let mut proc_idx = 0usize;
         for job in &scenario.jobs {
             for spec in &job.processes {
-                let base = proc_idx % tuning.n_osts;
+                let base = base_ost(proc_idx, tuning.n_osts);
                 let ost_txs: Vec<_> = (0..tuning.stripe_count)
-                    .map(|k| osts[(base + k) % tuning.n_osts].sender())
+                    .map(|k| osts[stripe_ost(base, k, tuning.n_osts)].sender())
                     .collect();
                 handles.push(spawn_process(
                     job.id,
                     ProcId(proc_idx as u32),
-                    ClientId((proc_idx % tuning.n_clients) as u32),
+                    ClientId(client_of(proc_idx, tuning.n_clients) as u32),
                     spec.clone(),
                     horizon,
                     ost_txs,
@@ -356,11 +309,7 @@ impl LiveCluster {
         let mut served_per_ost = Vec::with_capacity(finals.len());
         let mut overheads = Vec::new();
         for f in finals {
-            fault_stats.resent += f.fault_stats.resent;
-            fault_stats.lost_in_service += f.fault_stats.lost_in_service;
-            fault_stats.rerouted += f.fault_stats.rerouted;
-            fault_stats.parked += f.fault_stats.parked;
-            fault_stats.undelivered += f.fault_stats.undelivered;
+            fault_stats.absorb(&f.fault_stats);
             records_per_ost.push(f.records);
             ticks_per_ost.push(f.ticks);
             served_per_ost.push(f.served);
@@ -374,19 +323,20 @@ impl LiveCluster {
         // common report shape expects, plus the recorder's arrivals.
         let (folded, trace_records) = metrics.fold(shards, horizon);
 
+        let (policy_name, period_ms) = policy.trace_header();
         let trace = record.then(|| Trace {
             meta: TraceMeta {
                 scenario: scenario.name.clone(),
                 seed,
-                policy: policy.name().to_string(),
-                period_ms: policy.period().map(|p| p.as_nanos() / 1_000_000),
+                policy: policy_name,
+                period_ms,
                 duration: scenario.duration,
                 n_clients: tuning.n_clients,
                 n_osts: tuning.n_osts,
                 stripe_count: tuning.stripe_count,
                 faults: *faults,
                 recorded_by: Some("live".into()),
-                jobs: jobs.clone(),
+                jobs,
             },
             records: trace_records,
         });
@@ -759,7 +709,7 @@ mod tests {
             1,
         )
         .expect_err("crash must address an OST inside the wiring");
-        assert!(matches!(err, LiveError::InvalidFault(_)), "{err:?}");
+        assert!(matches!(err, LiveError::Fault(_)), "{err:?}");
     }
 
     #[test]
@@ -776,6 +726,6 @@ mod tests {
             1,
         )
         .expect_err("stripe wider than cluster");
-        assert!(matches!(err, LiveError::InvalidWiring(_)));
+        assert!(matches!(err, LiveError::Wiring(_)));
     }
 }

@@ -39,8 +39,6 @@ struct Shared {
     /// Owning job of each process slot, in process-spawn order — the key
     /// that folds the issued slots back into per-job counts.
     proc_jobs: Vec<JobId>,
-    /// Controller cycles across all OSTs.
-    ticks: AtomicU64,
     /// Release denominators, applied to the folded collector at join.
     released: Mutex<Vec<(JobId, u64)>>,
 }
@@ -65,7 +63,6 @@ impl LiveMetrics {
                 served: (0..n_osts).map(|_| CountCell::default()).collect(),
                 issued: (0..proc_jobs.len()).map(|_| CountCell::default()).collect(),
                 proc_jobs,
-                ticks: AtomicU64::new(0),
                 released: Mutex::new(Vec::new()),
             }),
             recording: false,
@@ -108,16 +105,6 @@ impl LiveMetrics {
             shared: self.shared.clone(),
             proc,
         }
-    }
-
-    /// Count one controller cycle (across all OSTs).
-    pub fn on_tick(&self) {
-        self.shared.ticks.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Controller cycles executed so far.
-    pub fn ticks(&self) -> u64 {
-        self.shared.ticks.load(Ordering::Relaxed)
     }
 
     /// Issued RPCs per job, folded live from the per-process slots.
@@ -216,20 +203,10 @@ impl OstShard {
             .fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record the controller's view of one job after a tick.
-    pub fn on_allocation(&mut self, job: JobId, now: SimTime, record: i64, tokens: u64) {
-        self.metrics.on_allocation(job, now, record, tokens);
-    }
-
-    /// Record only the lending/borrowing gauge (idle jobs whose records
-    /// persist between allocations).
-    pub fn set_record(&mut self, job: JobId, now: SimTime, record: f64) {
-        self.metrics.set_record(job, now, record);
-    }
-
-    /// Count one controller cycle.
-    pub fn on_tick(&mut self) {
-        self.shared.ticks.fetch_add(1, Ordering::Relaxed);
+    /// The private collector itself — what the shared control cycle
+    /// (`OstNode::control_cycle`) writes its allocation gauges into.
+    pub fn metrics(&mut self) -> &mut Metrics {
+        &mut self.metrics
     }
 
     /// Seal the shard for the join-time fold.
@@ -291,8 +268,6 @@ mod tests {
         sh0.on_arrival(JobId(1), SimTime::from_millis(10));
         sh0.on_served(JobId(1), SimTime::from_millis(50), SimTime::from_millis(10));
         sh1.on_served(JobId(1), SimTime::from_millis(80), SimTime::from_millis(20));
-        sh0.on_tick();
-        assert_eq!(metrics.ticks(), 1);
         assert_eq!(metrics.issued()[&JobId(1)], 3);
         assert_eq!(metrics.issued()[&JobId(2)], 5);
         assert_eq!(metrics.total_served(), 2);

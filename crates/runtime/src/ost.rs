@@ -36,8 +36,8 @@ use crate::metrics::OstShard;
 use adaptbf_model::{OstConfig, Rpc, SimDuration, SimTime};
 use adaptbf_node::{ControllerOverhead, FaultStats, OstNode};
 use adaptbf_tbf::SchedDecision;
+use adaptbf_workload::faults::{FaultPlan, Route};
 use adaptbf_workload::trace::TraceRecord;
-use adaptbf_workload::FaultPlan;
 use bytes::Bytes;
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use rand::rngs::SmallRng;
@@ -205,43 +205,6 @@ struct Resend {
 /// than this.
 const MIN_WAIT: Duration = Duration::from_micros(200);
 
-/// Whether `ost` is inside its crash window at `at` — the same pure
-/// function of the fault plan the simulator routes by, so the crashed OST
-/// and its peers agree with no shared flag.
-#[inline]
-fn crashed_at(faults: &FaultPlan, ost: usize, at: SimTime) -> bool {
-    match faults.ost_crash {
-        Some(c) => c.ost == ost && at >= c.from && at < c.recovery_at(),
-        None => false,
-    }
-}
-
-/// The surviving OST that takes over a displaced RPC: the next non-crashed
-/// member of the issuing process's *stripe set*, in stripe order after
-/// `ost`, falling back to plain ring order when the RPC is addressed
-/// outside its derivable stripe set. Identical to the simulator's routing,
-/// so a live faulty recording replays through the same survivors.
-fn surviving_ost(
-    faults: &FaultPlan,
-    wiring: OstWiring,
-    ost: usize,
-    rpc: &Rpc,
-    at: SimTime,
-) -> Option<usize> {
-    let n = wiring.n_osts;
-    let width = wiring.stripe_count;
-    let base = rpc.proc_id.raw() as usize % n;
-    let offset = (ost + n - base) % n;
-    let alive = |candidate: &usize| !crashed_at(faults, *candidate, at);
-    if offset < width {
-        (1..width)
-            .map(|k| (base + (offset + k) % width) % n)
-            .find(alive)
-    } else {
-        (1..n).map(|k| (ost + k) % n).find(alive)
-    }
-}
-
 /// Emulated service time for one RPC dispatched at `at`: the configured
 /// mean, stretched by any active device-degradation window, jittered.
 #[inline]
@@ -293,7 +256,7 @@ fn drain_due(
         // that instant; the token bucket treats past instants as no-op
         // refills, so this replays the dispatch the emulated disk would
         // have made. Never inside a crash window — the pool is down.
-        if !crashed_at(faults, my, s.finish) {
+        if !faults.crashed_at(my, s.finish) {
             if let SchedDecision::Serve(rpc) = node.scheduler.next(s.finish) {
                 let service = service_time(ost_cfg, faults, rng, s.finish);
                 busy.push(Reverse(InService {
@@ -388,24 +351,16 @@ fn run_ost(
                 // like the simulator's; `max(now)` guards a lagging thread.
                 let resend_at = (c.from + c.resend_after).max(now);
                 // In-flight RPCs die with their threads: the client never
-                // sees a reply and resends after its timeout.
-                let mut lost_busy: Vec<InService> = busy.drain().map(|Reverse(s)| s).collect();
-                lost_busy.sort_unstable_by_key(|s| s.rpc.id.raw());
-                for s in lost_busy {
-                    fault_stats.lost_in_service += 1;
-                    fault_stats.resent += 1;
-                    resends.push(Resend {
-                        at: resend_at,
-                        rpc: s.rpc,
-                    });
-                }
-                // The queued backlog drains; clients resend in id order —
+                // sees a reply and resends after its timeout. Then the
+                // queued backlog drains. Clients resend in id order —
                 // per-process issue order — like the simulator.
-                let mut lost = node.crash_reset();
-                lost.sort_unstable_by_key(|r| r.id.raw());
-                for rpc in lost {
-                    fault_stats.resent += 1;
-                    resends.push(Resend { at: resend_at, rpc });
+                let mut in_service: Vec<Rpc> = busy.drain().map(|Reverse(s)| s.rpc).collect();
+                let mut queued = node.crash_reset();
+                fault_stats.lost_in_service += in_service.len() as u64;
+                fault_stats.resent += (in_service.len() + queued.len()) as u64;
+                for lost in [&mut in_service, &mut queued] {
+                    lost.sort_unstable_by_key(|r| r.id.raw());
+                    resends.extend(lost.iter().map(|&rpc| Resend { at: resend_at, rpc }));
                 }
             }
             if crash_done && !recover_done && now >= c.recovery_at() {
@@ -417,7 +372,7 @@ fn run_ost(
                 }
             }
         }
-        let crashed = crashed_at(&faults, my, now);
+        let crashed = faults.crashed_at(my, now);
 
         // The horizon cuts the run off exactly like the simulator's: due
         // completions still count (drained at their finish instants, all
@@ -438,32 +393,18 @@ fn run_ost(
             let (due, later): (Vec<_>, Vec<_>) = resends.drain(..).partition(|r| r.at <= now);
             resends = later;
             for r in due {
-                if crashed {
-                    match surviving_ost(&faults, wiring, my, &r.rpc, now) {
-                        Some(target) => {
-                            let reply_to = reply
-                                .get(&r.rpc.proc_id.raw())
-                                .expect("every displaced RPC's process has a reply path")
-                                .clone();
-                            let handoff = LiveBatch {
-                                rpcs: vec![r.rpc],
-                                payload: payload.clone(),
-                                reply_to,
-                                handoff: true,
-                            };
-                            let peer = peers[target].as_ref().expect("crashed OST wired to peers");
-                            if peer.send(handoff).is_err() {
-                                // Survivor already shut down (horizon
-                                // race): the redelivery is lost but never
-                                // uncounted.
-                                fault_stats.undelivered += 1;
-                            }
-                        }
-                        None => parked.push(r.rpc),
+                let proc = r.rpc.proc_id.raw();
+                match faults.route(my, proc as usize, wiring.n_osts, wiring.stripe_count, now) {
+                    Route::Local => {
+                        node.job_stats.record_arrival(r.rpc.job);
+                        node.scheduler.enqueue(r.rpc, now);
                     }
-                } else {
-                    node.job_stats.record_arrival(r.rpc.job);
-                    node.scheduler.enqueue(r.rpc, now);
+                    Route::Reroute(target) => {
+                        if !hand_off(&peers[target], r.rpc, &payload, &reply[&proc]) {
+                            fault_stats.undelivered += 1;
+                        }
+                    }
+                    Route::Park => parked.push(r.rpc),
                 }
             }
         }
@@ -478,45 +419,16 @@ fn run_ost(
         flush_done(&reply, &mut done);
 
         // 3. Controller cycle (AdapTBF only) — the shared node runs the
-        // exact collect → allocate → apply → clear sequence of the paper's
-        // Figure 2, identically to the simulator. The cycle counter
-        // advances even through skipped cycles, so cycle-indexed faults
-        // hit the same cycle numbers as in the simulator.
+        // fault-gated collect → allocate → apply → clear sequence of the
+        // paper's Figure 2 and the gauge walk, identically to the
+        // simulator. The cycle counter advances even through skipped
+        // cycles, so cycle-indexed faults hit the same cycle numbers as in
+        // the simulator.
         if let Some(tick_at) = next_tick {
             if now >= tick_at {
-                let this_cycle = cycle;
+                let gate = faults.cycle_gate(cycle, crashed);
                 cycle += 1;
-                // A crashed OSS takes its controller down with it; a
-                // stalled daemon skips the whole cycle while stats keep
-                // accumulating.
-                if !crashed && !faults.cycle_stalled(this_cycle) {
-                    if faults.stats_lost(this_cycle) {
-                        // Failed stats read: the controller sees an empty
-                        // active set and stops every rule until the next
-                        // healthy cycle.
-                        node.job_stats.clear();
-                    }
-                    if let Some(outcome) = node.tick(now) {
-                        for jt in &outcome.trace.jobs {
-                            shard.on_allocation(
-                                jt.job,
-                                now,
-                                jt.record_after,
-                                jt.after_recompensation,
-                            );
-                        }
-                        // Records of idle jobs persist; keep their gauge lines
-                        // continuous (same walk as the simulator's tick).
-                        if let Some(controller) = node.controller() {
-                            for (job, entry) in controller.ledger().iter() {
-                                if outcome.trace.job(job).is_none() {
-                                    shard.set_record(job, now, entry.record as f64);
-                                }
-                            }
-                        }
-                        shard.on_tick();
-                    }
-                }
+                node.control_cycle(now, gate, shard.metrics());
                 // Schedule from *now*, like the simulator's
                 // schedule_next_tick: if the thread lagged past a whole
                 // period, anchoring on tick_at would fire an immediate
@@ -549,23 +461,17 @@ fn run_ost(
         }
 
         // 5. Work out how long to sleep (never past the horizon).
-        let mut wake: Option<SimTime> = busy.peek().map(|Reverse(s)| s.finish);
-        let crash_edges = crash.and_then(|c| {
-            if !crash_done {
-                Some(c.from)
-            } else if !recover_done {
-                Some(c.recovery_at())
-            } else {
-                None
-            }
+        let next_finish = busy.peek().map(|Reverse(s)| s.finish);
+        let crash_edge = crash.and_then(|c| match (crash_done, recover_done) {
+            (false, _) => Some(c.from),
+            (true, false) => Some(c.recovery_at()),
+            (true, true) => None,
         });
         let next_resend = resends.iter().map(|r| r.at).min();
-        for c in [tbf_wait, next_tick, crash_edges, next_resend, Some(horizon)]
+        let wake = [next_finish, tbf_wait, next_tick, crash_edge, next_resend]
             .into_iter()
             .flatten()
-        {
-            wake = Some(wake.map_or(c, |w| w.min(c)));
-        }
+            .fold(horizon, SimTime::min);
 
         // 6. Exit when the world has hung up and all work is drained.
         if disconnected
@@ -580,15 +486,7 @@ fn run_ost(
         // 7. Wait for traffic or the next deadline. Sub-millisecond
         // deadlines are floored at MIN_WAIT — the finish-instant drain
         // above reconstructs anything that came due in the meantime.
-        let timeout = match wake {
-            Some(at) => clock.until(at).max(MIN_WAIT),
-            None => {
-                if disconnected {
-                    break;
-                }
-                Duration::from_millis(50)
-            }
-        };
+        let timeout = clock.until(wake).max(MIN_WAIT);
         if disconnected {
             // The channel reports Disconnected instantly; sleep to the
             // deadline instead of spinning.
@@ -597,22 +495,11 @@ fn run_ost(
         }
         match rx.recv_timeout(timeout) {
             Ok(batch) => {
-                let now = clock.now();
-                ingest(
-                    batch,
-                    now,
-                    &mut node,
-                    &mut shard,
-                    &mut reply,
-                    &mut parked,
-                    &mut fault_stats,
-                    &faults,
-                    wiring,
-                    &peers,
-                );
                 // Burst-drain whatever else is already buffered: one wake
                 // amortizes over every queued batch.
-                while let Some(batch) = rx.try_recv() {
+                let now = clock.now();
+                let mut next = Some(batch);
+                while let Some(batch) = next {
                     ingest(
                         batch,
                         now,
@@ -625,6 +512,7 @@ fn run_ost(
                         wiring,
                         &peers,
                     );
+                    next = rx.try_recv();
                 }
             }
             Err(RecvTimeoutError::Timeout) => {}
@@ -645,6 +533,25 @@ fn run_ost(
         fault_stats,
         shard: shard.finish(),
     }
+}
+
+/// Hand a displaced RPC to the surviving OST behind `peer`. `false` when
+/// the survivor already shut down (horizon race): the caller books the RPC
+/// `undelivered` — lost, but never uncounted.
+fn hand_off(
+    peer: &Option<Sender<LiveBatch>>,
+    rpc: Rpc,
+    payload: &Bytes,
+    reply_to: &Sender<u64>,
+) -> bool {
+    let handoff = LiveBatch {
+        rpcs: vec![rpc],
+        payload: payload.clone(),
+        reply_to: reply_to.clone(),
+        handoff: true,
+    };
+    let peer = peer.as_ref().expect("crashed OST wired to peers");
+    peer.send(handoff).is_ok()
 }
 
 /// Absorb one ingest batch at wall instant `now`: learn the issuing
@@ -687,7 +594,6 @@ fn ingest(
         }
         return;
     }
-    let crashed = crashed_at(faults, my, now);
     let recording = shard.is_recording();
     for rpc in rpcs {
         // First-hand (client-originated) arrival: recorded with the
@@ -702,29 +608,22 @@ fn ingest(
             });
         }
         shard.on_arrival(rpc.job, now);
-        if crashed {
-            match surviving_ost(faults, wiring, my, &rpc, now) {
-                Some(target) => {
-                    fault_stats.rerouted += 1;
-                    let handoff = LiveBatch {
-                        rpcs: vec![rpc],
-                        payload: payload.clone(),
-                        reply_to: reply[&rpc.proc_id.raw()].clone(),
-                        handoff: true,
-                    };
-                    let peer = peers[target].as_ref().expect("crashed OST wired to peers");
-                    if peer.send(handoff).is_err() {
-                        fault_stats.undelivered += 1;
-                    }
-                }
-                None => {
-                    fault_stats.parked += 1;
-                    parked.push(rpc);
+        let proc = rpc.proc_id.raw();
+        match faults.route(my, proc as usize, wiring.n_osts, wiring.stripe_count, now) {
+            Route::Local => {
+                node.job_stats.record_arrival(rpc.job);
+                node.scheduler.enqueue(rpc, now);
+            }
+            Route::Reroute(target) => {
+                fault_stats.rerouted += 1;
+                if !hand_off(&peers[target], rpc, &payload, &reply[&proc]) {
+                    fault_stats.undelivered += 1;
                 }
             }
-        } else {
-            node.job_stats.record_arrival(rpc.job);
-            node.scheduler.enqueue(rpc, now);
+            Route::Park => {
+                fault_stats.parked += 1;
+                parked.push(rpc);
+            }
         }
     }
 }

@@ -2,10 +2,10 @@
 //! all three policies → [`Comparison`] with the gain/loss tables of
 //! Figures 4/6/8.
 
-use crate::cluster::{Cluster, ClusterConfig, WindowMode};
-use crate::policy::Policy;
+use crate::cluster::{Cluster, ClusterConfig};
 use adaptbf_model::JobId;
-use adaptbf_workload::Scenario;
+use adaptbf_node::Policy;
+use adaptbf_workload::{FaultPlan, Scenario};
 
 pub use adaptbf_node::{JobOutcome, RunReport};
 
@@ -17,7 +17,6 @@ pub struct Experiment {
     seed: u64,
     cluster: ClusterConfig,
     shards: Option<usize>,
-    windows: WindowMode,
 }
 
 impl Experiment {
@@ -29,7 +28,6 @@ impl Experiment {
             seed: 0,
             cluster: ClusterConfig::default(),
             shards: None,
-            windows: WindowMode::default(),
         }
     }
 
@@ -47,14 +45,6 @@ impl Experiment {
         self
     }
 
-    /// Select the epoch-window protocol ([`Cluster::windows`]). Like the
-    /// shard count, purely an execution parameter — results are
-    /// byte-identical under either mode.
-    pub fn windows(mut self, mode: WindowMode) -> Self {
-        self.windows = mode;
-        self
-    }
-
     /// Override the testbed wiring.
     pub fn cluster_config(mut self, cfg: ClusterConfig) -> Self {
         self.cluster = cfg;
@@ -63,28 +53,21 @@ impl Experiment {
 
     /// Inject a deterministic fault schedule (controller stalls, stats
     /// loss, device degradation).
-    pub fn faults(mut self, plan: crate::faults::FaultPlan) -> Self {
+    pub fn faults(mut self, plan: FaultPlan) -> Self {
         self.cluster.faults = plan;
         self
     }
 
     /// Run to the horizon.
     pub fn run(self) -> RunReport {
-        let mut cluster = Cluster::build_with(&self.scenario, self.policy, self.seed, self.cluster)
-            .windows(self.windows);
+        let mut cluster = Cluster::build_with(&self.scenario, self.policy, self.seed, self.cluster);
         if let Some(n) = self.shards {
             cluster = cluster.shards(n);
         }
-        let out = cluster.run();
-        RunReport::from_run(
-            self.scenario.name.clone(),
-            self.policy.name(),
-            self.scenario.duration,
-            out.metrics,
-            &self.scenario.job_ids(),
-            out.overheads,
-            out.fault_stats,
-        )
+        let jobs = self.scenario.job_ids();
+        cluster
+            .run()
+            .into_report(self.scenario.name, self.policy, &jobs)
     }
 }
 

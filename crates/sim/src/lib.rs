@@ -36,25 +36,19 @@
 
 pub mod client;
 pub mod cluster;
-pub mod controller_driver;
 pub mod engine;
 pub mod experiment;
-pub mod faults;
-pub mod job_stats;
-pub mod metrics;
 pub mod network;
 pub mod ost;
-pub mod policy;
 pub(crate) mod pool;
 pub mod report;
-pub mod rule_daemon;
 pub mod run_grid;
 pub mod spec;
 
-pub use cluster::{Cluster, FaultStats, WindowMode};
+pub use adaptbf_node::{FaultStats, Policy};
+pub use adaptbf_workload::faults::{ChurnSpec, CrashSpec, DegradeSpec, FaultPlan, StallSpec};
+pub use cluster::Cluster;
 pub use experiment::{Comparison, Experiment, JobOutcome, RunReport};
-pub use faults::{ChurnSpec, CrashSpec, DegradeSpec, FaultPlan, StallSpec};
-pub use policy::Policy;
 pub use report::{frequency_sweep, report_body_digest, report_digest, FrequencyPoint};
 pub use run_grid::RunGrid;
 pub use spec::{plan_file_run, replay_cluster_config, replay_report, replay_report_with, FileRun};

@@ -72,11 +72,6 @@ impl OstState {
         self.in_service_counts.reserve(jobs);
     }
 
-    /// The OST configuration.
-    pub fn config(&self) -> &OstConfig {
-        &self.config
-    }
-
     /// Whether a thread is free to pick up work.
     pub fn has_idle_thread(&self) -> bool {
         self.busy_threads < self.config.n_io_threads

@@ -164,11 +164,16 @@ pub(crate) fn worker_count() -> usize {
 /// The process-wide thread budget: `ADAPTBF_THREADS` if set (≥ 1), else
 /// the available parallelism.
 pub(crate) fn global_thread_budget() -> usize {
-    std::env::var("ADAPTBF_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
+    env_count("ADAPTBF_THREADS")
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// A positive count from environment variable `var` (`None` when unset,
+/// unparsable or zero) — how the execution parameters `ADAPTBF_THREADS`
+/// and `ADAPTBF_SHARDS` are read.
+pub(crate) fn env_count(var: &str) -> Option<usize> {
+    let parsed = std::env::var(var).ok()?.parse::<usize>().ok()?;
+    (parsed >= 1).then_some(parsed)
 }
 
 #[cfg(test)]

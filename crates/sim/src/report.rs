@@ -3,8 +3,8 @@
 
 use crate::cluster::ClusterConfig;
 use crate::experiment::{ComparisonRow, Experiment};
-use crate::policy::Policy;
 use adaptbf_model::{AdapTbfConfig, PerJobSeries, SimDuration};
+use adaptbf_node::Policy;
 use adaptbf_workload::Scenario;
 
 /// One point of the Figure 9 sweep.

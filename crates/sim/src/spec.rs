@@ -9,10 +9,11 @@
 
 use crate::cluster::{Cluster, ClusterConfig};
 use crate::experiment::RunReport;
-use crate::policy::Policy;
 use adaptbf_model::config::paper;
 use adaptbf_model::{AdapTbfConfig, JobId, SimDuration};
+use adaptbf_node::Policy;
 use adaptbf_workload::dsl::{DslError, ScenarioFile, TuningSpec};
+use adaptbf_workload::faults::{validate_wiring, WiringError};
 use adaptbf_workload::trace::Trace;
 use adaptbf_workload::Scenario;
 
@@ -57,28 +58,18 @@ pub fn plan_file_run(file: &ScenarioFile) -> Result<FileRun, DslError> {
     if let Some(n) = run.stripe_count {
         cluster.stripe_count = n;
     }
-    if cluster.n_clients == 0 || cluster.n_osts == 0 {
-        return Err(DslError("n_clients and n_osts must be positive".into()));
-    }
-    if cluster.stripe_count == 0 || cluster.stripe_count > cluster.n_osts {
-        return Err(DslError(format!(
-            "stripe_count must be in 1..={}, got {}",
-            cluster.n_osts, cluster.stripe_count
-        )));
-    }
     // The file's `faults` block rides in the cluster wiring, so every
     // front end that runs the plan injects it automatically.
-    file.faults
-        .validate()
-        .map_err(|e| DslError(format!("faults: {e}")))?;
-    if let Some(crash) = file.faults.ost_crash {
-        if crash.ost >= cluster.n_osts {
-            return Err(DslError(format!(
-                "faults: ost_crash.ost {} out of range (n_osts {})",
-                crash.ost, cluster.n_osts
-            )));
-        }
-    }
+    validate_wiring(
+        cluster.n_clients,
+        cluster.n_osts,
+        cluster.stripe_count,
+        &file.faults,
+    )
+    .map_err(|e| match e {
+        WiringError::Wiring(msg) => DslError(msg),
+        WiringError::Fault(msg) => DslError(format!("faults: {msg}")),
+    })?;
     cluster.faults = file.faults;
     file.tuning.validate().map_err(DslError)?;
     Ok(FileRun {
@@ -145,17 +136,9 @@ pub fn replay_report_with(
     if let Some(n) = shards {
         replay = replay.shards(n);
     }
-    let out = replay.run();
     let jobs: Vec<JobId> = trace.meta.jobs.iter().map(|&(job, _)| job).collect();
-    RunReport::from_run(
-        format!("{}_replay", trace.meta.scenario),
-        policy.name(),
-        trace.meta.duration,
-        out.metrics,
-        &jobs,
-        out.overheads,
-        out.fault_stats,
-    )
+    let name = format!("{}_replay", trace.meta.scenario);
+    replay.run().into_report(name, policy, &jobs)
 }
 
 #[cfg(test)]

@@ -4,8 +4,8 @@
 //! implementation it replaced.
 
 use adaptbf_model::{JobId, LatencyHistogram, PerJobSeries, SimDuration, SimTime};
+use adaptbf_node::Metrics;
 use adaptbf_sim::cluster::{Cluster, ClusterConfig};
-use adaptbf_sim::metrics::Metrics;
 use adaptbf_sim::{
     replay_cluster_config, ChurnSpec, CrashSpec, DegradeSpec, FaultPlan, Policy, StallSpec,
 };

@@ -7,7 +7,7 @@
 
 use adaptbf_model::SimDuration;
 use adaptbf_sim::cluster::{Cluster, ClusterConfig};
-use adaptbf_sim::{report_body_digest, Experiment, FaultStats, Policy, WindowMode};
+use adaptbf_sim::{report_body_digest, Experiment, FaultStats, Policy};
 use adaptbf_workload::{JobSpec, PlanBounds, ProcessSpec, Scenario};
 use proptest::prelude::*;
 
@@ -46,22 +46,10 @@ fn digest_at(
     cfg: ClusterConfig,
     shards: usize,
 ) -> String {
-    digest_windowed(scenario, policy, seed, cfg, shards, WindowMode::Adaptive)
-}
-
-fn digest_windowed(
-    scenario: &Scenario,
-    policy: Policy,
-    seed: u64,
-    cfg: ClusterConfig,
-    shards: usize,
-    windows: WindowMode,
-) -> String {
     let report = Experiment::new(scenario.clone(), policy)
         .seed(seed)
         .cluster_config(cfg)
         .shards(shards)
-        .windows(windows)
         .run();
     report_body_digest(&report)
 }
@@ -75,21 +63,6 @@ fn fault_stats_at(
 ) -> FaultStats {
     Cluster::build_with(scenario, policy, seed, cfg)
         .shards(shards)
-        .run()
-        .fault_stats
-}
-
-fn fault_stats_windowed(
-    scenario: &Scenario,
-    policy: Policy,
-    seed: u64,
-    cfg: ClusterConfig,
-    shards: usize,
-    windows: WindowMode,
-) -> FaultStats {
-    Cluster::build_with(scenario, policy, seed, cfg)
-        .shards(shards)
-        .windows(windows)
         .run()
         .fault_stats
 }
@@ -157,42 +130,6 @@ proptest! {
             prop_assert_eq!(base_fs, fs, "fault partition diverged at {} shards", shards);
         }
     }
-
-    /// Adaptive epoch windows against the fixed-lookahead oracle, over
-    /// the same sampled fault-plan space: the window protocol is purely an
-    /// execution parameter, so report digest *and* fault-stat partition
-    /// must be byte-identical under both modes at every shard count —
-    /// solo drains, emission caps, re-routes and all.
-    #[test]
-    fn adaptive_windows_match_the_fixed_oracle_on_sampled_plans(
-        scenario in scenario_strategy(),
-        plan_seed in 0u64..1_000_000,
-        seed in 0u64..32,
-    ) {
-        let bounds = PlanBounds::new(SimDuration::from_secs(4), 2);
-        let faults = bounds.sample_seeded(plan_seed);
-        let cfg = ClusterConfig {
-            n_osts: 4,
-            stripe_count: 2,
-            faults,
-            ..ClusterConfig::default()
-        };
-        let policy = Policy::adaptbf_default();
-        for shards in [1usize, 2, 4, 16] {
-            let adaptive =
-                digest_windowed(&scenario, policy, seed, cfg, shards, WindowMode::Adaptive);
-            let fixed = digest_windowed(&scenario, policy, seed, cfg, shards, WindowMode::Fixed);
-            prop_assert_eq!(
-                &adaptive, &fixed,
-                "window modes diverged at {} shards under {:?}", shards, faults
-            );
-            let fs_a =
-                fault_stats_windowed(&scenario, policy, seed, cfg, shards, WindowMode::Adaptive);
-            let fs_f =
-                fault_stats_windowed(&scenario, policy, seed, cfg, shards, WindowMode::Fixed);
-            prop_assert_eq!(fs_a, fs_f, "fault partition diverged at {} shards", shards);
-        }
-    }
 }
 
 /// The solo fast path around a crash window, end to end: aligned stripes
@@ -200,7 +137,8 @@ proptest! {
 /// coupled set. While both OSTs hold work the epochs are windowed; once
 /// the short job (whose OST also crashes mid-run) drains, the long job's
 /// shard must ride the solo drain for the rest of the run — with the same
-/// digest as the single-queue engine and the fixed oracle.
+/// digest as the single-queue engine (the fixed-window oracle's half of
+/// this check lives with the oracle, in `src/cluster/tests.rs`).
 #[test]
 fn solo_drain_engages_around_a_crash_window() {
     let scenario = Scenario::new(
@@ -229,10 +167,8 @@ fn solo_drain_engages_around_a_crash_window() {
     };
     let policy = Policy::NoBw;
     let base = digest_at(&scenario, policy, 31, cfg, 1);
-    for mode in [WindowMode::Adaptive, WindowMode::Fixed] {
-        let sharded = digest_windowed(&scenario, policy, 31, cfg, 2, mode);
-        assert_eq!(base, sharded, "digest diverged under {mode:?}");
-    }
+    let sharded = digest_at(&scenario, policy, 31, cfg, 2);
+    assert_eq!(base, sharded, "digest diverged at 2 shards");
     let out = Cluster::build_with(&scenario, policy, 31, cfg)
         .shards(2)
         .run();

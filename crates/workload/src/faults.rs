@@ -10,10 +10,16 @@
 //! All faults are deterministic (cycle-, time- or process-indexed), so a
 //! faulty run is exactly as reproducible as a healthy one, and a trace
 //! recorded under faults replays byte-identically (the plan rides in the
-//! trace header). The simulator consumes the plan through
-//! `adaptbf_sim::faults`, which re-exports everything here.
+//! trace header).
+//!
+//! Every rule the two executors (`adaptbf-sim`, `adaptbf-runtime`) must
+//! agree on for a live recording to replay byte-exactly is a pure function
+//! here, defined once: crash-window membership ([`FaultPlan::crashed_at`]),
+//! survivor routing ([`FaultPlan::route`]), the per-cycle control gate
+//! ([`FaultPlan::cycle_gate`]), process placement ([`client_of`],
+//! [`base_ost`], [`stripe_ost`]) and wiring validation ([`validate_wiring`]).
 
-use adaptbf_model::{SimDuration, SimTime};
+use adaptbf_model::{CycleGate, SimDuration, SimTime};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
@@ -109,10 +115,154 @@ pub struct ChurnSpec {
     pub stride: usize,
 }
 
+/// Where an RPC addressed to `ost` lands ([`FaultPlan::route`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Route {
+    /// The addressed OST is up: enqueue there.
+    Local,
+    /// The addressed OST is inside its crash window: this surviving OST
+    /// takes the RPC over.
+    Reroute(usize),
+    /// Crashed with no survivor: hold the RPC until the OST rejoins.
+    Park,
+}
+
+/// Why a `(wiring, fault plan)` pair cannot run ([`validate_wiring`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum WiringError {
+    /// Client/OST counts or the stripe width are inconsistent.
+    Wiring(String),
+    /// The plan fails [`FaultPlan::validate`] or targets an OST outside
+    /// the wiring.
+    Fault(String),
+}
+
+impl std::fmt::Display for WiringError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            WiringError::Wiring(msg) => write!(f, "invalid wiring: {msg}"),
+            WiringError::Fault(msg) => write!(f, "invalid fault plan: {msg}"),
+        }
+    }
+}
+
+impl std::error::Error for WiringError {}
+
+/// Check a cluster wiring and the fault plan that runs on it: at least
+/// one client and one OST, `stripe_count ∈ 1..=n_osts`, a valid plan, and
+/// a crash target inside the wiring.
+pub fn validate_wiring(
+    n_clients: usize,
+    n_osts: usize,
+    stripe_count: usize,
+    faults: &FaultPlan,
+) -> Result<(), WiringError> {
+    if n_clients == 0 || n_osts == 0 {
+        return Err(WiringError::Wiring(
+            "n_clients and n_osts must be positive".into(),
+        ));
+    }
+    if stripe_count == 0 || stripe_count > n_osts {
+        return Err(WiringError::Wiring(format!(
+            "stripe_count must be in 1..={n_osts}, got {stripe_count}"
+        )));
+    }
+    faults.validate().map_err(WiringError::Fault)?;
+    match faults.ost_crash {
+        Some(crash) if crash.ost >= n_osts => Err(WiringError::Fault(format!(
+            "ost_crash.ost {} out of range (n_osts {n_osts})",
+            crash.ost
+        ))),
+        _ => Ok(()),
+    }
+}
+
+/// The client node process number `proc` (scenario declaration order)
+/// runs on: file-per-process, round-robin over clients like the paper's
+/// testbed.
+#[inline]
+pub fn client_of(proc: usize, n_clients: usize) -> usize {
+    proc % n_clients
+}
+
+/// The first OST of process `proc`'s stripe set (round-robin over OSTs).
+#[inline]
+pub fn base_ost(proc: usize, n_osts: usize) -> usize {
+    proc % n_osts
+}
+
+/// The `k`-th member of the stripe set based at OST `base`: a process's
+/// sequential RPCs round-robin over `stripe_ost(base, 0..stripe_count)`.
+#[inline]
+pub fn stripe_ost(base: usize, k: usize, n_osts: usize) -> usize {
+    (base + k) % n_osts
+}
+
 impl FaultPlan {
     /// A plan with no faults.
     pub fn none() -> Self {
         Self::default()
+    }
+
+    /// Whether `ost` is inside its crash window `[from, recovery_at)` at
+    /// `at` — a pure function of the plan, so senders, receivers and both
+    /// executors agree with no shared "crashed" flag.
+    #[inline]
+    pub fn crashed_at(&self, ost: usize, at: SimTime) -> bool {
+        match self.ost_crash {
+            Some(c) => c.ost == ost && at >= c.from && at < c.recovery_at(),
+            None => false,
+        }
+    }
+
+    /// Route an RPC of process `proc` addressed to `ost` at `at`.
+    ///
+    /// Inside the crash window the survivor is the next non-crashed member
+    /// of the issuing process's *stripe set*, in stripe order after `ost`
+    /// (Lustre clients redirect striped I/O once an OST is marked
+    /// inactive). The set is derived from the process id exactly as
+    /// [`base_ost`] assigns it, so record and replay agree without any
+    /// client state. An RPC addressed outside its derivable stripe set
+    /// (hand-authored traces) falls back to plain ring order over all
+    /// OSTs; for fully-striped wirings both walks visit the same
+    /// candidates in the same order. No survivor ⇒ [`Route::Park`].
+    #[inline]
+    pub fn route(
+        &self,
+        ost: usize,
+        proc: usize,
+        n_osts: usize,
+        stripe_count: usize,
+        at: SimTime,
+    ) -> Route {
+        if !self.crashed_at(ost, at) {
+            return Route::Local;
+        }
+        let base = base_ost(proc, n_osts);
+        let offset = (ost + n_osts - base) % n_osts;
+        let alive = |candidate: &usize| !self.crashed_at(*candidate, at);
+        let survivor = if offset < stripe_count {
+            (1..stripe_count)
+                .map(|k| stripe_ost(base, (offset + k) % stripe_count, n_osts))
+                .find(alive)
+        } else {
+            (1..n_osts).map(|k| stripe_ost(ost, k, n_osts)).find(alive)
+        };
+        survivor.map_or(Route::Park, Route::Reroute)
+    }
+
+    /// The verdict on control cycle number `cycle` (0-based, counting
+    /// skipped cycles too) of an OST that is `crashed` or not: a crashed
+    /// OSS takes its controller down with it, a stalled daemon skips the
+    /// whole cycle, a failed stats read blinds it.
+    pub fn cycle_gate(&self, cycle: u64, crashed: bool) -> CycleGate {
+        if crashed || self.cycle_stalled(cycle) {
+            CycleGate::Skip
+        } else if self.stats_lost(cycle) {
+            CycleGate::StatsLost
+        } else {
+            CycleGate::Healthy
+        }
     }
 
     /// Whether control cycle number `cycle` (0-based) is stalled.
@@ -475,6 +625,141 @@ mod tests {
             resend_after: SimDuration::from_millis(300),
         };
         assert_eq!(c.recovery_at(), SimTime::from_secs(14));
+    }
+
+    fn crash(ost: usize) -> FaultPlan {
+        FaultPlan {
+            ost_crash: Some(CrashSpec {
+                ost,
+                from: SimTime::from_secs(8),
+                for_: SimDuration::from_secs(6),
+                resend_after: SimDuration::from_millis(300),
+            }),
+            ..Default::default()
+        }
+    }
+
+    #[test]
+    fn route_table() {
+        let inside = SimTime::from_secs(10);
+        // (plan, addressed ost, proc, n_osts, stripe_count, at) → route
+        let table = [
+            // The window is half-open: closed before `from`, open at it,
+            // open to the last instant, closed again at `recovery_at()`.
+            (
+                crash(1),
+                1,
+                0,
+                4,
+                2,
+                SimTime::from_millis(7_999),
+                Route::Local,
+            ),
+            (
+                crash(1),
+                1,
+                0,
+                4,
+                2,
+                SimTime::from_secs(8),
+                Route::Reroute(0),
+            ),
+            (
+                crash(1),
+                1,
+                0,
+                4,
+                2,
+                SimTime::from_millis(13_999),
+                Route::Reroute(0),
+            ),
+            (crash(1), 1, 0, 4, 2, SimTime::from_secs(14), Route::Local),
+            // Only the crashed OST is displaced.
+            (crash(1), 0, 0, 4, 2, inside, Route::Local),
+            // Stripe order after the addressed member: proc 0 stripes
+            // {0, 1, 2}; OST 1 down ⇒ next member 2, not back to 0.
+            (crash(1), 1, 0, 4, 3, inside, Route::Reroute(2)),
+            // Stripe wrap (base + width > n_osts): proc 3 stripes {3, 0};
+            // either member fails over to the other, never to 1 or 2.
+            (crash(3), 3, 3, 4, 2, inside, Route::Reroute(0)),
+            (crash(0), 0, 3, 4, 2, inside, Route::Reroute(3)),
+            // Addressed outside the derivable stripe set (proc 0 stripes
+            // {0, 1}, the trace says OST 2): plain ring order from there.
+            (crash(2), 2, 0, 4, 2, inside, Route::Reroute(3)),
+            // A file confined to its one OST has nowhere to go.
+            (crash(0), 0, 0, 4, 1, inside, Route::Park),
+            (crash(0), 0, 0, 1, 1, inside, Route::Park),
+        ];
+        for (plan, ost, proc, n_osts, stripe_count, at, expected) in table {
+            assert_eq!(
+                plan.route(ost, proc, n_osts, stripe_count, at),
+                expected,
+                "ost {ost} proc {proc} on {n_osts} OSTs × stripe {stripe_count} at {at}"
+            );
+        }
+        assert_eq!(FaultPlan::none().route(0, 0, 1, 1, inside), Route::Local);
+    }
+
+    #[test]
+    fn fully_striped_route_is_the_ring_walk() {
+        // stripe_count == n_osts: the stripe walk after `ost` and the ring
+        // fallback visit the same candidates in the same order, so the
+        // survivor is the ring successor whatever the process's base.
+        let n = 5;
+        for down in 0..n {
+            for proc in 0..2 * n {
+                assert_eq!(
+                    crash(down).route(down, proc, n, n, SimTime::from_secs(9)),
+                    Route::Reroute((down + 1) % n),
+                    "ost {down} proc {proc}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn cycle_gate_orders_crash_stall_and_stats_loss() {
+        let plan = FaultPlan {
+            controller_stall: Some(StallSpec {
+                every: 4,
+                duration: 1,
+            }),
+            stats_loss_every: Some(2),
+            ..Default::default()
+        };
+        // Cycles 1 and 3 lose stats, cycle 3 is also stalled: the stall wins.
+        let gates: Vec<CycleGate> = (0..4).map(|c| plan.cycle_gate(c, false)).collect();
+        use CycleGate::{Healthy, Skip, StatsLost};
+        assert_eq!(gates, [Healthy, StatsLost, Healthy, Skip]);
+        // A crashed OSS skips whatever the cycle-indexed faults say.
+        assert!((0..4).all(|c| plan.cycle_gate(c, true) == Skip));
+        assert_eq!(FaultPlan::none().cycle_gate(7, false), Healthy);
+    }
+
+    #[test]
+    fn wiring_validation_names_the_broken_part() {
+        let ok = FaultPlan::none();
+        assert_eq!(validate_wiring(4, 2, 2, &crash(1)), Ok(()));
+        for (n_clients, n_osts, stripe) in [(0, 1, 1), (1, 0, 1), (1, 2, 0), (1, 2, 3)] {
+            let err = validate_wiring(n_clients, n_osts, stripe, &ok).unwrap_err();
+            assert!(matches!(err, WiringError::Wiring(_)), "{err}");
+        }
+        let err = validate_wiring(4, 2, 2, &crash(2)).unwrap_err();
+        assert!(matches!(err, WiringError::Fault(_)), "{err}");
+        assert!(err.to_string().contains("out of range"), "{err}");
+        let stall_free = FaultPlan {
+            stats_loss_every: Some(0),
+            ..Default::default()
+        };
+        let err = validate_wiring(4, 2, 2, &stall_free).unwrap_err();
+        assert!(matches!(err, WiringError::Fault(_)), "{err}");
+    }
+
+    #[test]
+    fn placement_round_robins_and_wraps() {
+        assert_eq!((client_of(5, 4), base_ost(5, 4)), (1, 1));
+        assert_eq!(base_ost(3, 4), 3);
+        assert_eq!(stripe_ost(3, 1, 4), 0, "stripe sets wrap around the ring");
     }
 
     #[test]

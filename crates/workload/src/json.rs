@@ -45,6 +45,7 @@ impl Json {
     /// Parse one JSON document (trailing whitespace allowed, nothing else).
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text: input,
             bytes: input.as_bytes(),
             pos: 0,
         };
@@ -201,6 +202,8 @@ fn write_string(out: &mut String, s: &str) {
 }
 
 struct Parser<'a> {
+    text: &'a str,
+    /// `text.as_bytes()`.
     bytes: &'a [u8],
     pos: usize,
 }
@@ -354,12 +357,16 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (input is a valid &str).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote or escape.
+                    // Both delimiters are ASCII, so the run starts and
+                    // ends on char boundaries of the (valid) input.
+                    let rest = &self.bytes[self.pos..];
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    out.push_str(&self.text[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -429,6 +436,24 @@ mod tests {
         assert_eq!(
             Json::parse("\"a\\nb\"").unwrap(),
             Json::Str("a\nb".to_string())
+        );
+    }
+
+    #[test]
+    fn parses_multi_byte_strings() {
+        for text in ["héllo → ✓", "é", "✓\\\"é\"", "tail é"] {
+            let doc = format!("[{}]", Json::str(text).render().trim_end());
+            assert_eq!(
+                Json::parse(&doc).unwrap(),
+                Json::Arr(vec![Json::str(text)]),
+                "{doc}"
+            );
+        }
+        // Offsets stay byte offsets into the input: `é` is two bytes.
+        let err = Json::parse("\"é").unwrap_err();
+        assert_eq!(
+            (err.message.as_str(), err.offset),
+            ("unterminated string", 3)
         );
     }
 

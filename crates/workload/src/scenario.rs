@@ -66,6 +66,25 @@ impl Scenario {
         self.jobs.iter().map(|j| j.id).collect()
     }
 
+    /// `(job, nodes)` priority weights in declaration order (rule
+    /// installation order matters for first-match-wins semantics).
+    pub fn job_weights(&self) -> Vec<(JobId, u64)> {
+        self.jobs.iter().map(|j| (j.id, j.nodes)).collect()
+    }
+
+    /// RPCs each job releases within the horizon, in declaration order —
+    /// the completion-detection denominator both executors use
+    /// ([`crate::ProcessSpec::released_within`] summed per job).
+    pub fn released_by_job(&self) -> Vec<(JobId, u64)> {
+        let released = |j: &JobSpec| {
+            j.processes
+                .iter()
+                .map(|p| p.released_within(self.duration))
+                .sum()
+        };
+        self.jobs.iter().map(|j| (j.id, released(j))).collect()
+    }
+
     /// Total RPCs across all jobs (unbounded time).
     pub fn total_rpcs(&self) -> u64 {
         self.jobs.iter().map(|j| j.total_rpcs()).sum()

@@ -252,10 +252,10 @@ pub fn scale_stress(n_jobs: usize, duration_secs: u64) -> Scenario {
 
 /// The end-to-end event-loop stress: 64 jobs × 2 processes, each writing
 /// an 8 GiB-equivalent file (8192 RPCs), sized for a 16-OST cluster —
-/// ~1.05 M RPCs served in one run. This is the workload `--bin simloop`
-/// benchmarks: at this scale the simulator itself (event heap, metrics
-/// bookkeeping, per-RPC map lookups) is the bottleneck, not the
-/// scheduler, so it tracks the dense-interner/flat-metrics fast path.
+/// ~1.05 M RPCs served in one run. At this scale the simulator itself
+/// (event heap, metrics bookkeeping, per-RPC map lookups) is the
+/// bottleneck, not the scheduler, so it tracks the
+/// dense-interner/flat-metrics fast path.
 pub fn million_rpc() -> Scenario {
     million_rpc_scaled(1.0)
 }

@@ -16,7 +16,9 @@
 //! approximation that lets any scenario consumer (grids, benches, files)
 //! run a recorded workload shape.
 
-use crate::faults::{ChurnSpec, CrashSpec, DegradeSpec, FaultPlan, StallSpec};
+use crate::faults::{
+    validate_wiring, ChurnSpec, CrashSpec, DegradeSpec, FaultPlan, StallSpec, WiringError,
+};
 use crate::job::JobSpec;
 #[cfg(test)]
 use crate::pattern::IoPattern;
@@ -374,29 +376,15 @@ impl Trace {
             recorded_by,
             jobs,
         };
-        meta.faults
-            .validate()
-            .map_err(|e| err(format!("fault header: {e}")))?;
-        if let Some(crash) = meta.faults.ost_crash {
-            if crash.ost >= meta.n_osts {
-                return Err(err(format!(
-                    "fault_crash ost {} out of range (n_osts {})",
-                    crash.ost, meta.n_osts
-                )));
-            }
-        }
         if meta.duration.is_zero() {
             return Err(err("duration must be positive"));
         }
-        if meta.n_clients == 0 || meta.n_osts == 0 {
-            return Err(err("n_clients and n_osts must be positive"));
-        }
-        if meta.stripe_count == 0 || meta.stripe_count > meta.n_osts {
-            return Err(err(format!(
-                "stripe_count must be in 1..={}, got {}",
-                meta.n_osts, meta.stripe_count
-            )));
-        }
+        validate_wiring(meta.n_clients, meta.n_osts, meta.stripe_count, &meta.faults).map_err(
+            |e| match e {
+                WiringError::Wiring(msg) => err(msg),
+                WiringError::Fault(msg) => err(format!("fault header: {msg}")),
+            },
+        )?;
         if meta.jobs.is_empty() {
             return Err(err("trace must declare at least one `job`"));
         }

@@ -64,7 +64,7 @@ fn single_and_multi_ost_agree_on_shares() {
         },
     )
     .run();
-    let share = |m: &adaptbf::sim::metrics::Metrics| {
+    let share = |m: &adaptbf::node::Metrics| {
         let j1 = m.served_by_job()[&JobId(1)] as f64;
         let j2 = m.served_by_job()[&JobId(2)] as f64;
         j2 / (j1 + j2)

@@ -83,6 +83,10 @@ fn assert_books_balance(live: &LiveReport, what: &str) {
         live.report.fault_stats
     );
     assert!(served > 500, "{what}: barely served ({served})");
+    // No job starves on real threads, faults or not.
+    for (job, outcome) in &live.report.per_job {
+        assert!(outcome.served > 0, "{what}: {job} served nothing");
+    }
 }
 
 /// A crash window over the middle of the run (stripe pair, OST 0 down

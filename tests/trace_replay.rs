@@ -137,7 +137,7 @@ fn authored_diurnal_scenario_runs() {
     }
 }
 
-fn served_bytes(metrics: &adaptbf::sim::metrics::Metrics, rpc_size: u64) -> BTreeMap<JobId, u64> {
+fn served_bytes(metrics: &adaptbf::node::Metrics, rpc_size: u64) -> BTreeMap<JobId, u64> {
     metrics
         .served_by_job()
         .iter()
