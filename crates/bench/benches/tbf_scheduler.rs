@@ -2,9 +2,9 @@
 //! enqueue, deadline-heap dispatch, and rule churn — the operations every
 //! RPC and every control cycle pay for.
 
-use adaptbf_bench::hotpath_fixture::{rpc, scheduler_with_rules};
-use adaptbf_model::SimTime;
-use adaptbf_tbf::SchedDecision;
+use adaptbf_bench::hotpath_fixture::{active_jobs, park_backlog, rpc, scheduler_with_rules};
+use adaptbf_model::{JobAllocation, JobId, SimTime, TbfSchedulerConfig};
+use adaptbf_tbf::{NrsTbfScheduler, RuleDaemon, SchedDecision};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 /// One enqueue+dispatch group over the given rule-table sizes. Virtual
@@ -64,10 +64,45 @@ fn bench_rule_churn(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_rule_churn_parked(c: &mut Criterion) {
+    // One control cycle's rule transaction under churn, as the daemon
+    // issues it: half the rules stopped, as many started, the rest
+    // re-rated — over a standing fallback backlog every start has to look
+    // past. Elements = active jobs, so the per-element time is Section
+    // IV-G's per-job cost.
+    let mut group = c.benchmark_group("rule_churn_parked");
+    for n_jobs in [64u32, 512, 2048] {
+        group.throughput(Throughput::Elements(n_jobs as u64));
+        group.bench_with_input(BenchmarkId::from_parameter(n_jobs), &n_jobs, |b, &n| {
+            let mut s = NrsTbfScheduler::new(TbfSchedulerConfig::default());
+            park_backlog(&mut s, n + n / 2);
+            let mut daemon = RuleDaemon::new();
+            let mut cycle = 0u64;
+            b.iter(|| {
+                let (allocations, weights): (Vec<_>, Vec<_>) = active_jobs(n, true, cycle)
+                    .map(|job| {
+                        let alloc = JobAllocation {
+                            job: JobId(job),
+                            tokens: 10 + cycle % 7,
+                            rate_tps: 100.0 + (cycle % 7) as f64,
+                        };
+                        (alloc, (JobId(job), 1 + job % 16))
+                    })
+                    .unzip();
+                cycle += 1;
+                let now = SimTime::from_millis(100 * cycle);
+                daemon.apply(&mut s, &allocations, &weights, now);
+            });
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_enqueue_dispatch,
     bench_classification_scaling,
-    bench_rule_churn
+    bench_rule_churn,
+    bench_rule_churn_parked
 );
 criterion_main!(benches);

@@ -4,16 +4,17 @@
 //! per active job, and the whole framework cycle (collect stats, allocate,
 //! manage rules, clear) costs ~25 ms independent of job count. Their
 //! implementation shells out to Lustre procfs; ours is in-memory, so the
-//! absolute cycle cost is far smaller — the *scaling shape* is the target.
-//! Also prints the Table II-derived simulation calibration.
+//! absolute cycle cost is far smaller — the *scaling shape* is the target:
+//! flat per job, for a steady job set and for one that churns over a
+//! parked backlog alike. Also prints the Table II-derived simulation
+//! calibration.
 
+use adaptbf_bench::hotpath_fixture::{ControlCycles, PARKED};
 use adaptbf_bench::{write_artifact, Options};
 use adaptbf_core::AllocationController;
 use adaptbf_model::config::paper;
-use adaptbf_model::{JobId, JobObservation, SimTime, TbfSchedulerConfig};
-use adaptbf_node::ControllerDriver;
-use adaptbf_node::OstNode;
-use adaptbf_sim::ost::OstState;
+use adaptbf_model::{JobId, JobObservation};
+use adaptbf_node::ControllerOverhead;
 use adaptbf_sim::RunGrid;
 use std::time::Instant;
 
@@ -43,28 +44,22 @@ fn bench_allocation(n: usize, iters: u32) -> f64 {
     t0.elapsed().as_nanos() as f64 / iters as f64
 }
 
-fn bench_full_cycle(n: usize, iters: u32) -> f64 {
-    let mut ost = OstState::new(
-        paper::ost(),
-        OstNode::unruled(TbfSchedulerConfig::default()),
-        1,
-    );
-    let nodes = (0..n)
-        .map(|i| (JobId(i as u32 + 1), (i as u64 % 16) + 1))
-        .collect();
-    let mut driver = ControllerDriver::new(paper::adaptbf(), nodes);
-    let mut now = SimTime::ZERO;
-    let t0 = Instant::now();
+/// The driver's own accounting over `iters` framework cycles with `n`
+/// active jobs, after two warm-up cycles (the first installs every rule).
+fn bench_full_cycle(n: u32, churn: bool, iters: u32) -> ControllerOverhead {
+    let mut cycles = ControlCycles::new(n, churn);
+    cycles.cycle();
+    cycles.cycle();
+    let warm = cycles.overhead();
     for _ in 0..iters {
-        for i in 0..n {
-            for _ in 0..3 {
-                ost.node.job_stats.record_arrival(JobId(i as u32 + 1));
-            }
-        }
-        now += adaptbf_model::SimDuration::from_millis(100);
-        driver.tick(&mut ost.node.scheduler, &mut ost.node.job_stats, now);
+        cycles.cycle();
     }
-    t0.elapsed().as_nanos() as f64 / iters as f64
+    let total = cycles.overhead();
+    ControllerOverhead {
+        ticks: total.ticks - warm.ticks,
+        total_ns: total.total_ns - warm.total_ns,
+        jobs_allocated: total.jobs_allocated - warm.jobs_allocated,
+    }
 }
 
 fn main() {
@@ -105,17 +100,30 @@ fn main() {
     }
     write_artifact("overhead_alloc_scaling.csv", &csv);
 
-    println!("\nFull framework cycle (collect + allocate + rules + clear):");
-    println!("{:>8} {:>14}", "jobs", "us/cycle");
-    let mut csv = String::from("jobs,us_per_cycle\n");
-    let sizes = vec![4usize, 16, 64, 256, 1000];
+    println!("\nFull framework cycle (collect + allocate + rules + clear), steady job");
+    println!("set over an empty fallback queue vs half the rules replaced every");
+    println!("cycle over {PARKED} parked RPCs (paper: <30 us/job):");
+    println!(
+        "{:>8} {:>14} {:>12} {:>14} {:>12}",
+        "jobs", "steady us/cyc", "us/job", "churn us/cyc", "us/job"
+    );
+    let mut csv = String::from(
+        "jobs,steady_us_per_cycle,steady_us_per_job,churn_us_per_cycle,churn_us_per_job\n",
+    );
+    let sizes = vec![64u32, 512, 2048];
     let rows = timing_grid.run(sizes, |n| {
-        let iters = if n >= 256 { 50 } else { 300 };
-        (n, bench_full_cycle(n, iters) / 1e3)
+        let iters = if n >= 512 { 50 } else { 300 };
+        let row = [false, true].map(|churn| {
+            let o = bench_full_cycle(n, churn, iters);
+            (o.ns_per_tick() / 1e3, o.ns_per_job() / 1e3)
+        });
+        (n, row)
     });
-    for (n, us) in rows {
-        println!("{n:>8} {us:>14.1}");
-        csv.push_str(&format!("{n},{us:.1}\n"));
+    for (n, [(steady, steady_job), (churn, churn_job)]) in rows {
+        println!("{n:>8} {steady:>14.1} {steady_job:>12.3} {churn:>14.1} {churn_job:>12.3}");
+        csv.push_str(&format!(
+            "{n},{steady:.1},{steady_job:.3},{churn:.1},{churn_job:.3}\n"
+        ));
     }
     write_artifact("overhead_framework_cycle.csv", &csv);
 
@@ -128,6 +136,6 @@ fn main() {
     );
     println!(
         "\npaper shape: per-job allocation cost flat (O(n) total), well under\n\
-         30 us/job; cycle cost dominated by constant work, not job count."
+         30 us/job; cycle cost per job flat too, churning or not."
     );
 }

@@ -36,9 +36,11 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct SlotSeries {
     bucket: SimDuration,
-    /// Slots per row. Grows (with re-layout) only when a job appears
-    /// after the family already holds data — rare: builders intern every
-    /// scenario job up front.
+    /// Slots per row. While the family holds no data it is simply the
+    /// number of slots seen; once rows exist, a new slot means re-laying
+    /// every row out, so from then on it grows geometrically and may run
+    /// ahead of the slots in use. Jobs *do* show up mid-run — nobody
+    /// pre-sizes it (see [`Metrics::reserve_jobs`]).
     stride: usize,
     /// Bucket-major matrix, `rows × stride`, zero-filled.
     values: Vec<f64>,
@@ -46,10 +48,11 @@ struct SlotSeries {
     /// slots are excluded from the folded [`PerJobSeries`], exactly like
     /// a job that never got a map entry in the keyed implementation).
     len: Vec<usize>,
-    /// Bitmap over flat cell indices marking cells written via [`set`]
-    /// (gauge families only — the add path never touches it, keeping the
-    /// per-RPC hot path free of bitmap upkeep). Shard merges need it to
-    /// tell "gauge written as 0.0" apart from "never written", so
+    /// Bitmap marking cells written via [`set`], bucket-major like
+    /// `values` with each row starting on a word boundary (gauge
+    /// families only — the add path never touches it, keeping the per-RPC
+    /// hot path free of bitmap upkeep). Shard merges need it to tell
+    /// "gauge written as 0.0" apart from "never written", so
     /// overwrite-merge reproduces last-write-wins exactly.
     written: Vec<u64>,
 }
@@ -69,40 +72,50 @@ impl SlotSeries {
         self.values.len().checked_div(self.stride).unwrap_or(0)
     }
 
+    /// Words per bitmap row.
+    fn row_words(&self) -> usize {
+        self.stride.div_ceil(64)
+    }
+
     /// Make room for `slots` slots, re-laying the matrix out if data
-    /// already exists at a smaller stride.
+    /// already exists at a smaller stride — to at least twice that
+    /// stride, so a run whose jobs appear one by one pays O(log jobs)
+    /// re-layouts, not one per job.
     fn grow(&mut self, slots: usize) {
         if slots <= self.stride {
             return;
         }
         let rows = self.rows();
+        let stride = if rows > 0 {
+            slots.max(self.stride * 2)
+        } else {
+            slots
+        };
         if rows > 0 {
-            let mut next = vec![0.0; rows * slots];
-            for r in 0..rows {
-                next[r * slots..r * slots + self.stride]
-                    .copy_from_slice(&self.values[r * self.stride..(r + 1) * self.stride]);
+            let mut next = vec![0.0; rows * stride];
+            for (old, new) in self
+                .values
+                .chunks_exact(self.stride)
+                .zip(next.chunks_exact_mut(stride))
+            {
+                new[..self.stride].copy_from_slice(old);
             }
             self.values = next;
-            if !self.written.is_empty() {
-                let mut next_w = vec![0u64; (rows * slots).div_ceil(64)];
-                for r in 0..rows {
-                    for s in 0..self.stride {
-                        let old = r * self.stride + s;
-                        if self
-                            .written
-                            .get(old / 64)
-                            .is_some_and(|w| w >> (old % 64) & 1 == 1)
-                        {
-                            let new = r * slots + s;
-                            next_w[new / 64] |= 1 << (new % 64);
-                        }
-                    }
+            let (old_words, new_words) = (self.row_words(), stride.div_ceil(64));
+            if new_words != old_words && !self.written.is_empty() {
+                let mut next = vec![0u64; rows * new_words];
+                for (old, new) in self
+                    .written
+                    .chunks(old_words)
+                    .zip(next.chunks_exact_mut(new_words))
+                {
+                    new[..old.len()].copy_from_slice(old);
                 }
-                self.written = next_w;
+                self.written = next;
             }
         }
-        self.stride = slots;
-        self.len.resize(slots, 0);
+        self.stride = stride;
+        self.len.resize(stride, 0);
     }
 
     #[inline]
@@ -125,28 +138,40 @@ impl SlotSeries {
     #[inline]
     fn set(&mut self, slot: usize, idx: usize, value: f64) {
         *self.cell(slot, idx) = value;
-        let flat = idx * self.stride + slot;
-        if flat / 64 >= self.written.len() {
-            self.written.resize(flat / 64 + 1, 0);
+        let word = idx * self.row_words() + slot / 64;
+        if word >= self.written.len() {
+            self.written.resize(word + 1, 0);
         }
-        self.written[flat / 64] |= 1 << (flat % 64);
+        self.written[word] |= 1 << (slot % 64);
     }
 
     #[inline]
-    fn is_written(&self, flat: usize) -> bool {
+    fn is_written(&self, slot: usize, idx: usize) -> bool {
         self.written
-            .get(flat / 64)
-            .is_some_and(|w| w >> (flat % 64) & 1 == 1)
+            .get(idx * self.row_words() + slot / 64)
+            .is_some_and(|w| w >> (slot % 64) & 1 == 1)
+    }
+
+    /// Rows any slot touches.
+    fn longest(&self) -> usize {
+        self.len.iter().copied().max().unwrap_or(0)
     }
 
     /// Cell-wise **sum** merge for counting families (served/demand):
     /// `self[map[slot], r] += other[slot, r]` over each touched slot's
     /// logical length, so merged lengths are the per-slot maxima.
+    ///
+    /// Both merges walk **bucket by bucket**: storage is bucket-major on
+    /// both sides, so that order reads and writes memory front to back.
+    /// Cells are independent of each other and logical lengths only ever
+    /// take a maximum, so the result does not depend on the order.
     fn absorb_sum(&mut self, other: &SlotSeries, map: &[usize]) {
-        for (slot_o, &n) in other.len.iter().enumerate() {
-            for r in 0..n {
-                let v = other.values[r * other.stride + slot_o];
-                self.add(map[slot_o], r, v);
+        for r in 0..other.longest() {
+            let row = &other.values[r * other.stride..][..other.stride];
+            for (slot_o, &n) in other.len.iter().enumerate() {
+                if r < n {
+                    self.add(map[slot_o], r, row[slot_o]);
+                }
             }
         }
     }
@@ -157,11 +182,14 @@ impl SlotSeries {
     /// wrote — callers merge shards in ascending shard order to reproduce
     /// the unsharded last-write-wins outcome (see `Metrics::absorb`).
     fn absorb_over(&mut self, other: &SlotSeries, map: &[usize]) {
-        for (slot_o, &n) in other.len.iter().enumerate() {
-            for r in 0..n {
-                let flat = r * other.stride + slot_o;
-                if other.is_written(flat) {
-                    self.set(map[slot_o], r, other.values[flat]);
+        for r in 0..other.longest() {
+            let row = &other.values[r * other.stride..][..other.stride];
+            for (slot_o, &n) in other.len.iter().enumerate() {
+                if r >= n {
+                    continue;
+                }
+                if other.is_written(slot_o, r) {
+                    self.set(map[slot_o], r, row[slot_o]);
                 } else if r + 1 == n {
                     // Preserve the logical length even when the last
                     // touched cell was extended by padding, not a write.
@@ -180,7 +208,7 @@ impl SlotSeries {
                 self.len[slot] = idx + 1;
             }
         }
-        let max = self.len.iter().copied().max().unwrap_or(0);
+        let max = self.longest();
         if max > self.rows() {
             self.values.resize(max * self.stride, 0.0);
         }
@@ -293,7 +321,13 @@ impl Metrics {
         }
     }
 
-    /// Pre-size all per-slot storage for about `jobs` jobs.
+    /// Reserve capacity in the interner, the counters and the latency
+    /// histograms for about `jobs` jobs. The four timeline families are
+    /// deliberately *not* sized here: a shard of a striped run only ever
+    /// sees part of the scenario's jobs, and a `buckets × jobs` matrix
+    /// per family for the rest is memory it would never touch. Their
+    /// stride follows the jobs actually seen, growing geometrically (see
+    /// `SlotSeries::grow`).
     pub fn reserve_jobs(&mut self, jobs: usize) {
         self.slots.reserve(jobs);
         self.counters.reserve(jobs);
@@ -766,6 +800,107 @@ mod tests {
             folded.latency(JobId(1)).count(),
             inline.latency(JobId(1)).count()
         );
+    }
+
+    #[test]
+    fn jobs_seen_one_by_one_relayout_a_logarithmic_number_of_times() {
+        // Every job of a churning run is first seen mid-run, after its
+        // family already holds rows. Each stride change then re-lays every
+        // row out: 2,048 such jobs may cost 11 of them (one per doubling),
+        // not 2,048 — and the overshoot never exceeds the doubling.
+        let mut metrics = m();
+        let mut relayouts = 0;
+        for job in 0..2048u32 {
+            let at = SimTime::from_millis(100 * (job as u64 / 64));
+            let before = metrics.records.stride;
+            metrics.on_arrival(JobId(job), at);
+            metrics.on_allocation(JobId(job), at, job as i64 - 7, job as u64);
+            if before > 0 && metrics.records.stride != before {
+                relayouts += 1;
+            }
+        }
+        assert!(relayouts <= 11, "{relayouts} re-layouts");
+        assert_eq!(metrics.demand.stride, 2048);
+        // Nothing moved: every gauge cell reads back where it was written,
+        // and only there.
+        let records = metrics.records();
+        for job in 0..2048u32 {
+            let series = records.get(JobId(job)).unwrap();
+            let row = job as usize / 64;
+            assert_eq!(series.values.len(), row + 1);
+            assert_eq!(series.get(row), job as f64 - 7.0);
+            let slot = metrics.slots.get(JobId(job)).unwrap();
+            for r in 0..32 {
+                assert_eq!(metrics.records.is_written(slot, r), r == row, "{job} {r}");
+            }
+        }
+    }
+
+    /// The merge walks as they were before the bucket-major order: slot
+    /// by slot, each slot's buckets in turn.
+    fn absorb_slot_by_slot(into: &mut SlotSeries, other: &SlotSeries, map: &[usize], sum: bool) {
+        for (slot_o, &n) in other.len.iter().enumerate() {
+            for r in 0..n {
+                let v = other.values[r * other.stride + slot_o];
+                if sum {
+                    into.add(map[slot_o], r, v);
+                } else if other.is_written(slot_o, r) {
+                    into.set(map[slot_o], r, v);
+                } else if r + 1 == n {
+                    into.cell(map[slot_o], r);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bucket_major_merges_equal_the_slot_by_slot_walk() {
+        // Three shards whose jobs are interned late, in different orders
+        // and not all on every shard (so the merged side re-lays out too),
+        // with ragged lengths, gauge zeros and padded tails — merged in
+        // shard order both ways, the families must agree cell for cell
+        // (values, logical lengths and written bits).
+        let shard = |k: u32| {
+            let mut sh = m();
+            for step in 0..60u32 {
+                let job = JobId((step * (k + 3) + k) % (17 + 3 * k));
+                let at = SimTime::from_millis(40 * step as u64);
+                sh.on_arrival(job, at);
+                if step % 3 == k % 3 {
+                    sh.on_served(job, at);
+                }
+                if step % 4 == 0 {
+                    sh.on_allocation(job, at, (step % 5) as i64 - 2, (step % 3) as u64);
+                } else if step % 7 == 0 {
+                    sh.set_record(job, at, 0.0);
+                }
+            }
+            if k == 1 {
+                sh.finalize(SimTime::from_millis(3000));
+            }
+            sh
+        };
+        let shards = [shard(0), shard(1), shard(2)];
+        let mut merged = m();
+        let mut oracle = m();
+        for sh in &shards {
+            merged.absorb(sh);
+            let mut map = vec![0usize; sh.counters.len()];
+            for (slot_o, job) in sh.slots.iter() {
+                map[slot_o] = oracle.slot(job);
+            }
+            absorb_slot_by_slot(&mut oracle.served, &sh.served, &map, true);
+            absorb_slot_by_slot(&mut oracle.demand, &sh.demand, &map, true);
+            absorb_slot_by_slot(&mut oracle.records, &sh.records, &map, false);
+            absorb_slot_by_slot(&mut oracle.allocations, &sh.allocations, &map, false);
+        }
+        let families = |x: &Metrics| {
+            [&x.served, &x.demand, &x.records, &x.allocations]
+                .map(|f| (f.stride, f.values.clone(), f.len.clone(), f.written.clone()))
+        };
+        assert_eq!(families(&merged), families(&oracle));
+        assert!(merged.records.written.iter().any(|w| *w != 0));
+        assert_eq!(merged.demand().jobs().len(), 23);
     }
 
     #[test]

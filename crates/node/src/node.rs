@@ -126,8 +126,12 @@ impl OstNode {
         for jt in &outcome.trace.jobs {
             metrics.on_allocation(jt.job, now, jt.record_after, jt.after_recompensation);
         }
+        // Ledger and trace are both in job order: one merge walk finds the
+        // ledger entries the trace skips.
+        let mut traced = outcome.trace.jobs.iter().map(|jt| jt.job).peekable();
         for (job, entry) in driver.controller.ledger().iter() {
-            if outcome.trace.job(job).is_none() {
+            while traced.next_if(|&t| t < job).is_some() {}
+            if traced.peek() != Some(&job) {
                 metrics.set_record(job, now, entry.record as f64);
             }
         }

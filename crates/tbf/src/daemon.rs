@@ -5,11 +5,13 @@
 //! active, (2) creates rules for newly active jobs, (3) applies the
 //! computed token rate to every active job's rule, and (4) sets the rule
 //! hierarchy weight from job priority so idle threads prefer high-priority
-//! queues. Jobs without rules are never starved — their RPCs ride the
-//! fallback queue.
+//! queues — handed to the scheduler as **one transaction**
+//! ([`NrsTbfScheduler::transact`]), so a cycle's cost follows what
+//! changed, not what changed times what is parked. Jobs without rules are
+//! never starved — their RPCs ride the fallback queue.
 
 use crate::matcher::RpcMatcher;
-use crate::scheduler::NrsTbfScheduler;
+use crate::scheduler::{NrsTbfScheduler, RuleSpec};
 use adaptbf_model::{JobAllocation, JobId, RuleId, SimTime};
 use std::collections::BTreeMap;
 
@@ -20,7 +22,8 @@ pub struct RuleDaemon {
     ops_applied: u64,
     /// Per-cycle scratch (the daemon runs every observation period on
     /// every OST; these avoid a handful of allocations per cycle).
-    stale_scratch: Vec<JobId>,
+    stops_scratch: Vec<RuleId>,
+    starts_scratch: Vec<(JobId, f64, u32)>,
     updates_scratch: Vec<(RuleId, f64, u32)>,
 }
 
@@ -55,25 +58,20 @@ impl RuleDaemon {
             "weights must be ascending in JobId"
         );
         // 1. Stop rules for jobs with no allocation this period.
-        let mut stale = std::mem::take(&mut self.stale_scratch);
-        stale.clear();
-        stale.extend(
-            self.rules_by_job
-                .keys()
-                .copied()
-                .filter(|j| allocations.binary_search_by_key(j, |a| a.job).is_err()),
-        );
-        for &job in &stale {
-            let id = self.rules_by_job.remove(&job).expect("listed job");
-            // The rule may already be gone if the scheduler was reset.
-            let _ = scheduler.stop_rule(id, now);
-            self.ops_applied += 1;
-        }
-        self.stale_scratch = stale;
+        let mut stops = std::mem::take(&mut self.stops_scratch);
+        stops.clear();
+        self.rules_by_job.retain(|job, id| {
+            let live = allocations.binary_search_by_key(job, |a| a.job).is_ok();
+            if !live {
+                stops.push(*id);
+            }
+            live
+        });
 
-        // 2/3. Create rules for newly active jobs; batch-update the rest
-        // (one queue re-classification for the whole cycle).
+        // 2/3. Create rules for newly active jobs; re-rate the rest.
+        let mut starts = std::mem::take(&mut self.starts_scratch);
         let mut updates = std::mem::take(&mut self.updates_scratch);
+        starts.clear();
         updates.clear();
         for alloc in allocations {
             let weight = weights
@@ -81,26 +79,27 @@ impl RuleDaemon {
                 .map(|i| weights[i].1)
                 .unwrap_or(1);
             match self.rules_by_job.get(&alloc.job) {
-                Some(id) => {
-                    updates.push((*id, alloc.rate_tps, weight));
-                    self.ops_applied += 2;
-                }
-                None => {
-                    let id = scheduler.start_rule(
-                        alloc.job.label(),
-                        RpcMatcher::Job(alloc.job),
-                        alloc.rate_tps,
-                        weight,
-                        now,
-                    );
-                    self.rules_by_job.insert(alloc.job, id);
-                    self.ops_applied += 1;
-                }
+                Some(id) => updates.push((*id, alloc.rate_tps, weight)),
+                None => starts.push((alloc.job, alloc.rate_tps, weight)),
             }
         }
-        scheduler
-            .apply_updates(&updates, now)
+        self.ops_applied += (stops.len() + starts.len() + 2 * updates.len()) as u64;
+
+        // One transaction for the whole cycle: one table rebuild for the
+        // stops, one fallback pass for the starts.
+        let specs = starts.iter().map(|&(job, rate_tps, weight)| RuleSpec {
+            name: job.label(),
+            matcher: RpcMatcher::Job(job),
+            rate_tps,
+            weight,
+        });
+        let ids = scheduler
+            .transact(&stops, specs, &updates, now)
             .expect("rules tracked by daemon must exist");
+        self.rules_by_job
+            .extend(starts.iter().map(|s| s.0).zip(ids));
+        self.stops_scratch = stops;
+        self.starts_scratch = starts;
         self.updates_scratch = updates;
     }
 

@@ -44,4 +44,4 @@ pub use job_stats::JobStatsTracker;
 pub use matcher::RpcMatcher;
 pub use queue::TbfQueue;
 pub use rule::{RuleTable, TbfRule};
-pub use scheduler::{NrsTbfScheduler, SchedDecision, SchedulerStats};
+pub use scheduler::{NrsTbfScheduler, RuleSpec, SchedDecision, SchedulerStats};

@@ -50,13 +50,15 @@ pub struct RuleTable {
     /// `raw RuleId → position in rules + 1` (0 = absent). Ids are handed
     /// out sequentially, so a flat vector stays small and per-rule
     /// updates are O(1) (the daemon re-rates every active job's rule each
-    /// period).
+    /// period). Ids are never reused, so it only ever grows: nothing on
+    /// the mutation path may scan it whole.
     index: Vec<u32>,
     /// Interner behind the classify shortcut.
     job_slots: JobSlots,
     /// `job slot → position of the first Job/JobSet rule selecting it + 1`
     /// (0 = none) — the data-path shortcut. Maintained on start
-    /// (incrementally) and stop/reorder (rebuild).
+    /// (incrementally) and stop/reorder (rebuild). Slots are never
+    /// forgotten either, so like `index` it is never scanned whole.
     job_fast_path: Vec<u32>,
     /// Positions of rules whose matcher is *not* purely job-based
     /// (Client / Opcode / All / Any), ascending. Empty under AdapTBF.
@@ -64,6 +66,12 @@ pub struct RuleTable {
     next_id: u64,
     /// Bumped on every mutation so schedulers know to re-classify queues.
     generation: u64,
+    /// Work counters behind the per-cycle cost tests: classifications
+    /// made and position-index rebuilds done.
+    #[cfg(test)]
+    pub(crate) classify_calls: std::cell::Cell<u64>,
+    #[cfg(test)]
+    pub(crate) index_rebuilds: u64,
 }
 
 impl RuleTable {
@@ -112,15 +120,49 @@ impl RuleTable {
     /// Stop (remove) a rule. RPCs previously classified to it fall back to
     /// later rules or the unruled fallback queue.
     pub fn stop_rule(&mut self, id: RuleId) -> Result<TbfRule, ModelError> {
-        match self.index_get(id) {
-            Some(idx) => {
-                self.generation += 1;
-                let rule = self.rules.remove(idx);
-                self.rebuild_index();
-                Ok(rule)
+        let rule = self
+            .get(id)
+            .cloned()
+            .ok_or_else(|| ModelError::not_found("rule", id))?;
+        self.stop_rules(&[id])?;
+        Ok(rule)
+    }
+
+    /// Stop every rule in `ids` with **one** rebuild of the position
+    /// index and the classify shortcut, whatever `ids.len()` is — the
+    /// cost is O(live rules + stopped rules), independent of how many ids
+    /// the table has ever issued. An id that is not installed (or listed
+    /// twice) is an error and leaves the table untouched.
+    pub fn stop_rules(&mut self, ids: &[RuleId]) -> Result<(), ModelError> {
+        // Clearing each id's own index entry is both the validation (a
+        // missing or repeated id reads as absent) and all the index
+        // clean-up the rebuild below needs.
+        for (n, &id) in ids.iter().enumerate() {
+            if self.index_get(id).is_none() {
+                for &undo in &ids[..n] {
+                    let pos = self.rules.iter().position(|r| r.id == undo);
+                    self.index_set(undo, pos.expect("cleared above, still listed"));
+                }
+                return Err(ModelError::not_found("rule", id));
             }
-            None => Err(ModelError::not_found("rule", id)),
+            self.index[id.raw() as usize] = 0;
         }
+        if ids.is_empty() {
+            return Ok(());
+        }
+        let (index, slots, fast_path) = (&self.index, &self.job_slots, &mut self.job_fast_path);
+        self.rules.retain(|rule| {
+            let live = index[rule.id.raw() as usize] != 0;
+            if !live {
+                for job in rule.matcher.jobs().unwrap_or_default() {
+                    fast_path[slots.get(*job).expect("interned at start")] = 0;
+                }
+            }
+            live
+        });
+        self.rebuild_index();
+        self.generation += 1;
+        Ok(())
     }
 
     #[inline]
@@ -161,31 +203,32 @@ impl RuleTable {
         }
     }
 
+    /// Re-derive every live rule's position: the id index, the classify
+    /// shortcut and the non-job rule list. Entries of rules that are no
+    /// longer listed must already be cleared (see [`Self::stop_rules`]) —
+    /// this only writes the live rules' entries, so its cost is O(live
+    /// rules) however many ids and jobs the table has seen.
     fn rebuild_index(&mut self) {
-        self.index.fill(0);
-        for (i, r) in self.rules.iter().enumerate() {
-            let raw = r.id.raw() as usize;
-            if raw >= self.index.len() {
-                self.index.resize(raw + 1, 0);
-            }
-            self.index[raw] = i as u32 + 1;
+        #[cfg(test)]
+        {
+            self.index_rebuilds += 1;
         }
-        self.job_fast_path.fill(0);
         self.non_job_rules.clear();
-        // Split borrows: the matcher walk reads `rules` while the shortcut
-        // vectors are updated.
-        let rules = std::mem::take(&mut self.rules);
-        for (pos, rule) in rules.iter().enumerate() {
+        // Last position first, so the earliest rule selecting a job
+        // writes its shortcut entry last and wins.
+        for (pos, rule) in self.rules.iter().enumerate().rev() {
+            self.index[rule.id.raw() as usize] = pos as u32 + 1;
             match rule.matcher.jobs() {
                 Some(jobs) => {
                     for job in jobs {
-                        self.fast_path_set_if_unset(*job, pos);
+                        let slot = self.job_slots.get(*job).expect("interned at start");
+                        self.job_fast_path[slot] = pos as u32 + 1;
                     }
                 }
                 None => self.non_job_rules.push(pos),
             }
         }
-        self.rules = rules;
+        self.non_job_rules.reverse();
     }
 
     /// Change a rule's token rate (Lustre `rule change rate=`).
@@ -232,6 +275,8 @@ impl RuleTable {
     /// load, then a walk of the non-job rules installed *before* the
     /// shortcut hit (none, for a pure-job table).
     pub fn classify(&self, rpc: &Rpc) -> Option<&TbfRule> {
+        #[cfg(test)]
+        self.classify_calls.set(self.classify_calls.get() + 1);
         let job_hit = self.fast_path_get(rpc.job);
         for &pos in &self.non_job_rules {
             if let Some(hit) = job_hit {
@@ -310,6 +355,20 @@ mod tests {
         assert_eq!(t.stop_rule(a).unwrap().name, "a");
         assert!(t.classify(&rpc(1)).is_none());
         assert!(t.stop_rule(a).is_err());
+    }
+
+    #[test]
+    fn stop_rules_with_a_bad_id_leaves_the_table_untouched() {
+        let mut t = RuleTable::new();
+        let a = t.start_rule("a", RpcMatcher::Job(JobId(1)), 10.0, 1);
+        let b = t.start_rule("b", RpcMatcher::Job(JobId(2)), 10.0, 1);
+        assert!(t.stop_rules(&[b, a, RuleId(999)]).is_err());
+        assert!(t.stop_rules(&[a, a]).is_err(), "listed twice");
+        assert_eq!(t.len(), 2);
+        assert_eq!(t.get(a).unwrap().name, "a");
+        assert_eq!(t.classify(&rpc(2)).unwrap().id, b);
+        t.stop_rules(&[b, a]).unwrap();
+        assert!(t.is_empty() && t.classify(&rpc(1)).is_none());
     }
 
     #[test]

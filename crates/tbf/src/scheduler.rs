@@ -19,18 +19,25 @@
 //!
 //! ## Hot-path design
 //!
-//! Rule mutations are **incremental**: instead of draining and rebuilding
-//! every queue and the whole deadline heap on each change (the daemon
-//! mutates every active job's rule once per observation period), the
-//! scheduler keeps a `rule → bound queues` reverse index and touches only
-//! the queues a mutation affects. Heap entries of rebound queues go stale
-//! via the queues' monotone stamps and are discarded lazily on pop — the
-//! heap is never rebuilt wholesale. Starting a rule re-scans only the
-//! fallback queue (an appended rule can never re-classify already-ruled
-//! traffic); stopping one touches only its own queues. Per-job service
-//! counters live on the queues themselves and are folded into
-//! [`SchedulerStats`] only when [`NrsTbfScheduler::stats`] is read, so the
-//! per-serve path performs no map updates.
+//! Rule mutations are **incremental** and **transactional**. Instead of
+//! draining and rebuilding every queue and the whole deadline heap on each
+//! change, the scheduler keeps a `rule → bound queues` reverse index and
+//! touches only the queues a mutation affects. Heap entries of rebound
+//! queues go stale via the queues' monotone stamps and are discarded
+//! lazily on pop — the heap is never rebuilt wholesale.
+//!
+//! The daemon mutates every active job's rule once per observation
+//! period, so the unit of mutation is the period's whole batch
+//! ([`NrsTbfScheduler::transact`], which carries the ordering argument):
+//! stopped rules leave the table with one index rebuild, started rules
+//! share one scan of the fallback queue, and a cycle costs O(rules
+//! changed + queues they govern + parked RPCs), not that times the number
+//! of rules changed. The single-rule entry points are one-element
+//! transactions.
+//!
+//! Per-job service counters live on the queues themselves and are folded
+//! into [`SchedulerStats`] only when [`NrsTbfScheduler::stats`] is read,
+//! so the per-serve path performs no map updates.
 //!
 //! All per-job state — the queues themselves, retired-stamp floors and
 //! the folded service counters — is held in flat vectors indexed by a
@@ -76,6 +83,20 @@ impl SchedulerStats {
     pub fn served_total(&self) -> u64 {
         self.served_ruled + self.served_fallback
     }
+}
+
+/// A rule to install: the arguments of [`NrsTbfScheduler::start_rule`] as
+/// a value, so a transaction can carry any number of them.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RuleSpec {
+    /// Human-readable rule name.
+    pub name: String,
+    /// The classification predicate.
+    pub matcher: RpcMatcher,
+    /// Token refill rate in tokens/second.
+    pub rate_tps: f64,
+    /// Hierarchy weight.
+    pub weight: u32,
 }
 
 /// The three rule parameters a queue actually binds to — a `Copy` view of
@@ -182,6 +203,114 @@ impl NrsTbfScheduler {
 
     // ---- rule management (the daemon's interface) -----------------------
 
+    /// Apply one batch of rule mutations — what the Rule Management
+    /// Daemon does once per observation period: stop `stops`, install
+    /// `starts` (returning their ids, in order), then apply the
+    /// `(rule, rate, weight)` `updates`.
+    ///
+    /// The outcome — every queue's contents and bucket, the fallback
+    /// order, the dispatch order from here on — is exactly that of
+    /// calling [`Self::stop_rule`] for each stop, [`Self::start_rule`] for
+    /// each start and [`Self::apply_updates`] in that order; the cost is
+    /// not. The stopped rules leave the table together and only their own
+    /// queues move, and the fallback queue is scanned once for all the
+    /// started rules, not once per rule: a parked RPC matches no older
+    /// rule, so the first started rule matching it is the one that
+    /// captures it, and moving the captured RPCs rule by rule in start
+    /// order (arrival order within a rule) replays the per-rule scans'
+    /// enqueue sequence.
+    ///
+    /// The whole batch is validated up front: a stop or update naming a
+    /// rule that is not installed, a rule stopped twice, or an update to a
+    /// rule the same batch stops leaves the scheduler completely
+    /// untouched, never with half the batch applied.
+    pub fn transact(
+        &mut self,
+        stops: &[RuleId],
+        starts: impl IntoIterator<Item = RuleSpec>,
+        updates: &[(RuleId, f64, u32)],
+        now: SimTime,
+    ) -> Result<Vec<RuleId>, ModelError> {
+        self.validate(stops, updates)?;
+        // Stops taken together classify released backlogs against a table
+        // that already lacks the *later* stops of the batch; one at a
+        // time, a backlog could first hop under such a rule. That is only
+        // possible when stopped rules can match each other's traffic.
+        let together = if self.stops_are_disjoint(stops) {
+            stops.len().max(1)
+        } else {
+            1
+        };
+        for group in stops.chunks(together) {
+            self.rules.stop_rules(group).expect("batch validated above");
+            for &id in group {
+                self.release_queues(id, now);
+            }
+        }
+        let started: Vec<RuleId> = starts
+            .into_iter()
+            .map(|r| {
+                self.rules
+                    .start_rule(r.name, r.matcher, r.rate_tps, r.weight)
+            })
+            .collect();
+        if !started.is_empty() {
+            self.recapture_fallback(now);
+        }
+        for (id, rate, weight) in updates {
+            self.rules
+                .change_rate(*id, *rate)
+                .expect("batch validated above");
+            self.rules
+                .change_weight(*id, *weight)
+                .expect("batch validated above");
+            self.refresh_bound_queues(*id, now);
+        }
+        Ok(started)
+    }
+
+    /// The up-front check of [`Self::transact`].
+    fn validate(&self, stops: &[RuleId], updates: &[(RuleId, f64, u32)]) -> Result<(), ModelError> {
+        let missing = |id: RuleId| Err(ModelError::not_found("rule", id));
+        let mut stopped = stops.to_vec();
+        stopped.sort_unstable();
+        if let Some(twice) = stopped.windows(2).find(|w| w[0] == w[1]) {
+            return missing(twice[0]);
+        }
+        if let Some(&id) = stops.iter().find(|id| self.rules.get(**id).is_none()) {
+            return missing(id);
+        }
+        for (id, _, _) in updates {
+            if self.rules.get(*id).is_none() || stopped.binary_search(id).is_ok() {
+                return missing(*id);
+            }
+        }
+        Ok(())
+    }
+
+    /// Whether no stopped rule can match traffic queued under another:
+    /// every one is purely job-based and their job sets are pairwise
+    /// disjoint (a queue holds one job's RPCs, bound to a rule selecting
+    /// that job). Decided from the matchers alone.
+    fn stops_are_disjoint(&mut self, stops: &[RuleId]) -> bool {
+        if stops.len() < 2 {
+            return true;
+        }
+        let mut jobs = std::mem::take(&mut self.reconcile_scratch);
+        jobs.clear();
+        let job_based = stops.iter().all(|id| {
+            let rule = self.rules.get(*id).expect("batch validated above");
+            rule.matcher
+                .jobs()
+                .map(|j| jobs.extend_from_slice(j))
+                .is_some()
+        });
+        jobs.sort_unstable();
+        let disjoint = job_based && jobs.windows(2).all(|w| w[0] != w[1]);
+        self.reconcile_scratch = jobs;
+        disjoint
+    }
+
     /// Install a rule; queued traffic is re-classified immediately.
     ///
     /// Incremental: an appended rule matches *after* every existing rule,
@@ -195,15 +324,25 @@ impl NrsTbfScheduler {
         weight: u32,
         now: SimTime,
     ) -> RuleId {
-        let id = self.rules.start_rule(name, matcher, rate_tps, weight);
-        self.recapture_fallback(now);
-        id
+        let spec = RuleSpec {
+            name: name.into(),
+            matcher,
+            rate_tps,
+            weight,
+        };
+        self.transact(&[], [spec], &[], now)
+            .expect("a batch of starts has nothing to reject")[0]
     }
 
     /// Remove a rule; its queues' backlogs move to later-matching rules or
     /// the fallback queue. Only queues bound to `id` are touched.
     pub fn stop_rule(&mut self, id: RuleId, now: SimTime) -> Result<(), ModelError> {
-        self.rules.stop_rule(id)?;
+        self.transact(&[id], [], &[], now).map(drop)
+    }
+
+    /// Move the queues bound to the just-stopped rule `id` under whatever
+    /// the table now says: a later-matching rule, or the fallback queue.
+    fn release_queues(&mut self, id: RuleId, now: SimTime) {
         let jobs = self.bound.remove(&id).unwrap_or_default();
         for job in jobs {
             let slot = self.slots.get(job).expect("bound job is interned");
@@ -238,7 +377,6 @@ impl NrsTbfScheduler {
                 }
             }
         }
-        Ok(())
     }
 
     /// Change a rule's token rate; affected queues pick the rate up at once.
@@ -265,31 +403,16 @@ impl NrsTbfScheduler {
         Ok(())
     }
 
-    /// Apply a batch of `(rule, rate, weight)` updates — what the Rule
-    /// Management Daemon does once per observation period for every active
-    /// job. The whole batch is validated up front: a bad `RuleId` anywhere
-    /// in it leaves the scheduler completely untouched, never with half the
-    /// rates applied but queues unreconciled.
+    /// Apply a batch of `(rule, rate, weight)` updates — a transaction of
+    /// re-rates alone: a bad `RuleId` anywhere in it leaves the scheduler
+    /// completely untouched, never with half the rates applied but queues
+    /// unreconciled.
     pub fn apply_updates(
         &mut self,
         updates: &[(RuleId, f64, u32)],
         now: SimTime,
     ) -> Result<(), ModelError> {
-        for (id, _, _) in updates {
-            if self.rules.get(*id).is_none() {
-                return Err(ModelError::not_found("rule", *id));
-            }
-        }
-        for (id, rate, weight) in updates {
-            self.rules
-                .change_rate(*id, *rate)
-                .expect("batch validated above");
-            self.rules
-                .change_weight(*id, *weight)
-                .expect("batch validated above");
-            self.refresh_bound_queues(*id, now);
-        }
-        Ok(())
+        self.transact(&[], [], updates, now).map(drop)
     }
 
     /// Read-only view of the rule table.
@@ -478,15 +601,25 @@ impl NrsTbfScheduler {
     /// Lustre relinks queues when rules change: RPCs waiting in the
     /// fallback queue whose job now has a matching rule move under it
     /// (otherwise a newly ruled job's early RPCs could starve behind
-    /// saturated ruled queues forever). Only called after `start_rule` —
+    /// saturated ruled queues forever). Only called after rules started —
     /// stopping or re-rating a rule can never make an unmatched RPC match.
+    ///
+    /// One pass however many rules started: captured RPCs are set aside
+    /// (the rest keep their order), then enter their queues rule by rule
+    /// in start order — ids ascend in start order and the sort is stable,
+    /// so arrival order holds within a rule.
     fn recapture_fallback(&mut self, now: SimTime) {
-        let parked = std::mem::take(&mut self.fallback);
-        for rpc in parked {
-            match self.rules.classify(&rpc).map(RuleBinding::from) {
-                Some(binding) => self.enqueue_ruled(rpc, binding, now),
+        let mut captured = Vec::new();
+        for rpc in std::mem::take(&mut self.fallback) {
+            match self.rules.classify(&rpc) {
+                Some(rule) => captured.push((rule.id, rpc)),
                 None => self.fallback.push_back(rpc),
             }
+        }
+        captured.sort_by_key(|&(rule, _)| rule);
+        for (rule, rpc) in captured {
+            let binding = RuleBinding::from(self.rules.get(rule).expect("just classified"));
+            self.enqueue_ruled(rpc, binding, now);
         }
     }
 
@@ -922,6 +1055,93 @@ mod tests {
         // Rules survive a drain; fresh traffic is still governed.
         s.enqueue(rpc(10, 1), t(1000));
         assert_eq!(s.pending_ruled(), 1);
+    }
+
+    fn job_spec(job: u32) -> RuleSpec {
+        RuleSpec {
+            name: format!("j{job}"),
+            matcher: RpcMatcher::Job(JobId(job)),
+            rate_tps: 10.0,
+            weight: 1,
+        }
+    }
+
+    #[test]
+    fn starting_k_rules_classifies_each_parked_rpc_once() {
+        // 40 jobs × 10 parked RPCs; a cycle starts rules for 16 of the
+        // jobs. The work is one classification per parked RPC — not one
+        // per parked RPC per started rule.
+        let mut s = sched();
+        for i in 0..400 {
+            s.enqueue(rpc(i, i as u32 % 40), t(0));
+        }
+        assert_eq!(s.pending_fallback(), 400);
+        s.rules.classify_calls.set(0);
+        let ids = s.transact(&[], (0..16).map(job_spec), &[], t(0)).unwrap();
+        assert_eq!(ids.len(), 16);
+        assert_eq!(s.rules.classify_calls.get(), 400);
+        assert_eq!((s.pending_ruled(), s.pending_fallback()), (160, 240));
+        // The uncaptured backlog kept its arrival order.
+        let parked: Vec<u64> = s.fallback.iter().map(|r| r.id.raw()).collect();
+        assert!(parked.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn stopping_k_job_rules_rebuilds_the_index_once() {
+        let mut s = sched();
+        let ids = s.transact(&[], (0..16).map(job_spec), &[], t(0)).unwrap();
+        for i in 0..64 {
+            s.enqueue(rpc(i, i as u32 % 16), t(0));
+        }
+        let before = s.rules.index_rebuilds;
+        s.transact(&ids[..12], [], &[], t(0)).unwrap();
+        assert_eq!(s.rules.index_rebuilds - before, 1);
+        assert_eq!(s.rules().len(), 4);
+        assert_eq!((s.pending_ruled(), s.pending_fallback()), (16, 48));
+    }
+
+    #[test]
+    fn overlapping_stops_keep_their_order() {
+        // Job 1's queue sits under the job set; stopped first, it hops
+        // under the later `Job(1)` rule while job 2's backlog is released,
+        // and only the second stop releases job 1's. Taking both rules
+        // out of the table at once would release job 1 first — so stops
+        // whose matchers overlap (or are not job-based) go one at a time.
+        let mut s = sched();
+        let set = s.start_rule(
+            "set",
+            RpcMatcher::JobSet(vec![JobId(1), JobId(2)]),
+            10.0,
+            1,
+            t(0),
+        );
+        let one = s.start_rule("j1", RpcMatcher::Job(JobId(1)), 10.0, 1, t(0));
+        s.enqueue(rpc(1, 1), t(0));
+        s.enqueue(rpc(2, 2), t(0));
+        let before = s.rules.index_rebuilds;
+        s.transact(&[set, one], [], &[], t(0)).unwrap();
+        assert_eq!(s.rules.index_rebuilds - before, 2, "ordered stops");
+        let released: Vec<u32> = s.fallback.iter().map(|r| r.job.raw()).collect();
+        assert_eq!(released, vec![2, 1]);
+    }
+
+    #[test]
+    fn a_bad_transaction_changes_nothing() {
+        let mut s = sched();
+        let a = s.start_rule("j1", RpcMatcher::Job(JobId(1)), 10.0, 1, t(0));
+        let b = s.start_rule("j2", RpcMatcher::Job(JobId(2)), 10.0, 1, t(0));
+        s.enqueue(rpc(1, 1), t(0));
+        let mut rejects = |stops: &[RuleId], updates: &[(RuleId, f64, u32)]| {
+            let err = s.transact(stops, [job_spec(3)], updates, t(0));
+            assert!(err.is_err(), "{stops:?} {updates:?}");
+            assert_eq!(s.rules().len(), 2, "nothing stopped, nothing started");
+            assert_eq!(s.rules().get(a).unwrap().rate_tps, 10.0);
+            assert_eq!(s.queue_depth(JobId(1)), 1);
+        };
+        rejects(&[a, RuleId(9999)], &[]); // unknown stop
+        rejects(&[a, b, a], &[]); // stopped twice
+        rejects(&[a], &[(a, 500.0, 7)]); // re-rating a rule it stops
+        rejects(&[a], &[(RuleId(9999), 1.0, 1)]); // unknown update
     }
 
     #[test]

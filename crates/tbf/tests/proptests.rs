@@ -8,10 +8,14 @@
 //! * FCFS within each job;
 //! * work conservation: the scheduler never reports `Idle`/`WaitUntil`
 //!   while the fallback queue holds work;
-//! * all enqueued RPCs are eventually served once time advances far enough.
+//! * all enqueued RPCs are eventually served once time advances far enough;
+//! * a rule transaction (stops + starts + re-rates in one batch) leaves the
+//!   scheduler exactly where the same mutations applied one at a time do.
 
-use adaptbf_model::{ClientId, JobId, OpCode, ProcId, Rpc, RpcId, SimTime, TbfSchedulerConfig};
-use adaptbf_tbf::{NrsTbfScheduler, RpcMatcher, RuleTable, SchedDecision, TokenBucket};
+use adaptbf_model::{
+    ClientId, JobId, OpCode, ProcId, Rpc, RpcId, RuleId, SimTime, TbfSchedulerConfig,
+};
+use adaptbf_tbf::{NrsTbfScheduler, RpcMatcher, RuleSpec, RuleTable, SchedDecision, TokenBucket};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -23,8 +27,176 @@ fn rpc(id: u64, job: u32, at: SimTime) -> Rpc {
     Rpc::new(RpcId(id), JobId(job), ClientId(0), ProcId(0), at)
 }
 
+/// Jobs the transaction histories draw from — few enough that job rules
+/// collide, job sets overlap and a queue sees several rules over a
+/// history; enough that both kinds of multi-stop transaction come up
+/// often: disjoint job rules (stopped together) and overlapping or
+/// non-job ones (stopped in order).
+const TXN_JOBS: u32 = 12;
+
+/// A rule from two random words. Job rules dominate, as under AdapTBF;
+/// the rest are the matchers that can shadow them or split a job's
+/// traffic (overlapping job sets, client, opcode, catch-all).
+fn txn_spec(a: u32, b: u32) -> RuleSpec {
+    let job = JobId(a % TXN_JOBS);
+    let matcher = match b % 16 {
+        0..=11 => RpcMatcher::Job(job),
+        12 => RpcMatcher::JobSet(vec![job, JobId((a + 1) % TXN_JOBS)]),
+        13 => RpcMatcher::Client(ClientId(a % 3)),
+        14 => RpcMatcher::Opcode(OpCode::Read),
+        _ => RpcMatcher::Any,
+    };
+    RuleSpec {
+        name: format!("r{a}.{b}"),
+        matcher,
+        rate_tps: 5.0 + (a % 40) as f64 * 5.0,
+        weight: 1 + b % 4,
+    }
+}
+
+/// Replay a random history of arrivals, serves and single-rule mutations,
+/// then park a burst on every job so the transaction under test meets a
+/// standing fallback backlog *and* non-empty ruled queues. Returns the
+/// scheduler, its live rules in start order, and the history's last
+/// instant.
+fn txn_history(ops: &[(u32, u32, u32)]) -> (NrsTbfScheduler, Vec<RuleId>, SimTime) {
+    let mut s = NrsTbfScheduler::new(TbfSchedulerConfig::default());
+    let mut live = Vec::new();
+    let mut now = SimTime::ZERO;
+    let mut next_id = 0u64;
+    let mut arrive = |s: &mut NrsTbfScheduler, a: u32, b: u32, now: SimTime| {
+        let mut r = Rpc::new(
+            RpcId(next_id),
+            JobId(a % TXN_JOBS),
+            ClientId(b % 3),
+            ProcId(0),
+            now,
+        );
+        r.op = if b & 4 == 0 {
+            OpCode::Write
+        } else {
+            OpCode::Read
+        };
+        next_id += 1;
+        s.enqueue(r, now);
+    };
+    for &(op, a, b) in ops {
+        match op % 10 {
+            0..=4 => arrive(&mut s, a, b, now),
+            5 => {
+                now = t(now.as_nanos() / 1_000_000 + (a % 40) as u64);
+                for _ in 0..b % 4 {
+                    s.next(now);
+                }
+            }
+            6 | 7 => {
+                let r = txn_spec(a, b);
+                live.push(s.start_rule(r.name, r.matcher, r.rate_tps, r.weight, now));
+            }
+            8 if !live.is_empty() => {
+                let id = live.remove(a as usize % live.len());
+                s.stop_rule(id, now).unwrap();
+            }
+            9 if !live.is_empty() => {
+                let id = live[a as usize % live.len()];
+                s.apply_updates(&[(id, 5.0 + (b % 50) as f64, 1 + a % 4)], now)
+                    .unwrap();
+            }
+            _ => {}
+        }
+    }
+    for i in 0..4 * TXN_JOBS {
+        arrive(&mut s, i, i / TXN_JOBS, now);
+    }
+    (s, live, now)
+}
+
+/// The oracle: the same mutations, one rule at a time, in the order the
+/// Rule Management Daemon has always issued them.
+fn one_at_a_time(
+    s: &mut NrsTbfScheduler,
+    stops: &[RuleId],
+    starts: &[RuleSpec],
+    updates: &[(RuleId, f64, u32)],
+    now: SimTime,
+) -> Vec<RuleId> {
+    for &id in stops {
+        s.stop_rule(id, now).unwrap();
+    }
+    let started = starts
+        .iter()
+        .cloned()
+        .map(|r| s.start_rule(r.name, r.matcher, r.rate_tps, r.weight, now))
+        .collect();
+    s.apply_updates(updates, now).unwrap();
+    started
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn transaction_equals_one_rule_at_a_time(
+        ops in proptest::collection::vec((0u32..10, 0u32..64, 0u32..64), 0..120),
+        stop_mask in 0u32..1 << 16,
+        starts in proptest::collection::vec((0u32..64, 0u32..64), 0..6),
+        update_mask in 0u32..1 << 16,
+        rates in (1u32..60, 1u32..5),
+    ) {
+        let (mut batch, live, now) = txn_history(&ops);
+        let (mut oracle, live_o, _) = txn_history(&ops);
+        prop_assert_eq!(&live, &live_o, "histories replay identically");
+        let picked = |mask: u32, i: usize| mask >> (i % 16) & 1 == 1;
+        let stops: Vec<RuleId> =
+            live.iter().enumerate().filter(|(i, _)| picked(stop_mask, *i)).map(|(_, id)| *id).collect();
+        let updates: Vec<(RuleId, f64, u32)> = live
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| !picked(stop_mask, *i) && picked(update_mask, *i))
+            .map(|(i, id)| (*id, (rates.0 * (1 + i as u32 % 3)) as f64, rates.1))
+            .collect();
+        let starts: Vec<RuleSpec> = starts.iter().map(|&(a, b)| txn_spec(a, b)).collect();
+
+        let ids = batch.transact(&stops, starts.iter().cloned(), &updates, now).unwrap();
+        let ids_o = one_at_a_time(&mut oracle, &stops, &starts, &updates, now);
+        prop_assert_eq!(ids, ids_o);
+        prop_assert_eq!(batch.rules().rules(), oracle.rules().rules());
+
+        // Same state, read every way the scheduler can be read...
+        let same_state = |a: &NrsTbfScheduler, b: &NrsTbfScheduler| {
+            let (sa, sb) = (a.stats(), b.stats());
+            (sa.served_ruled, sa.served_fallback, sa.served_by_job)
+                == (sb.served_ruled, sb.served_fallback, sb.served_by_job)
+                && (a.pending_ruled(), a.pending_fallback())
+                    == (b.pending_ruled(), b.pending_fallback())
+                && (0..TXN_JOBS).all(|j| a.queue_depth(JobId(j)) == b.queue_depth(JobId(j)))
+        };
+        prop_assert!(same_state(&batch, &oracle), "state differs right after the transaction");
+        // ...and the same dispatch order to exhaustion: at the transaction
+        // instant, a little later, a period later, then following waits.
+        let ms = now.as_nanos() / 1_000_000;
+        for at in [now, t(ms + 7), t(ms + 100)] {
+            loop {
+                let (d, d_o) = (batch.next(at), oracle.next(at));
+                prop_assert_eq!(d, d_o, "dispatch diverged at {}", at);
+                if !matches!(d, SchedDecision::Serve(_)) {
+                    break;
+                }
+            }
+            prop_assert!(same_state(&batch, &oracle), "state differs at {at}");
+        }
+        let mut at = t(ms + 100);
+        loop {
+            let (d, d_o) = (batch.next(at), oracle.next(at));
+            prop_assert_eq!(d, d_o, "dispatch diverged at {}", at);
+            match d {
+                SchedDecision::Serve(_) => {}
+                SchedDecision::WaitUntil(until) => at = until,
+                SchedDecision::Idle => break,
+            }
+        }
+        prop_assert!(same_state(&batch, &oracle), "state differs after the drain");
+    }
 
     #[test]
     fn bucket_never_exceeds_depth(
@@ -205,11 +377,12 @@ proptest! {
                     };
                     live.push(table.start_rule(format!("other{job}"), matcher, 10.0, 1));
                 }
+                // Stops come one or two at a time: a batch shares one
+                // rebuild of the shortcut.
                 5 => {
-                    if !live.is_empty() {
-                        let id = live.remove(pos % live.len());
-                        table.stop_rule(id).unwrap();
-                    }
+                    let n = (1 + pos % 2).min(live.len());
+                    let ids: Vec<_> = (0..n).map(|_| live.remove(pos % live.len())).collect();
+                    table.stop_rules(&ids).unwrap();
                 }
                 _ => {
                     if !live.is_empty() {
