@@ -2,7 +2,9 @@
 //! enqueue, deadline-heap dispatch, and rule churn — the operations every
 //! RPC and every control cycle pay for.
 
-use adaptbf_bench::hotpath_fixture::{active_jobs, park_backlog, rpc, scheduler_with_rules};
+use adaptbf_bench::hotpath_fixture::{
+    active_jobs, park_backlog, rpc, scheduler_with_rules, PARKED,
+};
 use adaptbf_model::{JobAllocation, JobId, SimTime, TbfSchedulerConfig};
 use adaptbf_tbf::{NrsTbfScheduler, RuleDaemon, SchedDecision};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -67,15 +69,19 @@ fn bench_rule_churn(c: &mut Criterion) {
 fn bench_rule_churn_parked(c: &mut Criterion) {
     // One control cycle's rule transaction under churn, as the daemon
     // issues it: half the rules stopped, as many started, the rest
-    // re-rated — over a standing fallback backlog every start has to look
-    // past. Elements = active jobs, so the per-element time is Section
+    // re-rated — over a standing fallback backlog of jobs the cycle never
+    // touches. Elements = active jobs, so the per-element time is Section
     // IV-G's per-job cost.
+    let by_jobs = [64u32, 512, 2048].map(|n| (BenchmarkId::from_parameter(n), n, PARKED));
+    // The crowd grows, the work does not: 512 jobs (256 starts a cycle)
+    // must cost the same per job over 400, 4 k and 16 k parked RPCs.
+    let by_parked = [400u64, 4_000, 16_000].map(|p| (BenchmarkId::new("parked", p), 512, p));
     let mut group = c.benchmark_group("rule_churn_parked");
-    for n_jobs in [64u32, 512, 2048] {
+    for (id, n_jobs, parked) in by_jobs.into_iter().chain(by_parked) {
         group.throughput(Throughput::Elements(n_jobs as u64));
-        group.bench_with_input(BenchmarkId::from_parameter(n_jobs), &n_jobs, |b, &n| {
+        group.bench_with_input(id, &n_jobs, |b, &n| {
             let mut s = NrsTbfScheduler::new(TbfSchedulerConfig::default());
-            park_backlog(&mut s, n + n / 2);
+            park_backlog(&mut s, n + n / 2, parked);
             let mut daemon = RuleDaemon::new();
             let mut cycle = 0u64;
             b.iter(|| {

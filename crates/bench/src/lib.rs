@@ -69,16 +69,16 @@ pub mod hotpath_fixture {
         s
     }
 
-    /// RPCs of never-active jobs the churn fixtures park in the fallback
-    /// queue: every rule start has to look past them.
+    /// RPCs of never-active jobs [`ControlCycles`] parks in the fallback
+    /// queue under churn: every rule start has to look past them.
     pub const PARKED: u64 = 4096;
 
-    /// Enqueue the churn fixtures' standing backlog: [`PARKED`] RPCs of 64
+    /// Enqueue the churn fixtures' standing backlog: `parked` RPCs of 64
     /// jobs above `universe` (never ruled, so parked for good) plus two
     /// per job of `1..=universe` (captured when the job's rule starts,
     /// released when it stops). Nothing is ever served, so it stands.
-    pub fn park_backlog(s: &mut NrsTbfScheduler, universe: u32) {
-        let parked = (0..PARKED).map(|i| universe + 1 + (i % 64) as u32);
+    pub fn park_backlog(s: &mut NrsTbfScheduler, universe: u32, parked: u64) {
+        let parked = (0..parked).map(|i| universe + 1 + (i % 64) as u32);
         let own = (0..2 * universe).map(|i| 1 + i % universe);
         for (id, job) in parked.chain(own).enumerate() {
             s.enqueue(rpc(id as u64, job), SimTime::ZERO);
@@ -121,7 +121,7 @@ pub mod hotpath_fixture {
                 SimTime::ZERO,
             );
             if churn {
-                park_backlog(&mut node.scheduler, universe);
+                park_backlog(&mut node.scheduler, universe, PARKED);
             }
             ControlCycles {
                 node,

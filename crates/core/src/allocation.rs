@@ -3,74 +3,79 @@
 //! These functions are deliberately slice-in/slice-out (parallel arrays
 //! indexed by active-job position) so each equation can be unit- and
 //! property-tested in isolation; [`crate::AllocationController`]
-//! orchestrates them and owns all persistent state.
+//! orchestrates them and owns all persistent state. Every per-job result
+//! is written into a caller-supplied `out` vector (cleared first), so the
+//! controller runs a period without allocating them afresh.
 
 /// Eq (1): `p_x = n_x / Σ n` over the active set. Zero node counts are
 /// clamped to one (a job always occupies at least one node).
-pub fn priorities(nodes: &[u64]) -> Vec<f64> {
+pub fn priorities(nodes: &[u64], out: &mut Vec<f64>) {
     let total: u64 = nodes.iter().map(|n| (*n).max(1)).sum();
-    if total == 0 {
-        return vec![0.0; nodes.len()];
-    }
-    nodes
-        .iter()
-        .map(|n| (*n).max(1) as f64 / total as f64)
-        .collect()
+    out.clear();
+    out.extend(nodes.iter().map(|n| (*n).max(1) as f64 / total as f64));
 }
 
 /// Eq (2): `α_x = budget · p_x` — the priority-proportional raw shares of
 /// this period's integer token budget.
-pub fn initial_raw(priorities: &[f64], budget: f64) -> Vec<f64> {
-    priorities.iter().map(|p| p * budget).collect()
+pub fn initial_raw(priorities: &[f64], budget: f64, out: &mut Vec<f64>) {
+    out.clear();
+    out.extend(priorities.iter().map(|p| p * budget));
 }
 
 /// Eq (3): `u_x = d_x / α^{t-1}_x`, guarded for jobs with no previous
 /// allocation (denominator clamped to ≥1) and capped at `cap`
 /// (DESIGN.md §3.2).
-pub fn utilization(demand: &[u64], prev_alloc: &[u64], cap: f64) -> Vec<f64> {
-    demand
-        .iter()
-        .zip(prev_alloc)
-        .map(|(d, a)| (*d as f64 / (*a).max(1) as f64).min(cap))
-        .collect()
+pub fn utilization(demand: &[u64], prev_alloc: &[u64], cap: f64, out: &mut Vec<f64>) {
+    out.clear();
+    out.extend(
+        demand
+            .iter()
+            .zip(prev_alloc)
+            .map(|(d, a)| (*d as f64 / (*a).max(1) as f64).min(cap)),
+    );
 }
 
 /// Eq (4): per-job surplus `T^x_s = max(0, α_x − d_x)` in whole tokens.
-pub fn surpluses(initial: &[u64], demand: &[u64]) -> Vec<u64> {
-    initial
-        .iter()
-        .zip(demand)
-        .map(|(a, d)| a.saturating_sub(*d))
-        .collect()
+pub fn surpluses(initial: &[u64], demand: &[u64], out: &mut Vec<u64>) {
+    out.clear();
+    out.extend(
+        initial
+            .iter()
+            .zip(demand)
+            .map(|(a, d)| a.saturating_sub(*d)),
+    );
 }
 
 /// Eq (6): the distribution factor
 /// `DF_x = u_x + u_x·p_x` when the job is in deficit (`u_x > 1`), else
 /// `u_x·p_x`.
-pub fn distribution_factors(utilization: &[f64], priorities: &[f64]) -> Vec<f64> {
-    utilization
-        .iter()
-        .zip(priorities)
-        .map(|(u, p)| if *u > 1.0 { u + u * p } else { u * p })
-        .collect()
+pub fn distribution_factors(utilization: &[f64], priorities: &[f64], out: &mut Vec<f64>) {
+    out.clear();
+    out.extend(
+        utilization
+            .iter()
+            .zip(priorities)
+            .map(|(u, p)| if *u > 1.0 { u + u * p } else { u * p }),
+    );
 }
 
 /// Proportional raw shares of an integer pool: `share_x = w_x / Σw · pool`.
 /// If all weights vanish the `fallback` weights are used instead
 /// (DESIGN.md §3.4); if those vanish too, the pool is split evenly.
-pub fn shares(weights: &[f64], pool: u64, fallback: &[f64]) -> Vec<f64> {
+pub fn shares(weights: &[f64], pool: u64, fallback: &[f64], out: &mut Vec<f64>) {
     assert_eq!(weights.len(), fallback.len());
     let pool = pool as f64;
+    out.clear();
     let sum: f64 = weights.iter().sum();
     if sum > f64::EPSILON {
-        return weights.iter().map(|w| w / sum * pool).collect();
+        return out.extend(weights.iter().map(|w| w / sum * pool));
     }
     let fsum: f64 = fallback.iter().sum();
     if fsum > f64::EPSILON {
-        return fallback.iter().map(|w| w / fsum * pool).collect();
+        return out.extend(fallback.iter().map(|w| w / fsum * pool));
     }
     let n = weights.len().max(1) as f64;
-    vec![pool / n; weights.len()]
+    out.resize(weights.len(), pool / n);
 }
 
 /// Eq (12): estimated future utilization `ū_x = d_x / α_{x,RD}`, infinite
@@ -126,9 +131,16 @@ mod tests {
         (a - b).abs() < 1e-9
     }
 
+    /// What `fill` leaves in a vector that held stale values.
+    fn filled<T: Default>(fill: impl FnOnce(&mut Vec<T>)) -> Vec<T> {
+        let mut out = vec![T::default()];
+        fill(&mut out);
+        out
+    }
+
     #[test]
     fn priorities_sum_to_one_and_match_eq1() {
-        let p = priorities(&[1, 1, 3, 5]);
+        let p = filled(|out| priorities(&[1, 1, 3, 5], out));
         assert!(close(p.iter().sum::<f64>(), 1.0));
         assert!(close(p[0], 0.1));
         assert!(close(p[2], 0.3));
@@ -137,20 +149,20 @@ mod tests {
 
     #[test]
     fn priorities_clamp_zero_nodes() {
-        let p = priorities(&[0, 1]);
+        let p = filled(|out| priorities(&[0, 1], out));
         assert!(close(p[0], 0.5));
     }
 
     #[test]
     fn initial_raw_scales_budget() {
-        let raw = initial_raw(&[0.1, 0.9], 100.0);
+        let raw = filled(|out| initial_raw(&[0.1, 0.9], 100.0, out));
         assert!(close(raw[0], 10.0));
         assert!(close(raw[1], 90.0));
     }
 
     #[test]
     fn utilization_guards_and_caps() {
-        let u = utilization(&[50, 10, 500], &[25, 0, 1], 100.0);
+        let u = filled(|out| utilization(&[50, 10, 500], &[25, 0, 1], 100.0, out));
         assert!(close(u[0], 2.0)); // 50/25
         assert!(close(u[1], 10.0)); // denominator clamped to 1
         assert!(close(u[2], 100.0)); // capped
@@ -158,29 +170,32 @@ mod tests {
 
     #[test]
     fn surpluses_match_eq4() {
-        assert_eq!(surpluses(&[50, 30], &[10, 200]), vec![40, 0]);
+        assert_eq!(
+            filled(|out| surpluses(&[50, 30], &[10, 200], out)),
+            vec![40, 0]
+        );
     }
 
     #[test]
     fn distribution_factor_branches() {
         // Deficit (u > 1): u + u·p; otherwise u·p.
-        let df = distribution_factors(&[2.0, 0.5], &[0.25, 0.5]);
+        let df = filled(|out| distribution_factors(&[2.0, 0.5], &[0.25, 0.5], out));
         assert!(close(df[0], 2.0 + 2.0 * 0.25));
         assert!(close(df[1], 0.5 * 0.5));
     }
 
     #[test]
     fn shares_are_proportional_and_total() {
-        let s = shares(&[15.0, 150.0], 40, &[0.5, 0.5]);
+        let s = filled(|out| shares(&[15.0, 150.0], 40, &[0.5, 0.5], out));
         assert!(close(s.iter().sum::<f64>(), 40.0));
         assert!(close(s[0], 40.0 * 15.0 / 165.0));
     }
 
     #[test]
     fn shares_fall_back_to_weights_then_even() {
-        let s = shares(&[0.0, 0.0], 10, &[0.75, 0.25]);
+        let s = filled(|out| shares(&[0.0, 0.0], 10, &[0.75, 0.25], out));
         assert!(close(s[0], 7.5));
-        let s = shares(&[0.0, 0.0], 10, &[0.0, 0.0]);
+        let s = filled(|out| shares(&[0.0, 0.0], 10, &[0.0, 0.0], out));
         assert!(close(s[0], 5.0));
     }
 

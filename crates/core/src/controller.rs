@@ -10,7 +10,7 @@ use crate::allocation::{
     reclaim_coefficient, reclaimable, shares, surpluses, utilization,
 };
 use crate::ledger::JobLedger;
-use crate::remainder::{floor_only, integerize};
+use crate::remainder::{floor_only, integerize, Integerized};
 use crate::trace::{AllocationTrace, JobTrace};
 use adaptbf_model::{AdapTbfConfig, JobAllocation, JobObservation};
 
@@ -32,6 +32,40 @@ pub struct AllocationController {
     /// Fractional part of `T_i·Δt` carried across periods so long-run
     /// budgets are exact (DESIGN.md §3.5).
     budget_carry: f64,
+    scratch: Scratch,
+}
+
+/// One period's working vectors (parallel arrays indexed by active-job
+/// position), kept between periods so a step allocates only what it
+/// returns.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    obs: Vec<JobObservation>,
+    nodes: Vec<u64>,
+    demand: Vec<u64>,
+    /// What the period reads from each active job's ledger entry, which is
+    /// fetched once when the period starts and once more to store the
+    /// outcome: `ρ_x`, `α^{t-1}_x`, `r_x` and the forecast `d̄_x`.
+    carries: Vec<f64>,
+    prev_alloc: Vec<u64>,
+    record_before: Vec<i64>,
+    forecasts: Vec<f64>,
+    prio: Vec<f64>,
+    raw: Vec<f64>,
+    a1: Vec<u64>,
+    util: Vec<f64>,
+    df: Vec<f64>,
+    surplus: Vec<u64>,
+    gains: Vec<u64>,
+    future_util: Vec<f64>,
+    reclaimed: Vec<u64>,
+    comp_gain: Vec<u64>,
+    lender_terms: Vec<(f64, f64, f64)>,
+    lender_idx: Vec<usize>,
+    df_l: Vec<f64>,
+    prio_l: Vec<f64>,
+    carry_l: Vec<f64>,
+    integerized: Integerized,
 }
 
 impl AllocationController {
@@ -42,6 +76,7 @@ impl AllocationController {
             ledger: JobLedger::new(),
             period: 0,
             budget_carry: 0.0,
+            scratch: Scratch::default(),
         }
     }
 
@@ -69,13 +104,42 @@ impl AllocationController {
     pub fn step(&mut self, observations: &[JobObservation]) -> AllocationOutcome {
         let period = self.period;
         self.period += 1;
+        let AllocationController {
+            config,
+            ledger,
+            budget_carry,
+            scratch,
+            ..
+        } = self;
+        let Scratch {
+            obs,
+            nodes,
+            demand,
+            carries,
+            prev_alloc,
+            record_before,
+            forecasts,
+            prio,
+            raw,
+            a1,
+            util,
+            df,
+            surplus,
+            gains,
+            future_util,
+            reclaimed,
+            comp_gain,
+            lender_terms,
+            lender_idx,
+            df_l,
+            prio_l,
+            carry_l,
+            integerized,
+        } = scratch;
 
         // Active set, deterministic order, duplicates merged defensively.
-        let mut obs: Vec<JobObservation> = observations
-            .iter()
-            .copied()
-            .filter(|o| o.demand_rpcs > 0)
-            .collect();
+        obs.clear();
+        obs.extend(observations.iter().filter(|o| o.demand_rpcs > 0));
         obs.sort_by_key(|o| o.job);
         obs.dedup_by(|b, a| {
             if a.job == b.job {
@@ -95,171 +159,157 @@ impl AllocationController {
             };
         }
         let n = obs.len();
-        let jobs: Vec<_> = obs.iter().map(|o| o.job).collect();
-        let nodes: Vec<u64> = obs.iter().map(|o| o.nodes).collect();
-        let demand: Vec<u64> = obs.iter().map(|o| o.demand_rpcs).collect();
+        nodes.clear();
+        nodes.extend(obs.iter().map(|o| o.nodes));
+        demand.clear();
+        demand.extend(obs.iter().map(|o| o.demand_rpcs));
 
         // Integer budget for this period.
-        let real_budget = self.config.tokens_per_period();
-        let budget = if self.config.enable_remainders {
-            let with_carry = real_budget + self.budget_carry;
+        let real_budget = config.tokens_per_period();
+        let budget = if config.enable_remainders {
+            let with_carry = real_budget + *budget_carry;
             let b = with_carry.floor();
-            self.budget_carry = with_carry - b;
+            *budget_carry = with_carry - b;
             b as u64
         } else {
             real_budget.floor() as u64
         };
 
-        // Per-job fractional remainders (Eq 21–25 state).
-        let mut carries: Vec<f64> = if self.config.enable_remainders {
-            jobs.iter()
-                .map(|j| self.ledger.entry(*j).remainder)
-                .collect()
-        } else {
-            vec![0.0; n]
-        };
+        // Everything the period reads from the Job Records store, one
+        // lookup per active job: the fractional remainder (Eq 21–25
+        // state), the previous period's grant (Eq 3), the record, and the
+        // demand forecast for Eq (11) (extension hook; the paper's mode
+        // reduces to d̄ = d_t), whose state takes this period's observation.
+        let forecast_mode = config.forecast;
+        let previous_period = period.checked_sub(1);
+        carries.clear();
+        prev_alloc.clear();
+        record_before.clear();
+        forecasts.clear();
+        for o in obs.iter() {
+            let entry = ledger.entry(o.job);
+            entry.forecast.observe(o.demand_rpcs, forecast_mode);
+            forecasts.push(entry.forecast.predict(o.demand_rpcs, forecast_mode));
+            carries.push(if config.enable_remainders {
+                entry.remainder
+            } else {
+                0.0
+            });
+            prev_alloc.push(previous_period.map_or(0, |prev| entry.previous_alloc(prev)));
+            record_before.push(entry.record);
+        }
 
         // ---- Step 1: priority-based initial allocation (Eq 1–2) --------
-        let prio = priorities(&nodes);
-        let raw1 = initial_raw(&prio, budget as f64);
-        let a1: Vec<u64> = if self.config.enable_remainders {
-            integerize(&raw1, &mut carries, budget).grants
+        priorities(nodes, prio);
+        initial_raw(prio, budget as f64, raw);
+        if config.enable_remainders {
+            integerize(raw, carries, budget, integerized);
+            std::mem::swap(a1, &mut integerized.grants);
         } else {
-            floor_only(&raw1)
-        };
+            floor_only(raw, a1);
+        }
 
         // Utilization of the previous period's grant (Eq 3).
-        let prev_alloc: Vec<u64> = match period.checked_sub(1) {
-            Some(prev) => jobs
-                .iter()
-                .map(|j| self.ledger.previous_alloc(*j, prev))
-                .collect(),
-            None => vec![0; n],
-        };
-        let util = utilization(&demand, &prev_alloc, self.config.utilization_cap);
-        let df = distribution_factors(&util, &prio);
-
-        // Demand forecasts for Eq (11) (extension hook; the paper's mode
-        // reduces to d̄ = d_t).
-        let forecast_mode = self.config.forecast;
-        let forecasts: Vec<f64> = (0..n)
-            .map(|i| {
-                let entry = self.ledger.entry(jobs[i]);
-                entry.forecast.observe(demand[i], forecast_mode);
-                entry.forecast.predict(demand[i], forecast_mode)
-            })
-            .collect();
+        utilization(demand, prev_alloc, config.utilization_cap, util);
+        distribution_factors(util, prio, df);
 
         // ---- Step 2: redistribution of surplus tokens (Eq 4–8) ---------
-        let (surplus, total_surplus, gains) = if self.config.enable_redistribution {
-            let surplus = surpluses(&a1, &demand);
-            let total_surplus: u64 = surplus.iter().sum();
-            let gains = if total_surplus > 0 {
-                let raw = shares(&df, total_surplus, &prio);
-                if self.config.enable_remainders {
-                    integerize(&raw, &mut carries, total_surplus).grants
+        let mut total_surplus = 0;
+        refill(gains, n, 0);
+        if config.enable_redistribution {
+            surpluses(a1, demand, surplus);
+            total_surplus = surplus.iter().sum();
+            if total_surplus > 0 {
+                shares(df, total_surplus, prio, raw);
+                if config.enable_remainders {
+                    integerize(raw, carries, total_surplus, integerized);
+                    std::mem::swap(gains, &mut integerized.grants);
                 } else {
-                    floor_only(&raw)
+                    floor_only(raw, gains);
                 }
-            } else {
-                vec![0; n]
-            };
-            (surplus, total_surplus, gains)
+            }
         } else {
-            (vec![0; n], 0, vec![0; n])
-        };
-        let a2: Vec<u64> = (0..n).map(|i| a1[i] - surplus[i] + gains[i]).collect();
-
-        let record_before: Vec<i64> = jobs.iter().map(|j| self.ledger.record(*j)).collect();
-        let record_rd: Vec<i64> = (0..n)
-            .map(|i| record_before[i] + surplus[i] as i64 - gains[i] as i64)
-            .collect();
+            refill(surplus, n, 0);
+        }
+        let a2 = |i: usize| a1[i] - surplus[i] + gains[i];
+        let record_rd = |i: usize| record_before[i] + surplus[i] as i64 - gains[i] as i64;
 
         // ---- Step 3: re-compensation for borrowed tokens (Eq 9–20) -----
-        let lender: Vec<bool> = (0..n)
-            .map(|i| record_before[i] > 0 && record_rd[i] > 0)
-            .collect();
-        let borrower: Vec<bool> = (0..n)
-            .map(|i| record_before[i] < 0 && record_rd[i] < 0)
-            .collect();
-        let any_lender = lender.iter().any(|b| *b);
-        let any_borrower = borrower.iter().any(|b| *b);
+        let lender = |i: usize| record_before[i] > 0 && record_rd(i) > 0;
+        let borrower = |i: usize| record_before[i] < 0 && record_rd(i) < 0;
+        let any_lender = (0..n).any(lender);
+        let any_borrower = (0..n).any(borrower);
 
-        let mut future_util = vec![0.0; n];
-        let mut reclaimed = vec![0u64; n];
-        let mut comp_gain = vec![0u64; n];
+        refill(future_util, n, 0.0);
+        refill(reclaimed, n, 0);
+        refill(comp_gain, n, 0);
         let mut c_raw = 0.0;
         let mut c = 0.0;
         let mut total_reclaimed = 0u64;
 
-        if self.config.enable_recompensation && any_lender && any_borrower {
-            let lender_terms: Vec<(f64, f64, f64)> = (0..n)
-                .filter(|i| lender[*i])
-                .map(|i| {
-                    future_util[i] = future_utilization_forecast(forecasts[i], a2[i]);
-                    (prio[i], util[i], future_util[i])
-                })
-                .collect();
-            c_raw = reclaim_coefficient(&lender_terms, self.config.enable_future_estimate);
+        if config.enable_recompensation && any_lender && any_borrower {
+            lender_terms.clear();
+            for i in (0..n).filter(|i| lender(*i)) {
+                future_util[i] = future_utilization_forecast(forecasts[i], a2(i));
+                lender_terms.push((prio[i], util[i], future_util[i]));
+            }
+            c_raw = reclaim_coefficient(lender_terms, config.enable_future_estimate);
             // Clamp so a borrower is never driven below zero (DESIGN.md §3.1).
             c = c_raw.clamp(0.0, 1.0);
 
-            for i in 0..n {
-                if borrower[i] {
-                    reclaimed[i] = reclaimable(record_rd[i], c, a2[i]);
-                    total_reclaimed += reclaimed[i];
-                }
+            for i in (0..n).filter(|i| borrower(*i)) {
+                reclaimed[i] = reclaimable(record_rd(i), c, a2(i));
+                total_reclaimed += reclaimed[i];
             }
 
             if total_reclaimed > 0 {
                 // RF = DF (Eq 18), restricted to the lender set.
-                let lender_idx: Vec<usize> = (0..n).filter(|i| lender[*i]).collect();
-                let df_l: Vec<f64> = lender_idx.iter().map(|i| df[*i]).collect();
-                let prio_l: Vec<f64> = lender_idx.iter().map(|i| prio[*i]).collect();
-                let raw_q = shares(&df_l, total_reclaimed, &prio_l);
-                let grants = if self.config.enable_remainders {
-                    let mut carry_l: Vec<f64> = lender_idx.iter().map(|i| carries[*i]).collect();
-                    let out = integerize(&raw_q, &mut carry_l, total_reclaimed);
+                lender_idx.clear();
+                lender_idx.extend((0..n).filter(|i| lender(*i)));
+                df_l.clear();
+                df_l.extend(lender_idx.iter().map(|i| df[*i]));
+                prio_l.clear();
+                prio_l.extend(lender_idx.iter().map(|i| prio[*i]));
+                shares(df_l, total_reclaimed, prio_l, raw);
+                if config.enable_remainders {
+                    carry_l.clear();
+                    carry_l.extend(lender_idx.iter().map(|i| carries[*i]));
+                    integerize(raw, carry_l, total_reclaimed, integerized);
                     for (k, i) in lender_idx.iter().enumerate() {
                         carries[*i] = carry_l[k];
                     }
-                    out.grants
                 } else {
-                    floor_only(&raw_q)
-                };
+                    floor_only(raw, &mut integerized.grants);
+                }
                 for (k, i) in lender_idx.iter().enumerate() {
-                    comp_gain[*i] = grants[k];
+                    comp_gain[*i] = integerized.grants[k];
                 }
             }
         }
 
-        let a3: Vec<u64> = (0..n)
-            .map(|i| a2[i] - reclaimed[i] + comp_gain[i])
-            .collect();
-        let record_after: Vec<i64> = (0..n)
-            .map(|i| record_rd[i] + reclaimed[i] as i64 - comp_gain[i] as i64)
-            .collect();
-
         // ---- Persist & emit --------------------------------------------
-        let period_secs = self.config.period.as_secs_f64();
+        let period_secs = config.period.as_secs_f64();
         let mut allocations = Vec::with_capacity(n);
         let mut job_traces = Vec::with_capacity(n);
         for i in 0..n {
-            let entry = self.ledger.entry(jobs[i]);
-            entry.record = record_after[i];
-            if self.config.enable_remainders {
+            let job = obs[i].job;
+            let a3 = a2(i) - reclaimed[i] + comp_gain[i];
+            let record_after = record_rd(i) + reclaimed[i] as i64 - comp_gain[i] as i64;
+            let entry = ledger.entry(job);
+            entry.record = record_after;
+            if config.enable_remainders {
                 entry.remainder = carries[i];
             }
-            entry.last_alloc = a3[i];
+            entry.last_alloc = a3;
             entry.last_active_period = Some(period);
 
             allocations.push(JobAllocation {
-                job: jobs[i],
-                tokens: a3[i],
-                rate_tps: a3[i] as f64 / period_secs,
+                job,
+                tokens: a3,
+                rate_tps: a3 as f64 / period_secs,
             });
             job_traces.push(JobTrace {
-                job: jobs[i],
+                job,
                 nodes: nodes[i],
                 demand: demand[i],
                 priority: prio[i],
@@ -268,16 +318,16 @@ impl AllocationController {
                 surplus: surplus[i],
                 distribution_factor: df[i],
                 redistribution_gain: gains[i],
-                after_redistribution: a2[i],
+                after_redistribution: a2(i),
                 record_before: record_before[i],
-                record_after_redistribution: record_rd[i],
-                lender: lender[i],
-                borrower: borrower[i],
+                record_after_redistribution: record_rd(i),
+                lender: lender(i),
+                borrower: borrower(i),
                 future_utilization: future_util[i],
                 reclaimed: reclaimed[i],
                 compensation_gain: comp_gain[i],
-                after_recompensation: a3[i],
-                record_after: record_after[i],
+                after_recompensation: a3,
+                record_after,
                 remainder_after: carries[i],
             });
         }
@@ -295,6 +345,12 @@ impl AllocationController {
             },
         }
     }
+}
+
+/// Make `v` hold `n` copies of `value`.
+fn refill<T: Clone>(v: &mut Vec<T>, n: usize, value: T) {
+    v.clear();
+    v.resize(n, value);
 }
 
 #[cfg(test)]

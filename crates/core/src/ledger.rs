@@ -29,6 +29,19 @@ pub struct LedgerEntry {
     pub forecast: ForecastState,
 }
 
+impl LedgerEntry {
+    /// `α^{t-1}_x` for Eq (3): the allocation last applied to the job, but
+    /// only if it was active in `previous_period`; a job returning after an
+    /// idle gap is treated as having had no allocation (DESIGN.md §3).
+    pub fn previous_alloc(&self, previous_period: u64) -> u64 {
+        if self.last_active_period == Some(previous_period) {
+            self.last_alloc
+        } else {
+            0
+        }
+    }
+}
+
 /// The per-OST ledger of [`LedgerEntry`]s, keyed by job.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct JobLedger {
@@ -56,14 +69,11 @@ impl JobLedger {
         self.entries.get(&job).map_or(0, |e| e.record)
     }
 
-    /// `α^{t-1}_x` for Eq (3): the allocation last applied to `job`, but
-    /// only if it was active in `previous_period`; a job returning after an
-    /// idle gap is treated as having had no allocation (DESIGN.md §3).
+    /// [`LedgerEntry::previous_alloc`] of `job`, zero for unseen jobs.
     pub fn previous_alloc(&self, job: JobId, previous_period: u64) -> u64 {
-        match self.entries.get(&job) {
-            Some(e) if e.last_active_period == Some(previous_period) => e.last_alloc,
-            _ => 0,
-        }
+        self.entries
+            .get(&job)
+            .map_or(0, |e| e.previous_alloc(previous_period))
     }
 
     /// Sum of all records — the ledger conservation invariant says this is

@@ -20,32 +20,39 @@
 //! remainder lies in `(-1, 1)` and a fix-up shifts one job's remainder by
 //! at most ±1, which the next call settles.
 
-/// Outcome of one integerization pass.
-#[derive(Debug, Clone, PartialEq)]
+/// Outcome of one integerization pass. Reusable: [`integerize`] writes
+/// into it, so a caller that runs several passes keeps one.
+#[derive(Debug, Clone, Default)]
 pub struct Integerized {
     /// Whole-token grant per job (parallel to the input slices).
     pub grants: Vec<u64>,
     /// How many ±1 fix-ups were applied to meet the target.
     pub adjustments: u64,
+    /// The fix-up's visiting order (scratch).
+    order: Vec<usize>,
 }
 
 /// Convert real-valued raw shares into whole-token grants summing exactly
 /// to `target`, carrying fractional remainders per job.
 ///
 /// `raw[i]` is job *i*'s real share for this step; `carry[i]` is its
-/// remainder from previous steps (updated in place). Requires
-/// `target ≈ Σ raw` (within the slack the carries provide); panics in debug
-/// builds if the discrepancy exceeds the number of jobs, which would mean
-/// the caller budgeted inconsistently.
-pub fn integerize(raw: &[f64], carry: &mut [f64], target: u64) -> Integerized {
+/// remainder from previous steps (updated in place); the grants land in
+/// `out`. Requires `target ≈ Σ raw` (within the slack the carries
+/// provide); panics in debug builds if the discrepancy exceeds the number
+/// of jobs, which would mean the caller budgeted inconsistently.
+pub fn integerize(raw: &[f64], carry: &mut [f64], target: u64, out: &mut Integerized) {
     assert_eq!(raw.len(), carry.len(), "raw/carry length mismatch");
     let n = raw.len();
+    let Integerized {
+        grants,
+        adjustments,
+        order,
+    } = out;
+    grants.clear();
+    *adjustments = 0;
     if n == 0 {
         assert_eq!(target, 0, "cannot distribute {target} tokens to zero jobs");
-        return Integerized {
-            grants: Vec::new(),
-            adjustments: 0,
-        };
+        return;
     }
     debug_assert!(
         raw.iter().all(|v| v.is_finite() && *v >= 0.0),
@@ -53,13 +60,12 @@ pub fn integerize(raw: &[f64], carry: &mut [f64], target: u64) -> Integerized {
     );
 
     // Eq (23)/(24): floor(raw + carry), keep the fraction.
-    let mut grants = vec![0u64; n];
     for i in 0..n {
         let v = raw[i] + carry[i];
         // carry ∈ (-1, 1) and raw ≥ 0, so v > -1; a negative v floors to 0
         // and stays owed through the carry.
         let f = v.floor().max(0.0);
-        grants[i] = f as u64;
+        grants.push(f as u64);
         carry[i] = v - f;
     }
 
@@ -68,9 +74,9 @@ pub fn integerize(raw: &[f64], carry: &mut [f64], target: u64) -> Integerized {
     // touches each job at most once, and with consistent budgets a single
     // round suffices.
     let mut total: u64 = grants.iter().sum();
-    let mut adjustments = 0u64;
     if total < target {
-        let mut order: Vec<usize> = (0..n).collect();
+        order.clear();
+        order.extend(0..n);
         // Descending remainder, index ascending for determinism on ties.
         order.sort_by(|&a, &b| {
             carry[b]
@@ -84,11 +90,12 @@ pub fn integerize(raw: &[f64], carry: &mut [f64], target: u64) -> Integerized {
             grants[i] += 1;
             carry[i] -= 1.0;
             total += 1;
-            adjustments += 1;
+            *adjustments += 1;
             k += 1;
         }
     } else if total > target {
-        let mut order: Vec<usize> = (0..n).collect();
+        order.clear();
+        order.extend(0..n);
         // Ascending remainder among jobs that can afford a decrement.
         order.sort_by(|&a, &b| {
             carry[a]
@@ -106,33 +113,38 @@ pub fn integerize(raw: &[f64], carry: &mut [f64], target: u64) -> Integerized {
             grants[i] -= 1;
             carry[i] += 1.0;
             total -= 1;
-            adjustments += 1;
+            *adjustments += 1;
         }
     }
     debug_assert!(
-        adjustments as usize <= n + 1,
+        *adjustments as usize <= n + 1,
         "excessive fix-ups ({adjustments}) indicate inconsistent budgeting"
     );
-    Integerized {
-        grants,
-        adjustments,
-    }
 }
 
 /// Floor-only variant used when remainder fairness is disabled (ablation):
 /// fractions are simply lost, totals may undershoot the budget.
-pub fn floor_only(raw: &[f64]) -> Vec<u64> {
-    raw.iter().map(|v| v.floor().max(0.0) as u64).collect()
+pub fn floor_only(raw: &[f64], out: &mut Vec<u64>) {
+    out.clear();
+    out.extend(raw.iter().map(|v| v.floor().max(0.0) as u64));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// One pass into a result that held a previous pass's values.
+    fn integerized(raw: &[f64], carry: &mut [f64], target: u64) -> Integerized {
+        let mut out = Integerized::default();
+        integerize(&[0.5], &mut [0.9], 1, &mut out);
+        integerize(raw, carry, target, &mut out);
+        out
+    }
+
     #[test]
     fn exact_integers_pass_through() {
         let mut carry = vec![0.0; 3];
-        let out = integerize(&[10.0, 30.0, 60.0], &mut carry, 100);
+        let out = integerized(&[10.0, 30.0, 60.0], &mut carry, 100);
         assert_eq!(out.grants, vec![10, 30, 60]);
         assert_eq!(out.adjustments, 0);
         assert!(carry.iter().all(|c| c.abs() < 1e-9));
@@ -142,7 +154,7 @@ mod tests {
     fn leftover_goes_to_largest_remainder() {
         let mut carry = vec![0.0; 3];
         // Raw: 3.6 + 36.3 + 0.1 = 40 → floors 3+36+0=39, leftover 1 → job 0.
-        let out = integerize(&[3.6, 36.3, 0.1], &mut carry, 40);
+        let out = integerized(&[3.6, 36.3, 0.1], &mut carry, 40);
         assert_eq!(out.grants, vec![4, 36, 0]);
         assert!((carry[0] - (-0.4)).abs() < 1e-9);
         assert!((carry[1] - 0.3).abs() < 1e-9);
@@ -156,7 +168,7 @@ mod tests {
         // extra token, long-run split is even.
         let mut totals = [0u64; 2];
         for _ in 0..10 {
-            let out = integerize(&[0.5, 0.5], &mut carry, 1);
+            let out = integerized(&[0.5, 0.5], &mut carry, 1);
             totals[0] += out.grants[0];
             totals[1] += out.grants[1];
         }
@@ -170,7 +182,7 @@ mod tests {
         let mut carry = vec![0.9, 0.8];
         let raw = [1.2, 1.3];
         let mass_in: f64 = raw.iter().sum::<f64>() + carry.iter().sum::<f64>();
-        let out = integerize(&raw, &mut carry, 2);
+        let out = integerized(&raw, &mut carry, 2);
         // v = [2.1, 2.1] → floors [2, 2] = 4 > 2 → two removals, smallest
         // remainder first (job 1 at 0.0999…, then job 0 at 0.1).
         assert_eq!(out.grants, vec![1, 1]);
@@ -179,7 +191,7 @@ mod tests {
         let mass_out: f64 = out.grants.iter().sum::<u64>() as f64 + carry.iter().sum::<f64>();
         assert!((mass_in - mass_out).abs() < 1e-9);
         // Over-granted carries (here ≈1.1) are settled by the next call.
-        let out2 = integerize(&[0.0, 0.0], &mut carry, 2);
+        let out2 = integerized(&[0.0, 0.0], &mut carry, 2);
         assert_eq!(out2.grants, vec![1, 1]);
         assert!(
             carry.iter().all(|c| c.abs() < 1.0),
@@ -190,7 +202,7 @@ mod tests {
     #[test]
     fn zero_jobs_zero_target() {
         let mut carry: Vec<f64> = vec![];
-        let out = integerize(&[], &mut carry, 0);
+        let out = integerized(&[], &mut carry, 0);
         assert!(out.grants.is_empty());
     }
 
@@ -198,14 +210,14 @@ mod tests {
     #[should_panic(expected = "zero jobs")]
     fn zero_jobs_nonzero_target_panics() {
         let mut carry: Vec<f64> = vec![];
-        let _ = integerize(&[], &mut carry, 5);
+        let _ = integerized(&[], &mut carry, 5);
     }
 
     #[test]
     fn negative_carry_defers_grant() {
         // Job 0 owes a token from an earlier adjustment.
         let mut carry = vec![-0.7, 0.0];
-        let out = integerize(&[1.0, 1.0], &mut carry, 2);
+        let out = integerized(&[1.0, 1.0], &mut carry, 2);
         // v = [0.3, 1.0] → floors [0, 1], leftover 1 → largest remainder is
         // job 0 (0.3 vs 0.0) → grants [1, 1].
         assert_eq!(out.grants, vec![1, 1]);
@@ -214,13 +226,15 @@ mod tests {
 
     #[test]
     fn floor_only_loses_fractions() {
-        assert_eq!(floor_only(&[3.9, 0.5, 2.0]), vec![3, 0, 2]);
+        let mut out = vec![7];
+        floor_only(&[3.9, 0.5, 2.0], &mut out);
+        assert_eq!(out, vec![3, 0, 2]);
     }
 
     #[test]
     fn single_job_gets_everything() {
         let mut carry = vec![0.0];
-        let out = integerize(&[99.7], &mut carry, 100);
+        let out = integerized(&[99.7], &mut carry, 100);
         assert_eq!(out.grants, vec![100]);
         assert!((carry[0] - (-0.3)).abs() < 1e-9);
     }

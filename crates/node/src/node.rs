@@ -14,7 +14,7 @@ use crate::metrics::Metrics;
 use crate::policy::Policy;
 use adaptbf_core::{AllocationController, AllocationOutcome};
 use adaptbf_model::{CycleGate, JobId, Rpc, SimTime, TbfSchedulerConfig};
-use adaptbf_tbf::{JobStatsTracker, NrsTbfScheduler, RpcMatcher};
+use adaptbf_tbf::{JobStatsTracker, NrsTbfScheduler, RpcMatcher, RuleSpec};
 use std::collections::BTreeMap;
 
 /// One OST's complete control plane: scheduler + `job_stats` + (under
@@ -189,8 +189,9 @@ impl OstNode {
 }
 
 /// Install the Static BW baseline's fixed rules (rate `T_i · p_x` from the
-/// global static priorities `p_x = n_x / Σn`) on one scheduler — at build
-/// time, and again when a crashed OST rejoins with empty bucket state.
+/// global static priorities `p_x = n_x / Σn`) on one scheduler, as one
+/// rule transaction — at build time, and again when a crashed OST rejoins
+/// with empty bucket state.
 pub fn install_static_rules(
     scheduler: &mut NrsTbfScheduler,
     jobs: &[(JobId, u64)],
@@ -198,23 +199,22 @@ pub fn install_static_rules(
     now: SimTime,
 ) {
     let total: u64 = jobs.iter().map(|&(_, n)| n).sum();
-    for &(job, nodes) in jobs {
-        let rate = rate_total * nodes as f64 / total as f64;
-        scheduler.start_rule(
-            job.label(),
-            RpcMatcher::Job(job),
-            rate,
-            nodes.min(u32::MAX as u64) as u32,
-            now,
-        );
-    }
+    let specs = jobs.iter().map(|&(job, nodes)| RuleSpec {
+        name: job.label(),
+        matcher: RpcMatcher::Job(job),
+        rate_tps: rate_total * nodes as f64 / total as f64,
+        weight: nodes.min(u32::MAX as u64) as u32,
+    });
+    scheduler
+        .transact(&[], specs, &[], now)
+        .expect("a batch of starts has nothing to reject");
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use adaptbf_model::config::paper;
-    use adaptbf_model::{ClientId, ProcId, RpcId, SimDuration};
+    use adaptbf_model::{ClientId, ProcId, RpcId, RuleId, SimDuration};
 
     fn jobs() -> Vec<(JobId, u64)> {
         vec![(JobId(1), 1), (JobId(2), 3)]
@@ -401,6 +401,13 @@ mod tests {
             1000.0,
             SimTime::ZERO,
         );
+        let table = |node: &OstNode| -> Vec<(RuleId, String)> {
+            let rules = node.scheduler.rules().rules();
+            rules.iter().map(|r| (r.id, r.name.clone())).collect()
+        };
+        let built = table(&node);
+        assert_eq!(built[0], (RuleId(0), "app1.node1".to_string()));
+        assert_eq!(built[1], (RuleId(1), "app2.node2".to_string()));
         for i in 0..4 {
             node.scheduler.enqueue(rpc(1, i), SimTime::ZERO);
         }
@@ -408,8 +415,14 @@ mod tests {
         assert_eq!(lost.len(), 4, "whole backlog drained");
         assert_eq!(node.scheduler.rules().len(), 0, "rules gone with the OST");
         assert_eq!(node.job_stats.period_total(), 0, "stats wiped");
+        // What arrives at the rule-less scheduler parks in the fallback...
+        node.scheduler.enqueue(rpc(2, 9), SimTime::from_millis(900));
         node.recover(SimTime::from_secs(1));
-        assert_eq!(node.scheduler.rules().len(), 2, "static rules reinstalled");
+        // ...and the one transaction that reinstalls the rules — same ids,
+        // same order as at build time — moves it under its rule.
+        assert_eq!(table(&node), built, "static rules reinstalled");
+        assert_eq!(node.scheduler.pending_fallback(), 0);
+        assert_eq!(node.scheduler.queue_depth(JobId(2)), 1);
     }
 
     #[test]

@@ -11,10 +11,19 @@
 //! `BUCKET_WIDTH` nanoseconds each, covering a sliding window from the
 //! drain cursor, plus a spill heap for events beyond the window (long
 //! think times, controller ticks, far-future chunks). Pushes are an array
-//! index + append; pops scan the (typically 1–3 entry) current bucket for
-//! the earliest `(time, seq)` key. Events whose bucket has already been
-//! passed by the cursor are clamped into the cursor's bucket — the bucket
-//! scan compares full keys, so ordering stays exact.
+//! index + append. A pop takes the earliest `(time, seq)` key of the
+//! bucket under the drain cursor: a bucket of up to `SCAN_LIMIT` entries
+//! — the usual 1–3 — is scanned; a longer one is a *herd* (a burst's
+//! same-instant arrivals, thousands of jobs opening their first window
+//! together) and is ordered once, descending, so every later pop takes the
+//! back entry. While the cursor stays on an ordered bucket, pushes that
+//! land in it are placed by binary search, so draining an `n`-event herd
+//! costs O(n log n) key compares however many events join it on the way
+//! (same-instant and clamped arrivals land at the back; one that lands
+//! late in the bucket shifts the entries after it — a `memmove`).
+//! Events whose bucket has already been passed by the cursor are clamped
+//! into the cursor's bucket — scan, sort and search all compare full keys,
+//! so ordering stays exact.
 //!
 //! Ordering is identical to the heap it replaced: strictly by `(time,
 //! key)` — a total order, so any correct priority queue yields
@@ -37,8 +46,17 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// Width of one calendar bucket in nanoseconds (8 µs — a fraction of the
-/// 150 µs network hop, so same-bucket pileups stay rare at full load).
+/// 150 µs network hop, so in steady flow a bucket holds 1–3 events; a
+/// burst can still put thousands into one, which is what the ordered
+/// cursor bucket is for).
 const BUCKET_WIDTH: u64 = 8_000;
+/// Longest cursor bucket that is still drained by scanning; a longer one
+/// is sorted once. A scan this short touches a cache line or two, so the
+/// common 1–3-entry bucket pays nothing for the herd case. Chosen by
+/// measurement: limits of 1 (always sort), 8 and 32 read within
+/// run-to-run noise of each other on the benchmark's flat and control
+/// workloads, and always sorting read ~5 % slower on the striped one.
+const SCAN_LIMIT: usize = 8;
 /// Buckets in the ring (power of two; 4096 × 8 µs ≈ 33 ms window, which
 /// comfortably covers network hops and disk service times).
 const N_BUCKETS: usize = 4096;
@@ -96,6 +114,12 @@ pub struct EventQueue<E> {
     /// pushed "behind" the cursor (same virtual time, earlier bucket) are
     /// clamped into the cursor's bucket.
     cursor: u64,
+    /// Absolute index of the bucket held in descending `(time, seq)`
+    /// order (earliest at the back), `u64::MAX` when none is. Only ever
+    /// the cursor's bucket: set when a pop finds it crowded, left behind
+    /// (harmlessly — nothing can be pushed behind the cursor) when the
+    /// cursor moves on.
+    ordered: u64,
     /// Events beyond the ring window, ordered by `(time, seq)`.
     spill: BinaryHeap<Entry<E>>,
     /// Absolute bucket of the earliest spill event (`u64::MAX` when the
@@ -104,6 +128,10 @@ pub struct EventQueue<E> {
     next_spill_bucket: u64,
     next_seq: u64,
     now: SimTime,
+    /// Key comparisons made on the ring (scan, sort, search) — the work
+    /// count behind the herd-drain tests.
+    #[cfg(test)]
+    key_compares: std::cell::Cell<u64>,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -120,10 +148,13 @@ impl<E> EventQueue<E> {
             occupied: [0; N_WORDS],
             in_ring: 0,
             cursor: 0,
+            ordered: u64::MAX,
             spill: BinaryHeap::new(),
             next_spill_bucket: u64::MAX,
             next_seq: 0,
             now: SimTime::ZERO,
+            #[cfg(test)]
+            key_compares: std::cell::Cell::new(0),
         }
     }
 
@@ -161,17 +192,38 @@ impl<E> EventQueue<E> {
             "event scheduled in the past: {at:?} < {:?}",
             self.now
         );
-        let seq = key;
+        let entry = Entry {
+            at,
+            seq: key,
+            payload,
+        };
         let bucket = (at.as_nanos() / BUCKET_WIDTH).max(self.cursor);
         if bucket >= self.cursor + N_BUCKETS as u64 {
-            self.spill.push(Entry { at, seq, payload });
+            self.spill.push(entry);
             self.next_spill_bucket = self.next_spill_bucket.min(bucket);
         } else {
-            let slot = (bucket % N_BUCKETS as u64) as usize;
-            self.ring[slot].push(Entry { at, seq, payload });
-            self.occupied[slot / 64] |= 1 << (slot % 64);
-            self.in_ring += 1;
+            self.place(bucket, entry);
         }
+    }
+
+    /// Put `entry` into ring bucket `bucket` (inside the window): appended,
+    /// or — into the ordered bucket — at its place in the order.
+    #[inline]
+    fn place(&mut self, bucket: u64, entry: Entry<E>) {
+        let slot = (bucket % N_BUCKETS as u64) as usize;
+        if bucket == self.ordered {
+            let key = entry.key();
+            let at = self.ring[slot].partition_point(|e| {
+                #[cfg(test)]
+                self.key_compares.set(self.key_compares.get() + 1);
+                e.key() > key
+            });
+            self.ring[slot].insert(at, entry);
+        } else {
+            self.ring[slot].push(entry);
+        }
+        self.occupied[slot / 64] |= 1 << (slot % 64);
+        self.in_ring += 1;
     }
 
     /// Move spill events that now fit the window into the ring, refreshing
@@ -184,10 +236,7 @@ impl<E> EventQueue<E> {
             }
             let e = self.spill.pop().expect("peeked");
             let bucket = (e.at.as_nanos() / BUCKET_WIDTH).max(self.cursor);
-            let slot = (bucket % N_BUCKETS as u64) as usize;
-            self.ring[slot].push(e);
-            self.occupied[slot / 64] |= 1 << (slot % 64);
-            self.in_ring += 1;
+            self.place(bucket, e);
         }
         self.next_spill_bucket = self
             .spill
@@ -244,14 +293,27 @@ impl<E> EventQueue<E> {
                 }
             }
             let slot = (self.cursor % N_BUCKETS as u64) as usize;
-            let bucket = &self.ring[slot];
-            let mut min = 0;
-            for i in 1..bucket.len() {
-                if bucket[i].key() < bucket[min].key() {
-                    min = i;
+            let bucket = &mut self.ring[slot];
+            if self.ordered != self.cursor {
+                if bucket.len() <= SCAN_LIMIT {
+                    let mut min = 0;
+                    for i in 1..bucket.len() {
+                        #[cfg(test)]
+                        self.key_compares.set(self.key_compares.get() + 1);
+                        if bucket[i].key() < bucket[min].key() {
+                            min = i;
+                        }
+                    }
+                    return Some((slot, min));
                 }
+                bucket.sort_unstable_by(|a, b| {
+                    #[cfg(test)]
+                    self.key_compares.set(self.key_compares.get() + 1);
+                    b.key().cmp(&a.key())
+                });
+                self.ordered = self.cursor;
             }
-            return Some((slot, min));
+            return Some((slot, bucket.len() - 1));
         }
     }
 
@@ -513,6 +575,120 @@ mod tests {
         assert_eq!(q.len(), 2);
         assert_eq!(q.pop_entry(), Some((t(4), 2, "y")));
         assert_eq!(q.peek_at(), Some(t(9)));
+    }
+
+    /// Start of an 8 µs bucket well inside the first window.
+    const HERD_AT: u64 = 1_000 * BUCKET_WIDTH;
+
+    #[test]
+    fn draining_a_herd_costs_n_log_n_key_compares() {
+        // 4,096 events in one bucket. Re-scanning the bucket on every pop
+        // is n²/2 ≈ 8.4 M key compares; ordering it once is ≈ n log n.
+        let n = 4096u64;
+        let mut q = EventQueue::new();
+        let mut lcg: u64 = 0x9E37_79B9_7F4A_7C15;
+        let mut expected = Vec::new();
+        for key in 0..n {
+            lcg = lcg
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let at = HERD_AT + (lcg >> 33) % BUCKET_WIDTH;
+            q.push_keyed(SimTime(at), key, ());
+            expected.push((at, key));
+        }
+        expected.sort_unstable();
+        for want in expected {
+            let (at, key, ()) = q.pop_entry().expect("queued");
+            assert_eq!((at.as_nanos(), key), want);
+        }
+        assert!(q.is_empty());
+        let compares = q.key_compares.get();
+        assert!(compares <= 32 * n, "{compares} key compares for {n} events");
+    }
+
+    #[test]
+    fn herd_with_arrivals_pops_like_a_sorted_vec() {
+        // A herd is drained while events keep joining its bucket: at the
+        // popped instant, later in the bucket, and — after a peek moved
+        // the cursor onto the herd — earlier than the bucket (clamped).
+        // Conditional pops are rejected along the way. Every pop must be
+        // the minimum of a sorted-Vec model.
+        let mut q = EventQueue::new();
+        let mut model: Vec<(u64, u64)> = Vec::new();
+        let mut key = 0u64;
+        let mut lcg: u64 = 0x2545_F491_4F6C_DD1D;
+        let mut rand = move |below: u64| {
+            lcg = lcg
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (lcg >> 33) % below
+        };
+        let mut push = |q: &mut EventQueue<u64>, model: &mut Vec<(u64, u64)>, at: u64| {
+            // Keys descend so that arrival order and key order disagree.
+            key += 1;
+            q.push_keyed(SimTime(at), u64::MAX - key, key);
+            let slot = model.partition_point(|e| *e < (at, u64::MAX - key));
+            model.insert(slot, (at, u64::MAX - key));
+        };
+        let pop_checked = |q: &mut EventQueue<u64>, model: &mut Vec<(u64, u64)>| {
+            let (at, k, _) = q.pop_entry().expect("model is not empty");
+            assert_eq!((at.as_nanos(), k), model.remove(0));
+        };
+
+        // One early event, the herd, and a straggler bucket behind it.
+        push(&mut q, &mut model, 5 * BUCKET_WIDTH);
+        for _ in 0..600 {
+            let at = HERD_AT + rand(BUCKET_WIDTH);
+            push(&mut q, &mut model, at);
+        }
+        for _ in 0..20 {
+            let at = HERD_AT + BUCKET_WIDTH + rand(BUCKET_WIDTH);
+            push(&mut q, &mut model, at);
+        }
+        pop_checked(&mut q, &mut model);
+        let now = q.now().as_nanos();
+        // The peek lands the cursor on the herd (and orders it); events
+        // between `now` and the herd's bucket are clamped into it.
+        assert_eq!(q.peek_at().map(SimTime::as_nanos), Some(model[0].0));
+        for _ in 0..40 {
+            let at = now + rand(HERD_AT - now);
+            push(&mut q, &mut model, at);
+        }
+        let compares_before = q.key_compares.get();
+        let mut pops = 0u64;
+        while !model.is_empty() {
+            match rand(8) {
+                0 => {
+                    let at = q.now().as_nanos().max(HERD_AT) + rand(BUCKET_WIDTH / 2);
+                    push(&mut q, &mut model, at);
+                }
+                1 => {
+                    let at = q.now().as_nanos();
+                    push(&mut q, &mut model, at);
+                }
+                2 => {
+                    assert!(q.pop_if(|_, _| false).is_none());
+                    assert!(q.pop_entry_if(|_, _| false).is_none());
+                    assert_eq!(q.len(), model.len());
+                }
+                3 => {
+                    let want = model.remove(0);
+                    let got = q.pop_entry_if(|at, _| at.as_nanos() == want.0);
+                    assert_eq!(got.map(|(at, k, _)| (at.as_nanos(), k)), Some(want));
+                    pops += 1;
+                }
+                _ => {
+                    pop_checked(&mut q, &mut model);
+                    pops += 1;
+                }
+            }
+        }
+        assert!(q.is_empty());
+        let compares = q.key_compares.get() - compares_before;
+        assert!(
+            compares <= 32 * pops,
+            "{compares} key compares, {pops} pops"
+        );
     }
 
     #[test]

@@ -30,6 +30,7 @@
 
 pub mod bucket;
 pub mod daemon;
+mod fallback;
 pub mod heap;
 pub mod job_stats;
 pub mod matcher;

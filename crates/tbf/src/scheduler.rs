@@ -29,11 +29,14 @@
 //! The daemon mutates every active job's rule once per observation
 //! period, so the unit of mutation is the period's whole batch
 //! ([`NrsTbfScheduler::transact`], which carries the ordering argument):
-//! stopped rules leave the table with one index rebuild, started rules
-//! share one scan of the fallback queue, and a cycle costs O(rules
-//! changed + queues they govern + parked RPCs), not that times the number
-//! of rules changed. The single-rule entry points are one-element
-//! transactions.
+//! stopped rules leave the table with one index rebuild, and started
+//! rules lift what they capture out of the fallback queue through its
+//! per-job index (the `fallback` module), so a cycle costs O(rules changed +
+//! queues they govern + RPCs they capture) — not that times the number of
+//! rules changed, and not the number of RPCs parked for other jobs. (A
+//! batch that starts a rule which is not purely job-based scans the
+//! fallback queue instead, once.) The single-rule entry points are
+//! one-element transactions.
 //!
 //! Per-job service counters live on the queues themselves and are folded
 //! into [`SchedulerStats`] only when [`NrsTbfScheduler::stats`] is read,
@@ -48,12 +51,13 @@
 //! scratch buffer instead of collecting the affected-job set afresh on
 //! every rule mutation.
 
+use crate::fallback::FallbackQueue;
 use crate::heap::DeadlineHeap;
 use crate::matcher::RpcMatcher;
 use crate::queue::TbfQueue;
 use crate::rule::{RuleTable, TbfRule};
 use adaptbf_model::{JobId, JobSlots, ModelError, Rpc, RuleId, SimTime, TbfSchedulerConfig};
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// What the scheduler tells an idle I/O thread to do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -134,7 +138,10 @@ pub struct NrsTbfScheduler {
     /// are always visited in deterministic JobId order.
     bound: HashMap<RuleId, BTreeSet<JobId>>,
     heap: DeadlineHeap,
-    fallback: VecDeque<Rpc>,
+    /// RPCs no installed rule matches — the invariant the fallback's
+    /// per-job index relies on: rules only start through
+    /// [`Self::transact`], which moves out everything they capture.
+    fallback: FallbackQueue,
     /// RPCs sitting in ruled queues (cheap pending() accounting).
     ruled_backlog: usize,
     /// Scratch for the per-cycle reconcile: the affected-job set of the
@@ -165,7 +172,7 @@ impl NrsTbfScheduler {
             queues: Vec::new(),
             bound: HashMap::new(),
             heap: DeadlineHeap::new(),
-            fallback: VecDeque::new(),
+            fallback: FallbackQueue::new(),
             ruled_backlog: 0,
             reconcile_scratch: Vec::new(),
             served_ruled: 0,
@@ -213,8 +220,8 @@ impl NrsTbfScheduler {
     /// calling [`Self::stop_rule`] for each stop, [`Self::start_rule`] for
     /// each start and [`Self::apply_updates`] in that order; the cost is
     /// not. The stopped rules leave the table together and only their own
-    /// queues move, and the fallback queue is scanned once for all the
-    /// started rules, not once per rule: a parked RPC matches no older
+    /// queues move, and the started rules capture from the fallback queue
+    /// together, not one scan per rule: a parked RPC matches no older
     /// rule, so the first started rule matching it is the one that
     /// captures it, and moving the captured RPCs rule by rule in start
     /// order (arrival order within a rule) replays the per-rule scans'
@@ -255,7 +262,7 @@ impl NrsTbfScheduler {
             })
             .collect();
         if !started.is_empty() {
-            self.recapture_fallback(now);
+            self.recapture_fallback(&started, now);
         }
         for (id, rate, weight) in updates {
             self.rules
@@ -604,20 +611,44 @@ impl NrsTbfScheduler {
     /// saturated ruled queues forever). Only called after rules started —
     /// stopping or re-rating a rule can never make an unmatched RPC match.
     ///
-    /// One pass however many rules started: captured RPCs are set aside
-    /// (the rest keep their order), then enter their queues rule by rule
-    /// in start order — ids ascend in start order and the sort is stable,
-    /// so arrival order holds within a rule.
-    fn recapture_fallback(&mut self, now: SimTime) {
-        let mut captured = Vec::new();
-        for rpc in std::mem::take(&mut self.fallback) {
-            match self.rules.classify(&rpc) {
-                Some(rule) => captured.push((rule.id, rpc)),
-                None => self.fallback.push_back(rpc),
+    /// A parked RPC matches no rule older than `started`, so which RPCs
+    /// leave is decided by the started rules alone. When all of them are
+    /// purely job-based — every batch the daemon issues; decided from the
+    /// matchers, like [`Self::stops_are_disjoint`] — those are exactly the
+    /// parked RPCs of the jobs they name, and only those are visited.
+    /// Any other matcher can pick RPCs out of any job's backlog: the whole
+    /// queue is scanned, once. Either way the captured RPCs then enter
+    /// their queues rule by rule in start order (ids ascend in start
+    /// order), in arrival order within a rule.
+    fn recapture_fallback(&mut self, started: &[RuleId], now: SimTime) {
+        let rules = &self.rules;
+        let mut captured: Vec<(RuleId, u64, Rpc)> = Vec::new();
+        let matchers = || {
+            started
+                .iter()
+                .map(|id| &rules.get(*id).expect("just started").matcher)
+        };
+        if matchers().all(|m| m.jobs().is_some()) {
+            for job in matchers().flat_map(|m| m.jobs().unwrap_or_default()) {
+                // A job named twice finds nothing left the second time.
+                self.fallback.take_job(*job, |pos, rpc| {
+                    let rule = rules.classify(&rpc).expect("a started rule names the job");
+                    captured.push((rule.id, pos, rpc));
+                });
             }
+        } else {
+            self.fallback.retain(|pos, rpc| match rules.classify(rpc) {
+                Some(rule) => {
+                    captured.push((rule.id, pos, *rpc));
+                    false
+                }
+                None => true,
+            });
         }
-        captured.sort_by_key(|&(rule, _)| rule);
-        for (rule, rpc) in captured {
+        // Before the captured RPCs grow their ruled queues.
+        self.fallback.trim();
+        captured.sort_unstable_by_key(|&(rule, pos, _)| (rule, pos));
+        for (rule, _, rpc) in captured {
             let binding = RuleBinding::from(self.rules.get(rule).expect("just classified"));
             self.enqueue_ruled(rpc, binding, now);
         }
@@ -636,7 +667,7 @@ impl NrsTbfScheduler {
             }
         }
         self.ruled_backlog = 0;
-        out.extend(self.fallback.drain(..));
+        out.extend(self.fallback.drain());
         out
     }
 
@@ -1066,24 +1097,70 @@ mod tests {
         }
     }
 
-    #[test]
-    fn starting_k_rules_classifies_each_parked_rpc_once() {
-        // 40 jobs × 10 parked RPCs; a cycle starts rules for 16 of the
-        // jobs. The work is one classification per parked RPC — not one
-        // per parked RPC per started rule.
+    /// 40 jobs × 10 RPCs parked in arrival order.
+    fn parked_400() -> NrsTbfScheduler {
         let mut s = sched();
         for i in 0..400 {
-            s.enqueue(rpc(i, i as u32 % 40), t(0));
+            s.enqueue(rpc_from(i, i as u32 % 40, i as u32 % 7), t(0));
         }
         assert_eq!(s.pending_fallback(), 400);
         s.rules.classify_calls.set(0);
+        s
+    }
+
+    #[test]
+    fn starting_k_job_rules_classifies_each_captured_rpc_once() {
+        // A cycle starts rules for 16 of the 40 parked jobs. The work is
+        // one classification per *captured* RPC: the other 240 parked
+        // RPCs are neither classified nor moved.
+        let mut s = parked_400();
         let ids = s.transact(&[], (0..16).map(job_spec), &[], t(0)).unwrap();
         assert_eq!(ids.len(), 16);
-        assert_eq!(s.rules.classify_calls.get(), 400);
+        assert_eq!(s.rules.classify_calls.get(), 160);
         assert_eq!((s.pending_ruled(), s.pending_fallback()), (160, 240));
         // The uncaptured backlog kept its arrival order.
         let parked: Vec<u64> = s.fallback.iter().map(|r| r.id.raw()).collect();
+        assert_eq!(parked.len(), 240);
         assert!(parked.windows(2).all(|w| w[0] < w[1]));
+        assert!(s.fallback.iter().all(|r| r.job.raw() >= 16));
+    }
+
+    #[test]
+    fn a_non_job_start_scans_the_fallback_and_equals_one_at_a_time() {
+        // One `Client` rule among the job rules can capture RPCs of any
+        // job, so the batch takes the full scan — one classification per
+        // parked RPC — and must leave what single starts leave.
+        let specs = || {
+            let mut specs: Vec<RuleSpec> = (0..8).map(job_spec).collect();
+            specs.insert(
+                3,
+                RuleSpec {
+                    name: "c5".into(),
+                    matcher: RpcMatcher::Client(ClientId(5)),
+                    rate_tps: 10.0,
+                    weight: 1,
+                },
+            );
+            specs
+        };
+        let mut batch = parked_400();
+        let ids = batch.transact(&[], specs(), &[], t(0)).unwrap();
+        assert_eq!(batch.rules.classify_calls.get(), 400);
+        let mut single = parked_400();
+        let ids_single: Vec<RuleId> = specs()
+            .into_iter()
+            .map(|r| single.start_rule(r.name, r.matcher, r.rate_tps, r.weight, t(0)))
+            .collect();
+        assert_eq!(ids, ids_single);
+        assert!(batch.fallback.iter().eq(single.fallback.iter()));
+        assert!(batch.pending_ruled() > 80, "the client rule captured too");
+        loop {
+            let decision = batch.next(t(0));
+            assert_eq!(decision, single.next(t(0)));
+            if !matches!(decision, SchedDecision::Serve(_)) {
+                break;
+            }
+        }
     }
 
     #[test]
