@@ -140,7 +140,7 @@ fn main() {
     }
     match only {
         None => {
-            println!("done. See results/ and run `cargo bench -p adaptbf-bench` plus");
+            println!("done. See results/ and run");
             println!("`cargo run -p adaptbf-bench --bin overhead --release` for §IV-G.");
         }
         Some(n) => println!("paper shape: {}", FIGURES[n as usize - 3].1),

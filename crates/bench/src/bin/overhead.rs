@@ -9,14 +9,104 @@
 //! parked backlog alike. Also prints the Table II-derived simulation
 //! calibration.
 
-use adaptbf_bench::hotpath_fixture::{ControlCycles, PARKED};
 use adaptbf_bench::{write_artifact, Options};
 use adaptbf_core::AllocationController;
 use adaptbf_model::config::paper;
-use adaptbf_model::{JobId, JobObservation};
-use adaptbf_node::ControllerOverhead;
+use adaptbf_model::{
+    ClientId, JobId, JobObservation, ProcId, Rpc, RpcId, SimDuration, SimTime, TbfSchedulerConfig,
+};
+use adaptbf_node::{ControllerOverhead, OstNode, Policy};
 use adaptbf_sim::RunGrid;
+use adaptbf_tbf::NrsTbfScheduler;
 use std::time::Instant;
+
+/// RPCs of never-active jobs [`ControlCycles`] parks in the fallback
+/// queue under churn: every rule start has to look past them.
+const PARKED: u64 = 4096;
+
+/// Enqueue the churn fixture's standing backlog: [`PARKED`] RPCs of 64
+/// jobs above `universe` (never ruled, so parked for good) plus two
+/// per job of `1..=universe` (captured when the job's rule starts,
+/// released when it stops). Nothing is ever served, so it stands.
+fn park_backlog(s: &mut NrsTbfScheduler, universe: u32) {
+    let parked = (0..PARKED).map(|i| universe + 1 + (i % 64) as u32);
+    let own = (0..2 * universe).map(|i| 1 + i % universe);
+    for (id, job) in parked.chain(own).enumerate() {
+        let rpc = Rpc::new(
+            RpcId(id as u64),
+            JobId(job),
+            ClientId(0),
+            ProcId(0),
+            SimTime::ZERO,
+        );
+        s.enqueue(rpc, SimTime::ZERO);
+    }
+}
+
+/// The `n` jobs active in `cycle`: the half `1..=n/2` always, plus a
+/// pool of `n/2` — the same one every cycle, or under `churn` one of
+/// two in alternation, so that every cycle stops half the rules,
+/// starts as many and re-rates the rest (a universe of `3n/2` jobs).
+fn active_jobs(n: u32, churn: bool, cycle: u64) -> impl Iterator<Item = u32> {
+    let half = n / 2;
+    let pool = half + if churn { (cycle % 2) as u32 * half } else { 0 };
+    (1..=half).chain(pool + 1..=pool + half)
+}
+
+/// One OST's whole control plane (Section IV-G's framework cycle)
+/// with [`active_jobs`] each period: a steady set over an empty
+/// fallback queue, or — `churn` — a churning one over
+/// [`park_backlog`].
+struct ControlCycles {
+    node: OstNode,
+    n: u32,
+    churn: bool,
+    cycle: u64,
+}
+
+impl ControlCycles {
+    /// Assemble the node (and park the backlog under `churn`).
+    fn new(n: u32, churn: bool) -> Self {
+        let universe = if churn { n + n / 2 } else { n };
+        let jobs: Vec<_> = (1..=universe)
+            .map(|j| (JobId(j), j as u64 % 16 + 1))
+            .collect();
+        let mut node = OstNode::new(
+            Policy::adaptbf_default(),
+            TbfSchedulerConfig::default(),
+            &jobs,
+            paper::MAX_TOKEN_RATE,
+            SimTime::ZERO,
+        );
+        if churn {
+            park_backlog(&mut node.scheduler, universe);
+        }
+        ControlCycles {
+            node,
+            n,
+            churn,
+            cycle: 0,
+        }
+    }
+
+    /// Run one observation period: this cycle's active jobs report
+    /// demand, then the controller ticks.
+    fn cycle(&mut self) {
+        for job in active_jobs(self.n, self.churn, self.cycle) {
+            for _ in 0..3 {
+                self.node.job_stats.record_arrival(JobId(job));
+            }
+        }
+        self.cycle += 1;
+        let now = SimTime::ZERO + SimDuration::from_millis(100) * self.cycle;
+        std::hint::black_box(self.node.tick(now));
+    }
+
+    /// The driver's own accounting of the cycles run so far.
+    fn overhead(&self) -> ControllerOverhead {
+        self.node.overhead().expect("AdapTBF node")
+    }
+}
 
 fn observations(n: usize) -> Vec<JobObservation> {
     (0..n)

@@ -38,119 +38,6 @@ use std::path::{Path, PathBuf};
 /// Default seed used by all figure binaries (override with `--seed N`).
 pub const DEFAULT_SEED: u64 = 42;
 
-/// Hot-path fixture helpers shared by the criterion benches, so the
-/// measured setup cannot silently drift between them.
-pub mod hotpath_fixture {
-    use adaptbf_model::config::paper;
-    use adaptbf_model::{
-        ClientId, JobId, ProcId, Rpc, RpcId, SimDuration, SimTime, TbfSchedulerConfig,
-    };
-    use adaptbf_node::{ControllerOverhead, OstNode, Policy};
-    use adaptbf_tbf::{NrsTbfScheduler, RpcMatcher};
-
-    /// A bench RPC for `job` (client/proc pinned to 0).
-    pub fn rpc(id: u64, job: u32) -> Rpc {
-        Rpc::new(RpcId(id), JobId(job), ClientId(0), ProcId(0), SimTime::ZERO)
-    }
-
-    /// A scheduler with one effectively-unthrottled Job rule per job, so
-    /// benches measure mechanism cost rather than throttling.
-    pub fn scheduler_with_rules(n_jobs: u32) -> NrsTbfScheduler {
-        let mut s = NrsTbfScheduler::new(TbfSchedulerConfig::default());
-        for j in 1..=n_jobs {
-            s.start_rule(
-                format!("job{j}"),
-                RpcMatcher::Job(JobId(j)),
-                1_000_000.0,
-                j,
-                SimTime::ZERO,
-            );
-        }
-        s
-    }
-
-    /// RPCs of never-active jobs [`ControlCycles`] parks in the fallback
-    /// queue under churn: every rule start has to look past them.
-    pub const PARKED: u64 = 4096;
-
-    /// Enqueue the churn fixtures' standing backlog: `parked` RPCs of 64
-    /// jobs above `universe` (never ruled, so parked for good) plus two
-    /// per job of `1..=universe` (captured when the job's rule starts,
-    /// released when it stops). Nothing is ever served, so it stands.
-    pub fn park_backlog(s: &mut NrsTbfScheduler, universe: u32, parked: u64) {
-        let parked = (0..parked).map(|i| universe + 1 + (i % 64) as u32);
-        let own = (0..2 * universe).map(|i| 1 + i % universe);
-        for (id, job) in parked.chain(own).enumerate() {
-            s.enqueue(rpc(id as u64, job), SimTime::ZERO);
-        }
-    }
-
-    /// The `n` jobs active in `cycle`: the half `1..=n/2` always, plus a
-    /// pool of `n/2` — the same one every cycle, or under `churn` one of
-    /// two in alternation, so that every cycle stops half the rules,
-    /// starts as many and re-rates the rest (a universe of `3n/2` jobs).
-    pub fn active_jobs(n: u32, churn: bool, cycle: u64) -> impl Iterator<Item = u32> {
-        let half = n / 2;
-        let pool = half + if churn { (cycle % 2) as u32 * half } else { 0 };
-        (1..=half).chain(pool + 1..=pool + half)
-    }
-
-    /// One OST's whole control plane (Section IV-G's framework cycle)
-    /// with [`active_jobs`] each period: a steady set over an empty
-    /// fallback queue, or — `churn` — a churning one over
-    /// [`park_backlog`].
-    pub struct ControlCycles {
-        node: OstNode,
-        n: u32,
-        churn: bool,
-        cycle: u64,
-    }
-
-    impl ControlCycles {
-        /// Assemble the node (and park the backlog under `churn`).
-        pub fn new(n: u32, churn: bool) -> Self {
-            let universe = if churn { n + n / 2 } else { n };
-            let jobs: Vec<_> = (1..=universe)
-                .map(|j| (JobId(j), j as u64 % 16 + 1))
-                .collect();
-            let mut node = OstNode::new(
-                Policy::adaptbf_default(),
-                TbfSchedulerConfig::default(),
-                &jobs,
-                paper::MAX_TOKEN_RATE,
-                SimTime::ZERO,
-            );
-            if churn {
-                park_backlog(&mut node.scheduler, universe, PARKED);
-            }
-            ControlCycles {
-                node,
-                n,
-                churn,
-                cycle: 0,
-            }
-        }
-
-        /// Run one observation period: this cycle's active jobs report
-        /// demand, then the controller ticks.
-        pub fn cycle(&mut self) {
-            for job in active_jobs(self.n, self.churn, self.cycle) {
-                for _ in 0..3 {
-                    self.node.job_stats.record_arrival(JobId(job));
-                }
-            }
-            self.cycle += 1;
-            let now = SimTime::ZERO + SimDuration::from_millis(100) * self.cycle;
-            std::hint::black_box(self.node.tick(now));
-        }
-
-        /// The driver's own accounting of the cycles run so far.
-        pub fn overhead(&self) -> ControllerOverhead {
-            self.node.overhead().expect("AdapTBF node")
-        }
-    }
-}
-
 /// Simple CLI options shared by the figure binaries.
 #[derive(Debug, Clone, Copy)]
 pub struct Options {

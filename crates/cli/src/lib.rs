@@ -62,7 +62,7 @@ pub const USAGE: &str = "usage: adaptbf <command> [options]\n\
   byte-exactly. Built-ins `ost_failover` and `churn_under_degradation`\n\
   ship with fault plans; every fault runs under --live too. A file's\n\
   optional `tuning` block pins live-testbed knobs (payload_bytes,\n\
-  service_quantum_us, send_batch, pin_threads); the simulator ignores it.\n\
+  service_quantum_us, send_batch); the simulator ignores it.\n\
   options:\n\
     --policy no_bw|static_bw|adaptbf   (run/record/replay; default adaptbf,\n\
                                         replay defaults to the recorded policy)\n\
@@ -531,9 +531,6 @@ pub fn live_tuning_with(cluster: &ClusterConfig, tuning: &TuningSpec) -> LiveTun
     }
     if let Some(batch) = tuning.send_batch {
         t.max_batch = batch as usize;
-    }
-    if let Some(pin) = tuning.pin_threads {
-        t.pin_threads = pin;
     }
     t
 }
@@ -1186,12 +1183,10 @@ mod tests {
             payload_bytes: Some(8192),
             service_quantum_us: Some(2000),
             send_batch: Some(32),
-            pin_threads: Some(true),
         };
         let t = live_tuning_with(&cluster, &tuning);
         assert_eq!(t.payload_bytes, 8192);
         assert_eq!(t.max_batch, 32);
-        assert!(t.pin_threads);
         // A 2 ms quantum: the derived bandwidth must put the mean per-RPC
         // service time at exactly the requested quantum.
         assert!((t.ost.mean_service_secs() - 0.002).abs() < 1e-6);

@@ -44,7 +44,12 @@ impl ControllerOverhead {
     }
 }
 
-/// One OST's AdapTBF control plane.
+/// One OST's AdapTBF control plane. Nothing here names a scheduler's
+/// rules, so an OST crash — which replaces the scheduler — needs no reset:
+/// the daemon reads the rules off whatever scheduler it is handed, and
+/// the controller's Job Records deliberately survive (they are the OSS's
+/// persistent lending ledger: a reboot does not erase borrowing debts,
+/// and Σ records stays balanced across the outage).
 #[derive(Debug)]
 pub struct ControllerDriver {
     /// The allocation algorithm and its Job Records store.
@@ -115,16 +120,6 @@ impl ControllerDriver {
         self.overhead.total_ns += t0.elapsed().as_nanos() as u64;
         self.overhead.jobs_allocated += outcome.allocations.len() as u64;
         outcome
-    }
-
-    /// The OST under this controller crashed: the scheduler (and every
-    /// installed rule) is gone, so the daemon forgets its rule ids and
-    /// recreates rules on the next healthy cycle. The allocation
-    /// controller's Job Records deliberately survive — they are the OSS's
-    /// persistent lending ledger, so borrowing debts are not erased by a
-    /// reboot and Σ records stays balanced across the outage.
-    pub fn on_ost_crash(&mut self) {
-        self.daemon.reset();
     }
 
     /// Overhead accounting so far.

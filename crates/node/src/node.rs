@@ -161,19 +161,16 @@ impl OstNode {
     }
 
     /// The control plane crashes with its OST: the scheduler — rules,
-    /// token buckets, queues — is replaced with a factory-fresh one,
-    /// `job_stats` is wiped, and the rule daemon forgets its rule ids (the
-    /// lending ledger deliberately survives — see
-    /// [`ControllerDriver::on_ost_crash`]). The drained backlog (ruled
-    /// queues in job order, then fallback) is returned so the embedder can
-    /// model client resends.
+    /// token buckets, queues — is replaced with a factory-fresh one and
+    /// `job_stats` is wiped. The controller needs no reset: the lending
+    /// ledger deliberately survives and the rule daemon keeps no rule ids
+    /// (see [`ControllerDriver`]). The drained backlog (ruled queues in
+    /// job order, then fallback) is returned so the embedder can model
+    /// client resends.
     pub fn crash_reset(&mut self) -> Vec<Rpc> {
         let lost = self.scheduler.drain_pending();
         self.scheduler = NrsTbfScheduler::new(self.tbf);
         self.job_stats.clear();
-        if let Some(driver) = self.driver.as_mut() {
-            driver.on_ost_crash();
-        }
         lost
     }
 
@@ -207,7 +204,7 @@ pub fn install_static_rules(
     });
     scheduler
         .transact(&[], specs, &[], now)
-        .expect("a batch of starts has nothing to reject");
+        .expect("static rule rates are finite and non-negative");
 }
 
 #[cfg(test)]
@@ -442,8 +439,8 @@ mod tests {
         assert_eq!(node.ledger_records(), ledger_before, "ledger survives");
         node.recover(SimTime::from_millis(200));
         assert_eq!(node.scheduler.rules().len(), 0, "AdapTBF waits for a tick");
-        // The next cycle recreates rules against the fresh scheduler
-        // without panicking on stale rule ids.
+        // The next cycle recreates rules against the fresh scheduler: the
+        // daemon has no rule ids that could be stale.
         node.job_stats.record_arrival(JobId(1));
         node.scheduler.enqueue(rpc(1, 1), SimTime::from_millis(250));
         node.tick(SimTime::from_millis(300)).expect("controller");

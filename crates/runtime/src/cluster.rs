@@ -57,10 +57,9 @@ pub struct LiveTuning {
     /// synchronization over `max_batch` RPCs; windows, striping, and
     /// per-RPC accounting are unchanged.
     pub max_batch: usize,
-    /// Ask for OST threads pinned to cores. Advisory: recorded in the
-    /// tuning and honored where the platform allows; the portable
-    /// executor keeps it best-effort (no affinity syscalls are issued
-    /// without a platform shim).
+    /// Read by nothing. It stays only because the frozen
+    /// `benchmark/src/live_run.rs` names it in a struct literal; it goes
+    /// with the next benchmark revision (ROADMAP item 4).
     pub pin_threads: bool,
 }
 

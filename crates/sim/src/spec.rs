@@ -181,7 +181,6 @@ mod tests {
             payload_bytes: Some(8192),
             service_quantum_us: Some(500),
             send_batch: Some(128),
-            pin_threads: Some(false),
         };
         let plan = plan_file_run(&file).unwrap();
         assert_eq!(plan.tuning, file.tuning);

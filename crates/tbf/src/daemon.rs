@@ -9,16 +9,20 @@
 //! ([`NrsTbfScheduler::transact`]), so a cycle's cost follows what
 //! changed, not what changed times what is parked. Jobs without rules are
 //! never starved — their RPCs ride the fallback queue.
+//!
+//! The daemon keeps no copy of which job has which rule: it reads that
+//! off the scheduler's rule table each cycle, so the two cannot disagree
+//! — a scheduler replaced after an OST crash simply has no rules, and the
+//! next cycle creates them.
 
 use crate::matcher::RpcMatcher;
+use crate::rule::TbfRule;
 use crate::scheduler::{NrsTbfScheduler, RuleSpec};
 use adaptbf_model::{JobAllocation, JobId, RuleId, SimTime};
-use std::collections::BTreeMap;
 
-/// Rule bookkeeping for one OST.
+/// The rule-operation translator for one OST.
 #[derive(Debug, Default)]
 pub struct RuleDaemon {
-    rules_by_job: BTreeMap<JobId, RuleId>,
     ops_applied: u64,
     /// Per-cycle scratch (the daemon runs every observation period on
     /// every OST; these avoid a handful of allocations per cycle).
@@ -28,7 +32,7 @@ pub struct RuleDaemon {
 }
 
 impl RuleDaemon {
-    /// New daemon with no rules installed.
+    /// New daemon.
     pub fn new() -> Self {
         Self::default()
     }
@@ -38,6 +42,10 @@ impl RuleDaemon {
     /// pass node counts). Both `allocations` and `weights` must be
     /// ascending in JobId — which they are by construction: they flow
     /// from the job-stats snapshot, which collects in job order.
+    ///
+    /// Panics on an allocation whose rate is not finite and non-negative
+    /// (the scheduler rejects the whole transaction, untouched): the
+    /// controller configuration that produced it is invalid.
     pub fn apply(
         &mut self,
         scheduler: &mut NrsTbfScheduler,
@@ -57,16 +65,21 @@ impl RuleDaemon {
             weights.windows(2).all(|w| w[0].0 < w[1].0),
             "weights must be ascending in JobId"
         );
-        // 1. Stop rules for jobs with no allocation this period.
+        // 1. Stop rules for jobs with no allocation this period, in job
+        // order (the table lists them in start order).
         let mut stops = std::mem::take(&mut self.stops_scratch);
         stops.clear();
-        self.rules_by_job.retain(|job, id| {
-            let live = allocations.binary_search_by_key(job, |a| a.job).is_ok();
-            if !live {
-                stops.push(*id);
-            }
-            live
-        });
+        let rules = scheduler.rules();
+        let job_of = |rule: &TbfRule| {
+            let RpcMatcher::Job(job) = rule.matcher;
+            job
+        };
+        let idle = |rule: &&TbfRule| {
+            let job = job_of(rule);
+            allocations.binary_search_by_key(&job, |a| a.job).is_err()
+        };
+        stops.extend(rules.rules().iter().filter(idle).map(|rule| rule.id));
+        stops.sort_unstable_by_key(|&id| (job_of(rules.get(id).expect("listed rule")), id));
 
         // 2/3. Create rules for newly active jobs; re-rate the rest.
         let mut starts = std::mem::take(&mut self.starts_scratch);
@@ -78,43 +91,27 @@ impl RuleDaemon {
                 .binary_search_by_key(&alloc.job, |w| w.0)
                 .map(|i| weights[i].1)
                 .unwrap_or(1);
-            match self.rules_by_job.get(&alloc.job) {
-                Some(id) => updates.push((*id, alloc.rate_tps, weight)),
+            match scheduler.rule_of(alloc.job) {
+                Some(rule) => updates.push((rule.id, alloc.rate_tps, weight)),
                 None => starts.push((alloc.job, alloc.rate_tps, weight)),
             }
         }
         self.ops_applied += (stops.len() + starts.len() + 2 * updates.len()) as u64;
 
         // One transaction for the whole cycle: one table rebuild for the
-        // stops, one fallback pass for the starts.
+        // stops, and the starts lift only their own jobs' parked RPCs.
         let specs = starts.iter().map(|&(job, rate_tps, weight)| RuleSpec {
             name: job.label(),
             matcher: RpcMatcher::Job(job),
             rate_tps,
             weight,
         });
-        let ids = scheduler
+        scheduler
             .transact(&stops, specs, &updates, now)
-            .expect("rules tracked by daemon must exist");
-        self.rules_by_job
-            .extend(starts.iter().map(|s| s.0).zip(ids));
+            .expect("allocated rates are finite and non-negative");
         self.stops_scratch = stops;
         self.starts_scratch = starts;
         self.updates_scratch = updates;
-    }
-
-    /// Forget every installed rule without touching a scheduler — the
-    /// OST-crash path: the scheduler (and its rule table) is gone, so the
-    /// daemon's bookkeeping must not survive it, or the next cycle's
-    /// batch update would reference rule ids that no longer exist.
-    /// Fresh rules are created on the next [`RuleDaemon::apply`].
-    pub fn reset(&mut self) {
-        self.rules_by_job.clear();
-    }
-
-    /// Jobs that currently have a rule installed.
-    pub fn ruled_jobs(&self) -> Vec<JobId> {
-        self.rules_by_job.keys().copied().collect()
     }
 
     /// Total rule operations performed (overhead accounting).
@@ -126,7 +123,7 @@ impl RuleDaemon {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adaptbf_model::TbfSchedulerConfig;
+    use adaptbf_model::{ClientId, ProcId, Rpc, RpcId, TbfSchedulerConfig};
 
     fn alloc(job: u32, tokens: u64) -> JobAllocation {
         JobAllocation {
@@ -150,7 +147,6 @@ mod tests {
             &weights(&[(1, 1), (2, 5)]),
             SimTime::ZERO,
         );
-        assert_eq!(d.ruled_jobs(), vec![JobId(1), JobId(2)]);
         assert_eq!(s.rules().len(), 2);
         let r = s.rules().get_by_name("app2.node2").unwrap();
         assert_eq!(r.rate_tps, 700.0);
@@ -163,13 +159,9 @@ mod tests {
         let mut d = RuleDaemon::new();
         let w = weights(&[(1, 1)]);
         d.apply(&mut s, &[alloc(1, 30)], &w, SimTime::ZERO);
-        let id_before = *d.rules_by_job.get(&JobId(1)).unwrap();
+        let id_before = s.rule_of(JobId(1)).unwrap().id;
         d.apply(&mut s, &[alloc(1, 90)], &w, SimTime::from_millis(100));
-        assert_eq!(
-            *d.rules_by_job.get(&JobId(1)).unwrap(),
-            id_before,
-            "no churn"
-        );
+        assert_eq!(s.rule_of(JobId(1)).unwrap().id, id_before, "no churn");
         assert_eq!(s.rules().get(id_before).unwrap().rate_tps, 900.0);
     }
 
@@ -189,24 +181,46 @@ mod tests {
             &weights(&[(2, 1)]),
             SimTime::from_millis(100),
         );
-        assert_eq!(d.ruled_jobs(), vec![JobId(2)]);
         assert_eq!(s.rules().len(), 1);
+        assert!(s.rule_of(JobId(1)).is_none() && s.rule_of(JobId(2)).is_some());
     }
 
     #[test]
-    fn reset_forgets_rules_and_recreates_on_next_apply() {
+    fn stops_are_issued_in_job_order_whatever_the_start_order() {
+        // Job 3 is ruled a cycle before jobs 1 and 2, so the table lists
+        // it first; all three go idle together. Each stop parks its job's
+        // backlog, so the fallback order shows the order of the stops.
+        let mut s = NrsTbfScheduler::new(TbfSchedulerConfig::default());
+        let mut d = RuleDaemon::new();
+        let w = weights(&[(1, 1), (2, 1), (3, 1)]);
+        d.apply(&mut s, &[alloc(3, 10)], &w, SimTime::ZERO);
+        d.apply(
+            &mut s,
+            &[alloc(1, 10), alloc(2, 10), alloc(3, 10)],
+            &w,
+            SimTime::ZERO,
+        );
+        for (id, job) in [(0, 3), (1, 2), (2, 1)] {
+            let rpc = Rpc::new(RpcId(id), JobId(job), ClientId(0), ProcId(0), SimTime::ZERO);
+            s.enqueue(rpc, SimTime::ZERO);
+        }
+        d.apply(&mut s, &[], &[], SimTime::from_millis(100));
+        let parked: Vec<u32> = s.drain_pending().iter().map(|r| r.job.raw()).collect();
+        assert_eq!(parked, vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn a_replaced_scheduler_gets_its_rules_on_the_next_apply() {
         let mut s = NrsTbfScheduler::new(TbfSchedulerConfig::default());
         let mut d = RuleDaemon::new();
         let w = weights(&[(1, 1)]);
         d.apply(&mut s, &[alloc(1, 30)], &w, SimTime::ZERO);
         // The OST crashes: the scheduler (and its rule table) is replaced.
-        d.reset();
-        assert!(d.ruled_jobs().is_empty());
+        // The daemon holds no rule ids that could now be stale.
         let mut fresh = NrsTbfScheduler::new(TbfSchedulerConfig::default());
-        // Without the reset this would panic on a stale RuleId.
         d.apply(&mut fresh, &[alloc(1, 50)], &w, SimTime::from_millis(100));
-        assert_eq!(d.ruled_jobs(), vec![JobId(1)]);
         assert_eq!(fresh.rules().len(), 1);
+        assert_eq!(fresh.rule_of(JobId(1)).unwrap().rate_tps, 500.0);
     }
 
     #[test]

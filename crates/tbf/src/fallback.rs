@@ -1,29 +1,32 @@
 //! The fallback queue: one global FIFO of parked RPCs that also knows
 //! where each job's RPCs sit.
 //!
-//! Unmatched RPCs wait here in arrival order and are served from the
-//! front. When rules start, the RPCs they now match must leave — and under
-//! overload the crowd parked here is thousands of times larger than the
-//! few jobs a control cycle starts rules for. So every parked RPC carries
-//! a link to the previous parked RPC of its job, and the queue remembers
-//! each job's last one: [`FallbackQueue::take_job`] walks exactly that
-//! job's RPCs, leaving tombstones. [`FallbackQueue::pop_front`] skips a
-//! tombstone once; the ring is re-packed instead of grown whenever it is
-//! full and a quarter of it is tombstones, so they never cost a
-//! reallocation, and [`FallbackQueue::trim`] hands the ring's memory back
-//! once a batch of takes has left it mostly unused.
+//! The RPCs of jobs no rule names wait here in arrival order and are
+//! served from the front. When a rule starts, everything parked for its
+//! job must leave — and under overload the crowd parked here is thousands
+//! of times larger than the few jobs a control cycle starts rules for. So
+//! every parked RPC carries a link to the previous parked RPC of its job,
+//! and the queue remembers each job's last one:
+//! [`FallbackQueue::take_job`] walks exactly that job's RPCs, leaving
+//! tombstones. [`FallbackQueue::pop_front`] skips a tombstone once; the
+//! ring is re-packed instead of grown whenever it is full and a quarter
+//! of it is tombstones, so they never cost a reallocation, and
+//! [`FallbackQueue::trim`] hands the ring's memory back once a batch of
+//! takes has left it mostly unused.
 //!
 //! Positions are absolute and never reused: entry `i` of the ring sits at
 //! `base + i`, and everything below `base` is gone. Serving from the front
 //! only moves `base`, so it never touches a link or a tail — a link or
 //! tail that points below `base` simply reads as "none". Re-packing the
-//! ring ([`FallbackQueue::retain`]) moves `base` past every old position
-//! for the same reason.
+//! ring moves `base` past every old position for the same reason.
 //!
-//! The index costs one `u32` link per parked RPC and one `u64` tail per
-//! job that has ever parked; a job that never parks costs nothing.
+//! Jobs are known by the scheduler's slots. The index costs one `u32`
+//! link per parked RPC and one `u64` tail per slot up to the highest that
+//! has parked. Only a re-pack has to ask for a parked RPC's slot again,
+//! which is why the two calls that can re-pack take the scheduler's
+//! `slot_of` lookup.
 
-use adaptbf_model::{JobId, JobSlots, Rpc};
+use adaptbf_model::{JobId, Rpc};
 use std::collections::VecDeque;
 
 /// Packed to 4 so the link really costs 4 bytes, not 8 with padding (the
@@ -40,24 +43,31 @@ struct Parked {
 }
 
 /// See the module docs.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct FallbackQueue {
     ring: VecDeque<Parked>,
     /// Position of `ring[0]`. Starts at 1 so that a tail of 0 is below it.
     base: u64,
     /// Entries of `ring` that are not tombstones.
     live: usize,
-    /// Interns the jobs that park; indexes `tails`.
-    slots: JobSlots,
-    /// Position of each job's last parked RPC; stale when below `base`.
+    /// Position of the last parked RPC of the job at each slot; stale
+    /// when below `base`.
     tails: Vec<u64>,
+    /// Work counter behind the per-cycle cost tests: ring entries
+    /// [`FallbackQueue::take_job`] has visited.
+    #[cfg(test)]
+    pub(crate) lifted: u64,
 }
 
 impl FallbackQueue {
     pub(crate) fn new() -> Self {
         FallbackQueue {
+            ring: VecDeque::new(),
             base: 1,
-            ..Default::default()
+            live: 0,
+            tails: Vec::new(),
+            #[cfg(test)]
+            lifted: 0,
         }
     }
 
@@ -66,13 +76,14 @@ impl FallbackQueue {
         self.live
     }
 
-    /// Park `rpc` behind everything already here.
-    pub(crate) fn push_back(&mut self, rpc: Rpc) {
+    /// Park `rpc`, whose job sits at `slot`, behind everything already
+    /// here.
+    pub(crate) fn push_back(&mut self, slot: usize, rpc: Rpc, slot_of: impl Fn(JobId) -> usize) {
         let len = self.ring.len();
         if len == self.ring.capacity() && (len - self.live) * 4 >= len.max(1) {
-            self.retain(|_, _| true);
+            self.repack(slot_of);
         }
-        let parked = self.link(rpc, self.base + self.ring.len() as u64);
+        let parked = self.link(slot, rpc, self.base + self.ring.len() as u64);
         self.ring.push_back(parked);
         self.live += 1;
     }
@@ -80,8 +91,7 @@ impl FallbackQueue {
     /// `rpc` as the entry at `pos`, linked behind its job's current tail,
     /// which it replaces.
     #[inline]
-    fn link(&mut self, rpc: Rpc, pos: u64) -> Parked {
-        let slot = self.slots.intern(rpc.job);
+    fn link(&mut self, slot: usize, rpc: Rpc, pos: u64) -> Parked {
         if slot >= self.tails.len() {
             self.tails.resize(slot + 1, 0);
         }
@@ -122,20 +132,24 @@ impl FallbackQueue {
         self.ring.drain(..).filter_map(|p| p.rpc)
     }
 
-    /// Lift every parked RPC of `job`, handing each to `lift` with its
-    /// position — latest first; positions order arrivals across jobs. The
-    /// cost is the job's own parked RPCs, not the queue's.
-    pub(crate) fn take_job(&mut self, job: JobId, mut lift: impl FnMut(u64, Rpc)) {
-        let Some(slot) = self.slots.get(job) else {
+    /// Lift every parked RPC of the job at `slot`, handing each to `lift`
+    /// — latest first. The cost is the job's own parked RPCs, not the
+    /// queue's.
+    pub(crate) fn take_job(&mut self, slot: usize, mut lift: impl FnMut(Rpc)) {
+        let Some(tail) = self.tails.get_mut(slot) else {
             return;
         };
-        let mut pos = std::mem::take(&mut self.tails[slot]);
+        let mut pos = std::mem::take(tail);
         while pos >= self.base {
+            #[cfg(test)]
+            {
+                self.lifted += 1;
+            }
             let parked = &mut self.ring[(pos - self.base) as usize];
             let Parked { rpc, prev } = *parked;
             parked.rpc = None;
             self.live -= 1;
-            lift(pos, rpc.expect("a job's chain links live RPCs"));
+            lift(rpc.expect("a job's chain links live RPCs"));
             if prev == 0 {
                 break;
             }
@@ -148,32 +162,27 @@ impl FallbackQueue {
     /// much again as is parked (none, if nothing is) — under overload this
     /// ring is the scheduler's largest allocation, and a burst that has
     /// found its rules must not keep it at the burst's size.
-    pub(crate) fn trim(&mut self) {
+    pub(crate) fn trim(&mut self, slot_of: impl Fn(JobId) -> usize) {
         if self.ring.capacity() > 3 * self.live {
-            self.retain(|_, _| true);
+            self.repack(slot_of);
             self.ring.shrink_to(self.live + self.live / 2);
         }
     }
 
-    /// Walk every parked RPC in arrival order (with its position) and
-    /// keep those `keep` accepts. O(ring): the survivors are re-packed at
+    /// Drop the tombstones. O(ring): the parked RPCs are re-packed at
     /// fresh positions, which makes every old link and tail stale, and
     /// re-linked as they land.
-    pub(crate) fn retain(&mut self, mut keep: impl FnMut(u64, &Rpc) -> bool) {
-        let old_base = self.base;
+    fn repack(&mut self, slot_of: impl Fn(JobId) -> usize) {
         self.base += self.ring.len() as u64;
         let mut kept = 0;
         for read in 0..self.ring.len() {
-            let Some(rpc) = self.ring[read].rpc else {
-                continue;
-            };
-            if keep(old_base + read as u64, &rpc) {
-                self.ring[kept] = self.link(rpc, self.base + kept as u64);
+            if let Some(rpc) = self.ring[read].rpc {
+                self.ring[kept] = self.link(slot_of(rpc.job), rpc, self.base + kept as u64);
                 kept += 1;
             }
         }
         self.ring.truncate(kept);
-        self.live = kept;
+        debug_assert_eq!(kept, self.live);
     }
 }
 
@@ -185,6 +194,22 @@ mod tests {
 
     fn rpc(id: u64, job: u32) -> Rpc {
         Rpc::new(RpcId(id), JobId(job), ClientId(0), ProcId(0), SimTime::ZERO)
+    }
+
+    /// The tests' interner: a job's slot is its raw id.
+    fn slot_of(job: JobId) -> usize {
+        job.raw() as usize
+    }
+
+    fn park(q: &mut FallbackQueue, rpc: Rpc) {
+        q.push_back(slot_of(rpc.job), rpc, slot_of);
+    }
+
+    /// The ids `take_job` lifts for `job`, in lift order (latest first).
+    fn take(q: &mut FallbackQueue, job: u32) -> Vec<u64> {
+        let mut lifted = Vec::new();
+        q.take_job(job as usize, |r| lifted.push(r.id.raw()));
+        lifted
     }
 
     #[test]
@@ -199,22 +224,20 @@ mod tests {
     fn take_job_lifts_only_that_job_and_fifo_survives() {
         let mut q = FallbackQueue::new();
         for i in 0..9 {
-            q.push_back(rpc(i, i as u32 % 3));
+            park(&mut q, rpc(i, i as u32 % 3));
         }
         assert_eq!(q.pop_front(), Some(rpc(0, 0)));
-        let mut lifted = Vec::new();
-        q.take_job(JobId(0), |pos, r| lifted.push((pos, r.id.raw())));
-        // Latest first, positions ascending with arrival; RPC 0 was
-        // already served, so its link is not followed.
-        assert_eq!(lifted, vec![(7, 6), (4, 3)]);
-        q.take_job(JobId(0), |_, _| panic!("nothing left to lift"));
-        q.take_job(JobId(77), |_, _| panic!("never parked"));
+        // Latest first; RPC 0 was already served, so its link is not
+        // followed.
+        assert_eq!(take(&mut q, 0), vec![6, 3]);
+        assert_eq!(take(&mut q, 0), vec![], "nothing left to lift");
+        assert_eq!(take(&mut q, 77), vec![], "never parked");
         let order: Vec<u64> = q.iter().map(|r| r.id.raw()).collect();
         assert_eq!(order, vec![1, 2, 4, 5, 7, 8]);
         assert_eq!(q.len(), 6);
         // A later arrival of the lifted job starts a fresh chain.
-        q.push_back(rpc(9, 0));
-        q.take_job(JobId(0), |_, r| assert_eq!(r.id.raw(), 9));
+        park(&mut q, rpc(9, 0));
+        assert_eq!(take(&mut q, 0), vec![9]);
         assert_eq!(q.len(), 6);
     }
 
@@ -222,24 +245,22 @@ mod tests {
     fn tombstones_are_repacked_instead_of_growing_the_ring() {
         let mut q = FallbackQueue::new();
         for i in 0..40 {
-            q.push_back(rpc(i, u32::from(i >= 3)));
+            park(&mut q, rpc(i, u32::from(i >= 3)));
         }
         let capacity = q.ring.capacity();
-        q.take_job(JobId(1), |_, _| {});
+        take(&mut q, 1);
         assert_eq!((q.len(), q.ring.len()), (3, 40), "tombstones stay put");
         // Filling the ring up does not grow it: the push that finds it
         // full re-packs it, and the next such push grows it (no tombstone
         // is left to drop).
         let room = capacity - 40;
         for i in 0..=room as u64 {
-            q.push_back(rpc(100 + i, 2));
+            park(&mut q, rpc(100 + i, 2));
         }
         assert_eq!((q.len(), q.ring.len()), (3 + room + 1, 3 + room + 1));
         assert_eq!(q.ring.capacity(), capacity);
         // The survivors' chains were rebuilt: job 0 is still liftable.
-        let mut lifted = Vec::new();
-        q.take_job(JobId(0), |_, r| lifted.push(r.id.raw()));
-        assert_eq!(lifted, vec![2, 1, 0]);
+        assert_eq!(take(&mut q, 0), vec![2, 1, 0]);
         for i in 0..=room as u64 {
             assert_eq!(q.pop_front().map(|r| r.id.raw()), Some(100 + i));
         }
@@ -250,24 +271,24 @@ mod tests {
     fn trim_hands_back_what_a_lifted_burst_held() {
         let mut q = FallbackQueue::new();
         for i in 0..1000 {
-            q.push_back(rpc(i, u32::from(i % 100 != 0)));
+            park(&mut q, rpc(i, u32::from(i % 100 != 0)));
         }
-        q.take_job(JobId(1), |_, _| {});
-        q.trim();
+        take(&mut q, 1);
+        q.trim(slot_of);
         assert_eq!((q.len(), q.ring.len()), (10, 10));
         assert!(q.ring.capacity() < 100, "{} slots kept", q.ring.capacity());
         let order: Vec<u64> = q.iter().map(|r| r.id.raw()).collect();
         assert_eq!(order, (0..10).map(|i| i * 100).collect::<Vec<_>>());
-        q.take_job(JobId(0), |_, _| {});
-        q.trim();
+        take(&mut q, 0);
+        q.trim(slot_of);
         assert_eq!((q.len(), q.ring.capacity()), (0, 0));
         // Two thirds empty is not worth a re-pack.
         for i in 0..64 {
-            q.push_back(rpc(i, u32::from(i < 24)));
+            park(&mut q, rpc(i, u32::from(i < 24)));
         }
         let capacity = q.ring.capacity();
-        q.take_job(JobId(0), |_, _| {});
-        q.trim();
+        take(&mut q, 0);
+        q.trim(slot_of);
         assert_eq!((q.len(), q.ring.len()), (24, 64));
         assert_eq!(q.ring.capacity(), capacity);
     }
@@ -292,7 +313,7 @@ mod tests {
                     for k in 0..n as u32 {
                         let r = rpc(self.next_id, (job + k * (op & 1)) % JOBS);
                         self.next_id += 1;
-                        q.push_back(r);
+                        park(q, r);
                         model.push_back(r);
                     }
                 }
@@ -302,41 +323,20 @@ mod tests {
                     }
                 }
                 // Take one or two jobs (the second possibly the first again).
-                7..=9 => {
+                7..=10 => {
                     let jobs = [JobId(job % JOBS), JobId((job + n as u32) % JOBS)];
-                    let jobs = &jobs[..1 + (op as usize & 1)];
-                    let mut lifted = Vec::new();
-                    for j in jobs {
-                        q.take_job(*j, |pos, r| lifted.push((pos, r)));
+                    for j in &jobs[..1 + (op as usize & 1)] {
+                        let mut lifted = Vec::new();
+                        q.take_job(slot_of(*j), |r| lifted.push(r));
+                        lifted.reverse();
+                        let want: Vec<Rpc> =
+                            model.iter().filter(|r| r.job == *j).copied().collect();
+                        model.retain(|r| r.job != *j);
+                        assert_eq!(lifted, want);
                     }
                     if n & 1 == 1 {
-                        q.trim();
+                        q.trim(slot_of);
                     }
-                    lifted.sort_unstable_by_key(|&(pos, _)| pos);
-                    let lifted: Vec<Rpc> = lifted.into_iter().map(|(_, r)| r).collect();
-                    let want: Vec<Rpc> = model
-                        .iter()
-                        .filter(|r| jobs.contains(&r.job))
-                        .copied()
-                        .collect();
-                    model.retain(|r| !jobs.contains(&r.job));
-                    assert_eq!(lifted, want);
-                }
-                // Full-scan capture by a predicate that cuts across jobs.
-                10 => {
-                    let pick = |r: &Rpc| r.id.raw() % 3 == u64::from(job % 3);
-                    let mut lifted = Vec::new();
-                    q.retain(|pos, r| {
-                        if pick(r) {
-                            lifted.push((pos, *r));
-                        }
-                        !pick(r)
-                    });
-                    assert!(lifted.windows(2).all(|w| w[0].0 < w[1].0));
-                    let lifted: Vec<Rpc> = lifted.into_iter().map(|(_, r)| r).collect();
-                    let want: Vec<Rpc> = model.iter().filter(|r| pick(r)).copied().collect();
-                    model.retain(|r| !pick(r));
-                    assert_eq!(lifted, want);
                 }
                 _ => {
                     let drained: Vec<Rpc> = q.drain().collect();
@@ -352,8 +352,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// The indexed queue against a plain `VecDeque<Rpc>` over random
-        /// push / pop / take-jobs / full-scan-capture / drain histories:
-        /// same pops, same lifted RPCs in the same arrival order, same
+        /// push / pop / take-jobs / drain histories: same pops, same
+        /// lifted RPCs per job (latest first), same
         /// `iter()` order and `len` after every step. Every history
         /// crosses at least one re-pack of tombstones with survivors.
         #[test]

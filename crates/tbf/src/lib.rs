@@ -8,18 +8,24 @@
 //!
 //! * [`TokenBucket`] — per-queue bucket refilled at a rule's rate, capped at
 //!   a small depth (default 3) so a queue cannot inject an unbounded burst.
-//! * [`RpcMatcher`] / [`TbfRule`] / [`RuleTable`] — an ordered, dynamically
-//!   editable rule list classifying RPCs by JobID, NID or opcode; first
-//!   match wins; rules can be started, stopped and re-rated at runtime
-//!   (this is the knob AdapTBF's Rule Management Daemon turns).
-//! * [`TbfQueue`] — one FIFO of RPCs per (rule, class) pair with its bucket.
+//! * [`RpcMatcher`] / [`TbfRule`] / [`RuleTable`] — an ordered rule list
+//!   whose rules each name **one job**; the first rule naming a job
+//!   governs it; rules are started, stopped and re-rated at runtime (this
+//!   is the knob AdapTBF's Rule Management Daemon turns). Lustre's NID,
+//!   opcode and conjunction rules are out — see [`matcher`] for why.
+//! * [`TbfQueue`] — one FIFO of RPCs per ruled job with its bucket.
 //! * [`DeadlineHeap`] — the binary heap ordering queues by the time they
 //!   will next hold enough tokens to dispatch ("deadline").
-//! * [`NrsTbfScheduler`] — ties it together: classify on enqueue, serve the
-//!   earliest-deadline token-ready queue (ties broken by rule weight, i.e.
-//!   the hierarchy the daemon sets from job priority), fall back to the
-//!   unruled FCFS queue which is served opportunistically without any rate
-//!   limit — exactly Lustre's starvation-freedom story.
+//! * [`NrsTbfScheduler`] — ties it together. The invariant: a job's
+//!   waiting RPCs are all in its queue if a rule names the job, else all
+//!   in the unruled FCFS fallback queue, which is served opportunistically
+//!   without any rate limit — exactly Lustre's starvation-freedom story.
+//!   It serves the earliest-deadline token-ready queue (ties broken by
+//!   rule weight, i.e. the hierarchy the daemon sets from job priority),
+//!   and owns the crate's one job interner: a job's slot indexes its
+//!   queue, its first rule, its fallback tail and its counters.
+//! * [`RuleDaemon`] — turns a period's allocations into one rule
+//!   transaction; it keeps no job→rule copy of its own.
 //!
 //! The scheduler is clock-agnostic: every method takes `now: SimTime`, so
 //! the same code runs under the discrete-event simulator (`adaptbf-sim`)

@@ -1,144 +1,23 @@
-//! RPC classification expressions, modelling Lustre TBF rule matchers.
+//! What a TBF rule matches: one Lustre JobID.
 //!
-//! Lustre TBF rules match RPCs on attributes such as `jobid={dd.0}`,
-//! `nid={192.168.*@tcp}` or `opcode={ost_write}`, and composite `&`
-//! conjunctions. AdapTBF itself only ever installs JobID matchers (Section
-//! III-D), but the substrate supports the full shape so the rule table
-//! behaves like the real one.
+//! Lustre's TBF rules can also match on NID or opcode and conjoin
+//! conditions (`jobid={x}&opcode={ost_write}`). AdapTBF's Rule Management
+//! Daemon only ever creates one JobID rule per active job (Section
+//! III-D), and no entry point of this repository — either executor, the
+//! Static BW baseline, the CLI, the scenario DSL, the chaos harness — can
+//! install anything else. So this substrate models exactly that: **a rule
+//! names one job.** The scheduler depends on it — a job's RPCs are all in
+//! its one queue or all in the fallback, classification is one slot load,
+//! and a rule change moves a queue whole. A matcher that looks at
+//! anything but `rpc.job` would need per-RPC re-classification on every
+//! rule change back; add one only together with a caller that installs it.
 
-use adaptbf_model::{ClientId, JobId, OpCode, Rpc};
+use adaptbf_model::JobId;
 use serde::{Deserialize, Serialize};
 
-/// A predicate over RPCs, used by [`crate::TbfRule`] to classify traffic.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The predicate of a [`crate::TbfRule`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RpcMatcher {
     /// Match a specific Lustre JobID (`jobid={...}`).
     Job(JobId),
-    /// Match any job in the set (`jobid={a b c}`).
-    JobSet(Vec<JobId>),
-    /// Match RPCs from one client NID (`nid={...}`).
-    Client(ClientId),
-    /// Match one opcode (`opcode={ost_write}`).
-    Opcode(OpCode),
-    /// Conjunction of conditions (`jobid={x}&opcode={ost_write}`).
-    All(Vec<RpcMatcher>),
-    /// Match everything (the implicit fallback rule's matcher).
-    Any,
-}
-
-impl RpcMatcher {
-    /// The JobIDs this matcher selects on, when it is *purely* job-based
-    /// (`Job` / `JobSet`) — the matchers AdapTBF's daemon installs. Such a
-    /// matcher's verdict depends only on `rpc.job`, which is what lets
-    /// [`crate::RuleTable`] classify them through an O(1) shortcut map.
-    /// `None` for every other matcher kind (including `All` conjunctions,
-    /// even job-only ones: they stay on the exact linear path).
-    pub fn jobs(&self) -> Option<&[JobId]> {
-        match self {
-            RpcMatcher::Job(j) => Some(std::slice::from_ref(j)),
-            RpcMatcher::JobSet(set) => Some(set),
-            _ => None,
-        }
-    }
-
-    /// Does this matcher select `rpc`?
-    pub fn matches(&self, rpc: &Rpc) -> bool {
-        match self {
-            RpcMatcher::Job(j) => rpc.job == *j,
-            RpcMatcher::JobSet(set) => set.contains(&rpc.job),
-            RpcMatcher::Client(c) => rpc.client == *c,
-            RpcMatcher::Opcode(op) => rpc.op == *op,
-            RpcMatcher::All(parts) => parts.iter().all(|m| m.matches(rpc)),
-            RpcMatcher::Any => true,
-        }
-    }
-
-    /// Lustre-flavoured string form, for logs and reports.
-    pub fn expression(&self) -> String {
-        match self {
-            RpcMatcher::Job(j) => format!("jobid={{{}}}", j.label()),
-            RpcMatcher::JobSet(set) => {
-                let labels: Vec<String> = set.iter().map(|j| j.label()).collect();
-                format!("jobid={{{}}}", labels.join(" "))
-            }
-            RpcMatcher::Client(c) => format!("nid={{{}}}", c.nid()),
-            RpcMatcher::Opcode(op) => format!("opcode={{{}}}", op.name()),
-            RpcMatcher::All(parts) => {
-                let exprs: Vec<String> = parts.iter().map(|m| m.expression()).collect();
-                exprs.join("&")
-            }
-            RpcMatcher::Any => "*".to_string(),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use adaptbf_model::{ProcId, RpcId, SimTime};
-
-    fn rpc(job: u32, client: u32, op: OpCode) -> Rpc {
-        let mut r = Rpc::new(
-            RpcId(1),
-            JobId(job),
-            ClientId(client),
-            ProcId(0),
-            SimTime::ZERO,
-        );
-        r.op = op;
-        r
-    }
-
-    #[test]
-    fn job_matcher() {
-        let m = RpcMatcher::Job(JobId(3));
-        assert!(m.matches(&rpc(3, 1, OpCode::Write)));
-        assert!(!m.matches(&rpc(4, 1, OpCode::Write)));
-    }
-
-    #[test]
-    fn job_set_matcher() {
-        let m = RpcMatcher::JobSet(vec![JobId(1), JobId(2)]);
-        assert!(m.matches(&rpc(2, 1, OpCode::Write)));
-        assert!(!m.matches(&rpc(3, 1, OpCode::Write)));
-    }
-
-    #[test]
-    fn client_and_opcode_matchers() {
-        assert!(RpcMatcher::Client(ClientId(9)).matches(&rpc(1, 9, OpCode::Read)));
-        assert!(!RpcMatcher::Client(ClientId(9)).matches(&rpc(1, 8, OpCode::Read)));
-        assert!(RpcMatcher::Opcode(OpCode::Read).matches(&rpc(1, 1, OpCode::Read)));
-        assert!(!RpcMatcher::Opcode(OpCode::Read).matches(&rpc(1, 1, OpCode::Write)));
-    }
-
-    #[test]
-    fn conjunction_requires_all() {
-        let m = RpcMatcher::All(vec![
-            RpcMatcher::Job(JobId(1)),
-            RpcMatcher::Opcode(OpCode::Write),
-        ]);
-        assert!(m.matches(&rpc(1, 1, OpCode::Write)));
-        assert!(!m.matches(&rpc(1, 1, OpCode::Read)));
-        assert!(!m.matches(&rpc(2, 1, OpCode::Write)));
-    }
-
-    #[test]
-    fn any_matches_everything() {
-        assert!(RpcMatcher::Any.matches(&rpc(42, 42, OpCode::Read)));
-    }
-
-    #[test]
-    fn expressions_look_like_lustre() {
-        assert_eq!(RpcMatcher::Job(JobId(2)).expression(), "jobid={app2.node2}");
-        assert_eq!(
-            RpcMatcher::Opcode(OpCode::Write).expression(),
-            "opcode={ost_write}"
-        );
-        let m = RpcMatcher::All(vec![
-            RpcMatcher::Job(JobId(1)),
-            RpcMatcher::Opcode(OpCode::Write),
-        ]);
-        assert_eq!(m.expression(), "jobid={app1.node1}&opcode={ost_write}");
-        assert_eq!(RpcMatcher::Any.expression(), "*");
-    }
 }

@@ -53,11 +53,6 @@ impl TbfQueue {
         self.fifo.push_back(rpc);
     }
 
-    /// Head RPC, if any.
-    pub fn head(&self) -> Option<&Rpc> {
-        self.fifo.front()
-    }
-
     /// Number of queued RPCs.
     pub fn len(&self) -> usize {
         self.fifo.len()

@@ -1,12 +1,13 @@
 //! The NRS TBF scheduler: classification, deadline dispatch, fallback.
 //!
-//! This is the component in Figure 1 of the paper. Incoming RPCs are
-//! classified against the ordered rule list; matched RPCs join their
-//! class's FIFO queue (one per JobID under AdapTBF) whose token bucket
-//! enforces the rule's rate. Unmatched RPCs join the **fallback queue**,
-//! which has no token limit and is served opportunistically whenever no
-//! ruled queue is token-ready — Lustre's guarantee that jobs without rules
-//! never starve.
+//! This is the component in Figure 1 of the paper. A rule names one job
+//! (see [`crate::matcher`]), and the invariant everything below rests on
+//! is: **a job's waiting RPCs are all in its one ruled queue if a rule
+//! names the job, else all in the fallback queue.** A ruled queue is a
+//! FIFO whose token bucket enforces the rate of the first rule naming its
+//! job. The **fallback queue** has no token limit and is served
+//! opportunistically whenever no ruled queue is token-ready — Lustre's
+//! guarantee that jobs without rules never starve.
 //!
 //! Dispatch order when an I/O thread asks for work ([`NrsTbfScheduler::next`]):
 //!
@@ -17,39 +18,33 @@
 //!    when to come back ([`SchedDecision::WaitUntil`]);
 //! 4. otherwise [`SchedDecision::Idle`].
 //!
-//! ## Hot-path design
+//! ## One interner, one slot per job
 //!
-//! Rule mutations are **incremental** and **transactional**. Instead of
-//! draining and rebuilding every queue and the whole deadline heap on each
-//! change, the scheduler keeps a `rule → bound queues` reverse index and
-//! touches only the queues a mutation affects. Heap entries of rebound
-//! queues go stale via the queues' monotone stamps and are discarded
-//! lazily on pop — the heap is never rebuilt wholesale.
+//! The scheduler owns the crate's only [`JobSlots`] interner. An enqueue
+//! interns once, and the dense slot (assigned at first sight, stable for
+//! the scheduler's lifetime) indexes everything the job has: its queue,
+//! the first rule naming it (in [`RuleTable`]), its tail in the fallback
+//! queue, its retired-stamp floor and its service counters — flat vectors,
+//! so the per-RPC path costs array indexing rather than hash or
+//! ordered-map walks. JobId-keyed shapes are folded only when
+//! [`NrsTbfScheduler::stats`] is read, from counters that live on the
+//! queues themselves, so the per-serve path performs no map updates.
+//!
+//! ## Rule changes move queues whole
 //!
 //! The daemon mutates every active job's rule once per observation
 //! period, so the unit of mutation is the period's whole batch
-//! ([`NrsTbfScheduler::transact`], which carries the ordering argument):
-//! stopped rules leave the table with one index rebuild, and started
-//! rules lift what they capture out of the fallback queue through its
-//! per-job index (the `fallback` module), so a cycle costs O(rules changed +
-//! queues they govern + RPCs they capture) — not that times the number of
-//! rules changed, and not the number of RPCs parked for other jobs. (A
-//! batch that starts a rule which is not purely job-based scans the
-//! fallback queue instead, once.) The single-rule entry points are
-//! one-element transactions.
-//!
-//! Per-job service counters live on the queues themselves and are folded
-//! into [`SchedulerStats`] only when [`NrsTbfScheduler::stats`] is read,
-//! so the per-serve path performs no map updates.
-//!
-//! All per-job state — the queues themselves, retired-stamp floors and
-//! the folded service counters — is held in flat vectors indexed by a
-//! dense job slot ([`JobSlots`], assigned at first sight, stable for the
-//! scheduler's lifetime), so the enqueue/dispatch path costs array
-//! indexing rather than hash or ordered-map walks; JobId-keyed shapes are
-//! folded only when stats are read. The per-cycle reconcile reuses one
-//! scratch buffer instead of collecting the affected-job set afresh on
-//! every rule mutation.
+//! ([`NrsTbfScheduler::transact`]). Because a rule names one job, a rule
+//! change never splits a queue: a stop hands the job's queue to the next
+//! rule naming the job, or empties it into the fallback queue; a start
+//! lifts exactly its job's parked RPCs out of the fallback queue through
+//! that queue's per-job index (the `fallback` module); a re-rate touches
+//! its job's one queue. A cycle therefore costs O(rules changed + RPCs
+//! they move) plus one rebuild of the rule table's positions — not that
+//! times the number of rules changed, and not the number of RPCs parked
+//! for other jobs. Heap entries of touched queues go stale via the queues'
+//! monotone stamps and are discarded lazily on pop — the heap is never
+//! rebuilt.
 
 use crate::fallback::FallbackQueue;
 use crate::heap::DeadlineHeap;
@@ -57,7 +52,7 @@ use crate::matcher::RpcMatcher;
 use crate::queue::TbfQueue;
 use crate::rule::{RuleTable, TbfRule};
 use adaptbf_model::{JobId, JobSlots, ModelError, Rpc, RuleId, SimTime, TbfSchedulerConfig};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::BTreeMap;
 
 /// What the scheduler tells an idle I/O thread to do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,7 +90,7 @@ impl SchedulerStats {
 pub struct RuleSpec {
     /// Human-readable rule name.
     pub name: String,
-    /// The classification predicate.
+    /// The job the rule names.
     pub matcher: RpcMatcher,
     /// Token refill rate in tokens/second.
     pub rate_tps: f64,
@@ -104,8 +99,8 @@ pub struct RuleSpec {
 }
 
 /// The three rule parameters a queue actually binds to — a `Copy` view of
-/// a [`TbfRule`] so the per-RPC data path never clones the rule's name
-/// `String` or matcher just to end a borrow of the rule table.
+/// a [`TbfRule`] so the data path never clones the rule's name `String`
+/// just to end a borrow of the rule table.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct RuleBinding {
     id: RuleId,
@@ -123,30 +118,30 @@ impl From<&TbfRule> for RuleBinding {
     }
 }
 
+/// The fallback queue's way back from a parked RPC to its job's slot
+/// (every enqueued RPC's job is interned before it can park).
+fn parked_slot(slots: &JobSlots) -> impl Fn(JobId) -> usize + '_ {
+    |job| slots.get(job).expect("a parked RPC's job is interned")
+}
+
 /// The Lustre-style NRS TBF scheduler for one OST.
 #[derive(Debug)]
 pub struct NrsTbfScheduler {
     config: TbfSchedulerConfig,
     rules: RuleTable,
-    /// Dense job interner: every per-job vector below is indexed by its
-    /// slots.
+    /// The crate's only job interner: every per-job vector below, the
+    /// rule table's `first` and the fallback queue's tails are indexed by
+    /// its slots.
     slots: JobSlots,
-    /// One optional queue per slot (`None` = the job has no ruled queue).
+    /// One optional queue per slot, bound to the first rule naming the
+    /// job. Created by the job's first ruled RPC, dropped when its rule
+    /// stops with no successor.
     queues: Vec<Option<TbfQueue>>,
-    /// Reverse index: which jobs' queues are bound to each rule. Lets rule
-    /// mutations touch only affected queues. `BTreeSet` so affected queues
-    /// are always visited in deterministic JobId order.
-    bound: HashMap<RuleId, BTreeSet<JobId>>,
     heap: DeadlineHeap,
-    /// RPCs no installed rule matches — the invariant the fallback's
-    /// per-job index relies on: rules only start through
-    /// [`Self::transact`], which moves out everything they capture.
+    /// The RPCs of jobs no rule names.
     fallback: FallbackQueue,
     /// RPCs sitting in ruled queues (cheap pending() accounting).
     ruled_backlog: usize,
-    /// Scratch for the per-cycle reconcile: the affected-job set of the
-    /// rule under mutation, reused across cycles (no per-cycle alloc).
-    reconcile_scratch: Vec<JobId>,
     // -- cold stats state: folded into `SchedulerStats` on read ----------
     served_ruled: u64,
     served_fallback: u64,
@@ -167,14 +162,12 @@ impl NrsTbfScheduler {
     pub fn new(config: TbfSchedulerConfig) -> Self {
         NrsTbfScheduler {
             config,
-            rules: RuleTable::new(),
+            rules: RuleTable::default(),
             slots: JobSlots::new(),
             queues: Vec::new(),
-            bound: HashMap::new(),
             heap: DeadlineHeap::new(),
             fallback: FallbackQueue::new(),
             ruled_backlog: 0,
-            reconcile_scratch: Vec::new(),
             served_ruled: 0,
             served_fallback: 0,
             folded_served: Vec::new(),
@@ -191,7 +184,6 @@ impl NrsTbfScheduler {
         self.folded_served.reserve(jobs);
         self.retired_stamps.reserve(jobs);
         self.fallback_served.reserve(jobs);
-        self.reconcile_scratch.reserve(jobs);
     }
 
     /// Intern `job` and grow every per-slot vector to cover its slot.
@@ -219,18 +211,18 @@ impl NrsTbfScheduler {
     /// order, the dispatch order from here on — is exactly that of
     /// calling [`Self::stop_rule`] for each stop, [`Self::start_rule`] for
     /// each start and [`Self::apply_updates`] in that order; the cost is
-    /// not. The stopped rules leave the table together and only their own
-    /// queues move, and the started rules capture from the fallback queue
-    /// together, not one scan per rule: a parked RPC matches no older
-    /// rule, so the first started rule matching it is the one that
-    /// captures it, and moving the captured RPCs rule by rule in start
-    /// order (arrival order within a rule) replays the per-rule scans'
-    /// enqueue sequence.
+    /// not. Each stop is O(1) and moves its job's queue whole — to the
+    /// next rule naming the job, else into the fallback queue — and the
+    /// table re-derives its positions once for all of them. Each start
+    /// lifts its job's parked RPCs, and only those, out of the fallback
+    /// queue; they enter their queues rule by rule in start order, in
+    /// arrival order within a rule.
     ///
     /// The whole batch is validated up front: a stop or update naming a
-    /// rule that is not installed, a rule stopped twice, or an update to a
-    /// rule the same batch stops leaves the scheduler completely
-    /// untouched, never with half the batch applied.
+    /// rule that is not installed, a rule stopped twice, an update to a
+    /// rule the same batch stops, or a rate that is not finite and
+    /// non-negative leaves the scheduler completely untouched, never with
+    /// half the batch applied.
     pub fn transact(
         &mut self,
         stops: &[RuleId],
@@ -238,46 +230,62 @@ impl NrsTbfScheduler {
         updates: &[(RuleId, f64, u32)],
         now: SimTime,
     ) -> Result<Vec<RuleId>, ModelError> {
-        self.validate(stops, updates)?;
-        // Stops taken together classify released backlogs against a table
-        // that already lacks the *later* stops of the batch; one at a
-        // time, a backlog could first hop under such a rule. That is only
-        // possible when stopped rules can match each other's traffic.
-        let together = if self.stops_are_disjoint(stops) {
-            stops.len().max(1)
-        } else {
-            1
-        };
-        for group in stops.chunks(together) {
-            self.rules.stop_rules(group).expect("batch validated above");
-            for &id in group {
-                self.release_queues(id, now);
-            }
+        let starts: Vec<RuleSpec> = starts.into_iter().collect();
+        self.validate(stops, &starts, updates)?;
+
+        for &id in stops {
+            let (slot, successor) = self.rules.retire(id);
+            let successor = successor.map(RuleBinding::from);
+            self.release_queue(slot, id, successor, now);
         }
-        let started: Vec<RuleId> = starts
-            .into_iter()
-            .map(|r| {
-                self.rules
-                    .start_rule(r.name, r.matcher, r.rate_tps, r.weight)
-            })
-            .collect();
+        if !stops.is_empty() {
+            self.rules.compact();
+        }
+
+        // Lustre relinks queues when rules change: what is parked for a
+        // job moves under its new rule (otherwise a newly ruled job's
+        // early RPCs could starve behind saturated ruled queues forever).
+        // Only a start can do that — stopping or re-rating a rule never
+        // makes a parked RPC ruled.
+        let mut started = Vec::with_capacity(starts.len());
+        let mut captured: Vec<(usize, Rpc)> = Vec::new();
+        for spec in starts {
+            let RpcMatcher::Job(job) = spec.matcher;
+            let slot = self.slot(job);
+            started.push(self.rules.start(slot, spec));
+            // Nothing is parked for a job that was already ruled, or
+            // named twice by this batch.
+            let run = captured.len();
+            self.fallback
+                .take_job(slot, |rpc| captured.push((slot, rpc)));
+            captured[run..].reverse();
+        }
         if !started.is_empty() {
-            self.recapture_fallback(&started, now);
+            // Before the captured RPCs grow their ruled queues.
+            self.fallback.trim(parked_slot(&self.slots));
         }
-        for (id, rate, weight) in updates {
-            self.rules
-                .change_rate(*id, *rate)
-                .expect("batch validated above");
-            self.rules
-                .change_weight(*id, *weight)
-                .expect("batch validated above");
-            self.refresh_bound_queues(*id, now);
+        for (slot, rpc) in captured {
+            self.admit(slot, rpc, now);
+        }
+
+        for &(id, rate_tps, weight) in updates {
+            let rule = self.rules.set(id, rate_tps, weight);
+            let (slot, binding) = (rule.slot, RuleBinding::from(rule));
+            if self.governs(id, slot) {
+                self.rebind_queue(slot, binding, now);
+            }
         }
         Ok(started)
     }
 
-    /// The up-front check of [`Self::transact`].
-    fn validate(&self, stops: &[RuleId], updates: &[(RuleId, f64, u32)]) -> Result<(), ModelError> {
+    /// The up-front check of [`Self::transact`] — the only place a
+    /// batch's ids and rates are checked.
+    fn validate(
+        &self,
+        stops: &[RuleId],
+        starts: &[RuleSpec],
+        updates: &[(RuleId, f64, u32)],
+    ) -> Result<(), ModelError> {
         let missing = |id: RuleId| Err(ModelError::not_found("rule", id));
         let mut stopped = stops.to_vec();
         stopped.sort_unstable();
@@ -292,37 +300,20 @@ impl NrsTbfScheduler {
                 return missing(*id);
             }
         }
-        Ok(())
-    }
-
-    /// Whether no stopped rule can match traffic queued under another:
-    /// every one is purely job-based and their job sets are pairwise
-    /// disjoint (a queue holds one job's RPCs, bound to a rule selecting
-    /// that job). Decided from the matchers alone.
-    fn stops_are_disjoint(&mut self, stops: &[RuleId]) -> bool {
-        if stops.len() < 2 {
-            return true;
+        let valid = |rate: f64| rate >= 0.0 && rate.is_finite();
+        let rates = starts.iter().map(|s| s.rate_tps);
+        let mut rates = rates.chain(updates.iter().map(|u| u.1));
+        match rates.find(|&rate| !valid(rate)) {
+            Some(rate) => Err(ModelError::invalid(
+                "rate_tps",
+                format!("{rate} is not a finite, non-negative token rate"),
+            )),
+            None => Ok(()),
         }
-        let mut jobs = std::mem::take(&mut self.reconcile_scratch);
-        jobs.clear();
-        let job_based = stops.iter().all(|id| {
-            let rule = self.rules.get(*id).expect("batch validated above");
-            rule.matcher
-                .jobs()
-                .map(|j| jobs.extend_from_slice(j))
-                .is_some()
-        });
-        jobs.sort_unstable();
-        let disjoint = job_based && jobs.windows(2).all(|w| w[0] != w[1]);
-        self.reconcile_scratch = jobs;
-        disjoint
     }
 
-    /// Install a rule; queued traffic is re-classified immediately.
-    ///
-    /// Incremental: an appended rule matches *after* every existing rule,
-    /// so already-ruled queues keep their bindings — only the fallback
-    /// queue can hold RPCs the new rule captures.
+    /// Install a rule; what is parked for its job moves under it at once.
+    /// Panics on a rate [`Self::transact`] would reject.
     pub fn start_rule(
         &mut self,
         name: impl Into<String>,
@@ -338,82 +329,17 @@ impl NrsTbfScheduler {
             weight,
         };
         self.transact(&[], [spec], &[], now)
-            .expect("a batch of starts has nothing to reject")[0]
+            .expect("a start is rejected only for its rate")[0]
     }
 
-    /// Remove a rule; its queues' backlogs move to later-matching rules or
-    /// the fallback queue. Only queues bound to `id` are touched.
+    /// Remove a rule; its job's backlog moves to the next rule naming the
+    /// job, or to the fallback queue.
     pub fn stop_rule(&mut self, id: RuleId, now: SimTime) -> Result<(), ModelError> {
         self.transact(&[id], [], &[], now).map(drop)
     }
 
-    /// Move the queues bound to the just-stopped rule `id` under whatever
-    /// the table now says: a later-matching rule, or the fallback queue.
-    fn release_queues(&mut self, id: RuleId, now: SimTime) {
-        let jobs = self.bound.remove(&id).unwrap_or_default();
-        for job in jobs {
-            let slot = self.slots.get(job).expect("bound job is interned");
-            let queue = self.queues[slot].as_mut().expect("bound queue exists");
-            if queue.is_empty() {
-                // Lustre drops idle queues when their rule goes away; a
-                // later RPC re-creates one under whatever rule then matches.
-                self.remove_queue(job);
-                continue;
-            }
-            let head = *queue.head().expect("non-empty queue");
-            match self.rules.classify(&head).map(RuleBinding::from) {
-                Some(binding) => self.rebind_queue(job, binding, now),
-                None => {
-                    // The head is orphaned — but when non-job matchers
-                    // split a job's traffic, later RPCs in the same queue
-                    // can still match a live rule, so each drained RPC is
-                    // re-classified individually: matches re-enter ruled
-                    // queues (keeping their rate limits), the rest ride
-                    // the fallback queue. This is exactly what the old
-                    // full reconcile achieved via its fallback re-scan.
-                    let queue = self.queues[slot].as_mut().expect("bound queue exists");
-                    let drained: Vec<Rpc> = queue.drain().collect();
-                    self.ruled_backlog -= drained.len();
-                    self.remove_queue(job);
-                    for rpc in drained {
-                        match self.rules.classify(&rpc).map(RuleBinding::from) {
-                            Some(binding) => self.enqueue_ruled(rpc, binding, now),
-                            None => self.fallback.push_back(rpc),
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Change a rule's token rate; affected queues pick the rate up at once.
-    pub fn change_rate(
-        &mut self,
-        id: RuleId,
-        rate_tps: f64,
-        now: SimTime,
-    ) -> Result<(), ModelError> {
-        self.rules.change_rate(id, rate_tps)?;
-        self.refresh_bound_queues(id, now);
-        Ok(())
-    }
-
-    /// Change a rule's hierarchy weight.
-    pub fn change_weight(
-        &mut self,
-        id: RuleId,
-        weight: u32,
-        now: SimTime,
-    ) -> Result<(), ModelError> {
-        self.rules.change_weight(id, weight)?;
-        self.refresh_bound_queues(id, now);
-        Ok(())
-    }
-
     /// Apply a batch of `(rule, rate, weight)` updates — a transaction of
-    /// re-rates alone: a bad `RuleId` anywhere in it leaves the scheduler
-    /// completely untouched, never with half the rates applied but queues
-    /// unreconciled.
+    /// re-rates alone; affected queues pick the new rate up at once.
     pub fn apply_updates(
         &mut self,
         updates: &[(RuleId, f64, u32)],
@@ -427,41 +353,36 @@ impl NrsTbfScheduler {
         &self.rules
     }
 
-    // ---- data path -------------------------------------------------------
-
-    /// Accept an RPC from the network and classify it (O(1) in the rule
-    /// count for job-rule tables — see [`RuleTable::classify`]).
-    pub fn enqueue(&mut self, rpc: Rpc, now: SimTime) {
-        match self.rules.classify(&rpc).map(RuleBinding::from) {
-            Some(binding) => self.enqueue_ruled(rpc, binding, now),
-            None => self.fallback.push_back(rpc),
-        }
+    /// The rule governing `job`: the first one naming it.
+    pub(crate) fn rule_of(&self, job: JobId) -> Option<&TbfRule> {
+        self.rules.first(self.slots.get(job)?)
     }
 
-    fn enqueue_ruled(&mut self, rpc: Rpc, binding: RuleBinding, now: SimTime) {
-        let job = rpc.job;
-        let slot = self.slot(job);
-        if self.queues[slot].is_some() {
-            // Existing queue: re-binds if the governing rule changed (non-
-            // job matchers can split one job's traffic across rules),
-            // including the fresh heap entry the stamp bump requires.
-            self.rebind_queue(job, binding, now);
-        } else {
+    // ---- data path -------------------------------------------------------
+
+    /// Accept an RPC from the network: one interner lookup, then array
+    /// loads whatever the number of rules and jobs.
+    pub fn enqueue(&mut self, rpc: Rpc, now: SimTime) {
+        let slot = self.slot(rpc.job);
+        self.admit(slot, rpc, now);
+    }
+
+    /// Queue `rpc`, whose job sits at `slot`, where the invariant says it
+    /// belongs: the job's ruled queue (created on demand) if a rule names
+    /// the job, else the fallback queue.
+    fn admit(&mut self, slot: usize, rpc: Rpc, now: SimTime) {
+        if self.queues[slot].is_none() {
+            let Some(rule) = self.rules.first(slot) else {
+                self.fallback.push_back(slot, rpc, parked_slot(&self.slots));
+                return;
+            };
             let depth = self.config.bucket_depth;
-            let mut queue = TbfQueue::new(
-                job,
-                binding.id,
-                binding.weight,
-                binding.rate_tps,
-                depth,
-                now,
-            );
+            let mut queue = TbfQueue::new(rpc.job, rule.id, rule.weight, rule.rate_tps, depth, now);
             let floor = self.retired_stamps[slot];
             if floor > 0 {
                 queue.advance_stamp(floor);
             }
             self.queues[slot] = Some(queue);
-            self.bound.entry(binding.id).or_default().insert(job);
         }
         let queue = self.queues[slot].as_mut().expect("just ensured");
         let was_empty = queue.is_empty();
@@ -471,10 +392,10 @@ impl NrsTbfScheduler {
             let weight = queue.weight;
             let stamp = queue.stamp();
             if let Some(deadline) = queue.deadline(now) {
-                self.heap.push(job, deadline, weight, stamp);
+                self.heap.push(rpc.job, deadline, weight, stamp);
             }
             // deadline == None (zero-rate rule): queue is parked until a
-            // rate change reconciles it back into the heap.
+            // rate change re-binds it back into the heap.
         }
     }
 
@@ -531,126 +452,73 @@ impl NrsTbfScheduler {
     #[inline]
     fn serve_from_fallback(&mut self, job: JobId) {
         self.served_fallback += 1;
-        let slot = self.slot(job);
+        let slot = self.slots.get(job).expect("interned when it was enqueued");
         self.fallback_served[slot] += 1;
     }
 
-    // ---- incremental reconciliation helpers ------------------------------
+    // ---- moving queues when rules change ---------------------------------
 
-    /// Re-bind the queues bound to `id` after its rate/weight changed.
-    fn refresh_bound_queues(&mut self, id: RuleId, now: SimTime) {
-        let Some(jobs) = self.bound.get(&id) else {
-            return;
-        };
-        let binding = RuleBinding::from(self.rules.get(id).expect("refreshed rule exists"));
-        // The affected-job set is copied out because `rebind_queue` needs
-        // `&mut self` — into a scratch buffer reused across cycles (the
-        // daemon re-rates every rule once per observation period; a fresh
-        // Vec per rule per cycle is pure allocator churn).
-        let mut scratch = std::mem::take(&mut self.reconcile_scratch);
-        scratch.clear();
-        scratch.extend(jobs.iter().copied());
-        for &job in &scratch {
-            self.rebind_queue(job, binding, now);
-        }
-        self.reconcile_scratch = scratch;
+    /// Whether rule `id` is the one the queue at `slot` is bound to — only
+    /// the first rule naming a job has a queue to move.
+    fn governs(&self, id: RuleId, slot: usize) -> bool {
+        self.queues[slot].as_ref().is_some_and(|q| q.rule == id)
     }
 
-    /// The single re-binding primitive: move `job`'s queue under `binding`
-    /// (which must match its traffic) iff anything actually changed.
+    /// Rule `id`, which named the job at `slot`, has stopped: if the
+    /// job's queue was bound to it, the queue moves whole — under
+    /// `successor`, the next rule naming the job, else into the fallback
+    /// queue.
+    fn release_queue(
+        &mut self,
+        slot: usize,
+        id: RuleId,
+        successor: Option<RuleBinding>,
+        now: SimTime,
+    ) {
+        if !self.governs(id, slot) {
+            return;
+        }
+        let queue = self.queues[slot].as_mut().expect("governed queue exists");
+        if let (Some(binding), false) = (successor, queue.is_empty()) {
+            return self.rebind_queue(slot, binding, now);
+        }
+        // The queue goes: its backlog has no rule left, or it is idle —
+        // Lustre drops idle queues when their rule goes away, and a later
+        // RPC re-creates one under whatever rule then names the job.
+        let mut queue = self.queues[slot].take().expect("governed queue exists");
+        self.ruled_backlog -= queue.len();
+        for rpc in queue.drain() {
+            self.fallback.push_back(slot, rpc, parked_slot(&self.slots));
+        }
+        // Fold its service counter into the stats base so `stats()` stays
+        // exact across queue churn, and record the stamp floor a future
+        // queue for this job must start above (this one's heap entries
+        // stay behind, invalidated only lazily).
+        self.folded_served[slot] += queue.served();
+        self.retired_stamps[slot] = queue.stamp() + 1;
+    }
+
+    /// The single re-binding primitive: move the queue at `slot` under
+    /// `binding` (a rule naming its job) iff anything actually changed.
     /// Rebinding bumps the queue's stamp — lazily invalidating its heap
     /// entries — so a fresh entry is pushed for a non-empty queue; an
     /// untouched queue keeps its still-valid entry.
-    fn rebind_queue(&mut self, job: JobId, binding: RuleBinding, now: SimTime) {
-        let slot = self.slots.get(job).expect("queue exists");
+    fn rebind_queue(&mut self, slot: usize, binding: RuleBinding, now: SimTime) {
         let queue = self.queues[slot].as_mut().expect("queue exists");
-        let old = queue.rule;
-        let changed = old != binding.id
+        let changed = queue.rule != binding.id
             || queue.weight != binding.weight
             || queue.bucket().rate_tps() != binding.rate_tps;
-        if changed {
-            queue.rebind(binding.id, binding.weight, binding.rate_tps, now);
-            if !queue.is_empty() {
-                let weight = queue.weight;
-                let stamp = queue.stamp();
-                if let Some(deadline) = queue.deadline(now) {
-                    self.heap.push(job, deadline, weight, stamp);
-                }
-                // deadline == None (zero-rate rule): parked until a rate
-                // change re-binds it back into the heap.
-            }
-        }
-        if old != binding.id {
-            if let Some(set) = self.bound.get_mut(&old) {
-                set.remove(&job);
-            }
-            self.bound.entry(binding.id).or_default().insert(job);
-        }
-    }
-
-    /// Drop `job`'s queue, folding its service counter into the stats
-    /// base so `stats()` stays exact across queue churn, and recording
-    /// the stamp floor a future queue for this job must start above
-    /// (its heap entries stay behind, invalidated only lazily).
-    fn remove_queue(&mut self, job: JobId) {
-        let Some(slot) = self.slots.get(job) else {
+        if !changed {
             return;
-        };
-        if let Some(queue) = self.queues[slot].take() {
-            self.folded_served[slot] += queue.served();
-            self.retired_stamps[slot] = queue.stamp() + 1;
-            if let Some(set) = self.bound.get_mut(&queue.rule) {
-                set.remove(&job);
-            }
         }
-    }
-
-    /// Lustre relinks queues when rules change: RPCs waiting in the
-    /// fallback queue whose job now has a matching rule move under it
-    /// (otherwise a newly ruled job's early RPCs could starve behind
-    /// saturated ruled queues forever). Only called after rules started —
-    /// stopping or re-rating a rule can never make an unmatched RPC match.
-    ///
-    /// A parked RPC matches no rule older than `started`, so which RPCs
-    /// leave is decided by the started rules alone. When all of them are
-    /// purely job-based — every batch the daemon issues; decided from the
-    /// matchers, like [`Self::stops_are_disjoint`] — those are exactly the
-    /// parked RPCs of the jobs they name, and only those are visited.
-    /// Any other matcher can pick RPCs out of any job's backlog: the whole
-    /// queue is scanned, once. Either way the captured RPCs then enter
-    /// their queues rule by rule in start order (ids ascend in start
-    /// order), in arrival order within a rule.
-    fn recapture_fallback(&mut self, started: &[RuleId], now: SimTime) {
-        let rules = &self.rules;
-        let mut captured: Vec<(RuleId, u64, Rpc)> = Vec::new();
-        let matchers = || {
-            started
-                .iter()
-                .map(|id| &rules.get(*id).expect("just started").matcher)
-        };
-        if matchers().all(|m| m.jobs().is_some()) {
-            for job in matchers().flat_map(|m| m.jobs().unwrap_or_default()) {
-                // A job named twice finds nothing left the second time.
-                self.fallback.take_job(*job, |pos, rpc| {
-                    let rule = rules.classify(&rpc).expect("a started rule names the job");
-                    captured.push((rule.id, pos, rpc));
-                });
+        queue.rebind(binding.id, binding.weight, binding.rate_tps, now);
+        if !queue.is_empty() {
+            let stamp = queue.stamp();
+            if let Some(deadline) = queue.deadline(now) {
+                self.heap.push(queue.job, deadline, binding.weight, stamp);
             }
-        } else {
-            self.fallback.retain(|pos, rpc| match rules.classify(rpc) {
-                Some(rule) => {
-                    captured.push((rule.id, pos, *rpc));
-                    false
-                }
-                None => true,
-            });
-        }
-        // Before the captured RPCs grow their ruled queues.
-        self.fallback.trim();
-        captured.sort_unstable_by_key(|&(rule, pos, _)| (rule, pos));
-        for (rule, _, rpc) in captured {
-            let binding = RuleBinding::from(self.rules.get(rule).expect("just classified"));
-            self.enqueue_ruled(rpc, binding, now);
+            // deadline == None (zero-rate rule): parked until a rate
+            // change re-binds it back into the heap.
         }
     }
 
@@ -727,10 +595,6 @@ mod tests {
 
     fn rpc(id: u64, job: u32) -> Rpc {
         Rpc::new(RpcId(id), JobId(job), ClientId(0), ProcId(0), t(0))
-    }
-
-    fn rpc_from(id: u64, job: u32, client: u32) -> Rpc {
-        Rpc::new(RpcId(id), JobId(job), ClientId(client), ProcId(0), t(0))
     }
 
     fn sched() -> NrsTbfScheduler {
@@ -829,7 +693,7 @@ mod tests {
             s.next(t(0));
         }
         expect_wait(s.next(t(0)), 100);
-        s.change_rate(id, 1000.0, t(0)).unwrap();
+        s.apply_updates(&[(id, 1000.0, 1)], t(0)).unwrap();
         // 1000 tps → next token at 1 ms (+ns margin).
         assert_eq!(s.next(t(2)), SchedDecision::Serve(rpc(3, 1)));
     }
@@ -959,13 +823,12 @@ mod tests {
     }
 
     #[test]
-    fn stop_rebinds_to_later_matching_rule() {
-        // Two rules match job 1 (a specific one and a catch-all behind
-        // it): stopping the first must re-bind the queue to the second,
-        // not orphan it.
+    fn stop_rebinds_to_later_rule_naming_the_job() {
+        // Two rules name job 1: the first governs; stopping it must
+        // re-bind the queue to the second, not orphan it.
         let mut s = sched();
         let first = s.start_rule("j1", RpcMatcher::Job(JobId(1)), 10.0, 1, t(0));
-        s.start_rule("any", RpcMatcher::Any, 1000.0, 2, t(0));
+        s.start_rule("j1b", RpcMatcher::Job(JobId(1)), 1000.0, 2, t(0));
         for i in 0..6 {
             s.enqueue(rpc(i, 1), t(0));
         }
@@ -977,52 +840,11 @@ mod tests {
         assert_eq!(
             s.pending_ruled(),
             3,
-            "queue stays ruled under the catch-all"
+            "queue stays ruled under the second rule"
         );
         assert_eq!(s.pending_fallback(), 0);
-        // The catch-all's 1000 tps rate applies going forward.
+        // The second rule's 1000 tps rate applies going forward.
         assert!(matches!(s.next(t(2)), SchedDecision::Serve(_)));
-    }
-
-    #[test]
-    fn rebind_on_enqueue_keeps_queue_dispatchable() {
-        // Non-job matchers can split one job's traffic across rules: the
-        // first RPC binds the queue to the Job rule, the second (from
-        // client 0) re-binds it to the earlier Client rule. The rebind
-        // stales the queue's heap entry — a fresh one must be pushed or
-        // the backlog livelocks (next() reporting Idle with work pending).
-        let mut s = sched();
-        s.start_rule("c0", RpcMatcher::Client(ClientId(0)), 1000.0, 1, t(0));
-        s.start_rule("j1", RpcMatcher::Job(JobId(1)), 1000.0, 1, t(0));
-        s.enqueue(rpc_from(1, 1, 1), t(0)); // Job rule
-        s.enqueue(rpc_from(2, 1, 0), t(0)); // Client rule: triggers rebind
-        assert_eq!(s.pending(), 2);
-        assert!(matches!(s.next(t(1000)), SchedDecision::Serve(_)));
-        assert!(matches!(s.next(t(1000)), SchedDecision::Serve(_)));
-        assert_eq!(s.next(t(1000)), SchedDecision::Idle);
-        assert_eq!(s.pending(), 0);
-    }
-
-    #[test]
-    fn stop_rule_reclassifies_each_orphaned_rpc() {
-        // Queue bound to the Job rule holds a mix: one RPC that matches
-        // nothing once the rule stops, one that matches the later Client
-        // rule. The drain must re-classify per RPC — the client-0 RPC
-        // stays rate-limited under its rule instead of escaping to the
-        // unthrottled fallback queue.
-        let mut s = sched();
-        let a = s.start_rule("j1", RpcMatcher::Job(JobId(1)), 1000.0, 1, t(0));
-        s.start_rule("c0", RpcMatcher::Client(ClientId(0)), 1000.0, 1, t(0));
-        s.enqueue(rpc_from(1, 1, 1), t(0)); // only matches the Job rule
-        s.enqueue(rpc_from(2, 1, 0), t(0)); // also matches the Client rule
-        assert_eq!(s.pending_ruled(), 2);
-        s.stop_rule(a, t(0)).unwrap();
-        assert_eq!(s.pending_fallback(), 1, "client-1 RPC is unmatched");
-        assert_eq!(s.pending_ruled(), 1, "client-0 RPC stays under its rule");
-        // Both still get served.
-        assert!(matches!(s.next(t(1000)), SchedDecision::Serve(_)));
-        assert!(matches!(s.next(t(1000)), SchedDecision::Serve(_)));
-        assert_eq!(s.next(t(1000)), SchedDecision::Idle);
     }
 
     #[test]
@@ -1041,7 +863,7 @@ mod tests {
             assert!(matches!(s.next(t(0)), SchedDecision::Serve(_)));
         }
         // Rebind buries the stamp-3 entry (deadline ~100 ms) as stale.
-        s.change_rate(a, 1000.0, t(0)).unwrap();
+        s.apply_updates(&[(a, 1000.0, 1)], t(0)).unwrap();
         assert!(matches!(s.next(t(2)), SchedDecision::Serve(_)));
         // Queue now empty: stopping the rule removes it; the buried
         // entry stays behind.
@@ -1101,66 +923,27 @@ mod tests {
     fn parked_400() -> NrsTbfScheduler {
         let mut s = sched();
         for i in 0..400 {
-            s.enqueue(rpc_from(i, i as u32 % 40, i as u32 % 7), t(0));
+            s.enqueue(rpc(i, i as u32 % 40), t(0));
         }
         assert_eq!(s.pending_fallback(), 400);
-        s.rules.classify_calls.set(0);
         s
     }
 
     #[test]
     fn starting_k_job_rules_classifies_each_captured_rpc_once() {
         // A cycle starts rules for 16 of the 40 parked jobs. The work is
-        // one classification per *captured* RPC: the other 240 parked
-        // RPCs are neither classified nor moved.
+        // one visit per *captured* RPC: the other 240 parked RPCs are
+        // neither looked at nor moved.
         let mut s = parked_400();
         let ids = s.transact(&[], (0..16).map(job_spec), &[], t(0)).unwrap();
         assert_eq!(ids.len(), 16);
-        assert_eq!(s.rules.classify_calls.get(), 160);
+        assert_eq!(s.fallback.lifted, 160);
         assert_eq!((s.pending_ruled(), s.pending_fallback()), (160, 240));
         // The uncaptured backlog kept its arrival order.
         let parked: Vec<u64> = s.fallback.iter().map(|r| r.id.raw()).collect();
         assert_eq!(parked.len(), 240);
         assert!(parked.windows(2).all(|w| w[0] < w[1]));
         assert!(s.fallback.iter().all(|r| r.job.raw() >= 16));
-    }
-
-    #[test]
-    fn a_non_job_start_scans_the_fallback_and_equals_one_at_a_time() {
-        // One `Client` rule among the job rules can capture RPCs of any
-        // job, so the batch takes the full scan — one classification per
-        // parked RPC — and must leave what single starts leave.
-        let specs = || {
-            let mut specs: Vec<RuleSpec> = (0..8).map(job_spec).collect();
-            specs.insert(
-                3,
-                RuleSpec {
-                    name: "c5".into(),
-                    matcher: RpcMatcher::Client(ClientId(5)),
-                    rate_tps: 10.0,
-                    weight: 1,
-                },
-            );
-            specs
-        };
-        let mut batch = parked_400();
-        let ids = batch.transact(&[], specs(), &[], t(0)).unwrap();
-        assert_eq!(batch.rules.classify_calls.get(), 400);
-        let mut single = parked_400();
-        let ids_single: Vec<RuleId> = specs()
-            .into_iter()
-            .map(|r| single.start_rule(r.name, r.matcher, r.rate_tps, r.weight, t(0)))
-            .collect();
-        assert_eq!(ids, ids_single);
-        assert!(batch.fallback.iter().eq(single.fallback.iter()));
-        assert!(batch.pending_ruled() > 80, "the client rule captured too");
-        loop {
-            let decision = batch.next(t(0));
-            assert_eq!(decision, single.next(t(0)));
-            if !matches!(decision, SchedDecision::Serve(_)) {
-                break;
-            }
-        }
     }
 
     #[test]
@@ -1179,25 +962,21 @@ mod tests {
 
     #[test]
     fn overlapping_stops_keep_their_order() {
-        // Job 1's queue sits under the job set; stopped first, it hops
-        // under the later `Job(1)` rule while job 2's backlog is released,
-        // and only the second stop releases job 1's. Taking both rules
-        // out of the table at once would release job 1 first — so stops
-        // whose matchers overlap (or are not job-based) go one at a time.
+        // Job 1's queue sits under the first of two rules naming it;
+        // stopped first, it hops under the second while job 2's backlog
+        // is released, and only the last stop releases job 1's. Releasing
+        // job 1 at the first stop would park it ahead of job 2 — the
+        // batch must leave what the stops one at a time leave, and still
+        // rebuilds the table once.
         let mut s = sched();
-        let set = s.start_rule(
-            "set",
-            RpcMatcher::JobSet(vec![JobId(1), JobId(2)]),
-            10.0,
-            1,
-            t(0),
-        );
-        let one = s.start_rule("j1", RpcMatcher::Job(JobId(1)), 10.0, 1, t(0));
+        let first = s.start_rule("j1", RpcMatcher::Job(JobId(1)), 10.0, 1, t(0));
+        let two = s.start_rule("j2", RpcMatcher::Job(JobId(2)), 10.0, 1, t(0));
+        let second = s.start_rule("j1b", RpcMatcher::Job(JobId(1)), 10.0, 1, t(0));
         s.enqueue(rpc(1, 1), t(0));
         s.enqueue(rpc(2, 2), t(0));
         let before = s.rules.index_rebuilds;
-        s.transact(&[set, one], [], &[], t(0)).unwrap();
-        assert_eq!(s.rules.index_rebuilds - before, 2, "ordered stops");
+        s.transact(&[first, two, second], [], &[], t(0)).unwrap();
+        assert_eq!(s.rules.index_rebuilds - before, 1);
         let released: Vec<u32> = s.fallback.iter().map(|r| r.job.raw()).collect();
         assert_eq!(released, vec![2, 1]);
     }
@@ -1208,17 +987,41 @@ mod tests {
         let a = s.start_rule("j1", RpcMatcher::Job(JobId(1)), 10.0, 1, t(0));
         let b = s.start_rule("j2", RpcMatcher::Job(JobId(2)), 10.0, 1, t(0));
         s.enqueue(rpc(1, 1), t(0));
-        let mut rejects = |stops: &[RuleId], updates: &[(RuleId, f64, u32)]| {
-            let err = s.transact(stops, [job_spec(3)], updates, t(0));
-            assert!(err.is_err(), "{stops:?} {updates:?}");
+        s.enqueue(rpc(2, 3), t(0)); // parked: the rejected start names job 3
+        assert!(matches!(s.next(t(0)), SchedDecision::Serve(r) if r.job == JobId(1)));
+        s.enqueue(rpc(3, 1), t(0));
+        let mut rejects = |stops: &[RuleId], start_rate: f64, updates: &[(RuleId, f64, u32)]| {
+            let mut start = job_spec(3);
+            start.rate_tps = start_rate;
+            let err = s.transact(stops, [start], updates, t(0));
+            assert!(err.is_err(), "{stops:?} {start_rate} {updates:?}");
             assert_eq!(s.rules().len(), 2, "nothing stopped, nothing started");
             assert_eq!(s.rules().get(a).unwrap().rate_tps, 10.0);
             assert_eq!(s.queue_depth(JobId(1)), 1);
+            assert_eq!((s.pending_ruled(), s.pending_fallback()), (1, 1));
+            assert_eq!(s.stats().served_by_job, BTreeMap::from([(JobId(1), 1)]));
+            err.unwrap_err()
         };
-        rejects(&[a, RuleId(9999)], &[]); // unknown stop
-        rejects(&[a, b, a], &[]); // stopped twice
-        rejects(&[a], &[(a, 500.0, 7)]); // re-rating a rule it stops
-        rejects(&[a], &[(RuleId(9999), 1.0, 1)]); // unknown update
+        rejects(&[a, RuleId(9999)], 10.0, &[]); // unknown stop
+        rejects(&[a, b, a], 10.0, &[]); // stopped twice
+        rejects(&[a], 10.0, &[(a, 500.0, 7)]); // re-rating a rule it stops
+        rejects(&[a], 10.0, &[(RuleId(9999), 1.0, 1)]); // unknown update
+                                                        // A valid stop ahead of a start or re-rate no bucket could take:
+                                                        // the stop must not have been applied when the rate is refused.
+        for bad in [f64::NAN, f64::INFINITY, -1.0] {
+            for err in [rejects(&[a], bad, &[]), rejects(&[a], 10.0, &[(b, bad, 1)])] {
+                assert!(
+                    matches!(
+                        err,
+                        ModelError::InvalidConfig {
+                            field: "rate_tps",
+                            ..
+                        }
+                    ),
+                    "{err}"
+                );
+            }
+        }
     }
 
     #[test]

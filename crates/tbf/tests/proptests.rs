@@ -12,10 +12,8 @@
 //! * a rule transaction (stops + starts + re-rates in one batch) leaves the
 //!   scheduler exactly where the same mutations applied one at a time do.
 
-use adaptbf_model::{
-    ClientId, JobId, OpCode, ProcId, Rpc, RpcId, RuleId, SimTime, TbfSchedulerConfig,
-};
-use adaptbf_tbf::{NrsTbfScheduler, RpcMatcher, RuleSpec, RuleTable, SchedDecision, TokenBucket};
+use adaptbf_model::{ClientId, JobId, ProcId, Rpc, RpcId, RuleId, SimTime, TbfSchedulerConfig};
+use adaptbf_tbf::{NrsTbfScheduler, RpcMatcher, RuleSpec, SchedDecision, TokenBucket};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -27,28 +25,18 @@ fn rpc(id: u64, job: u32, at: SimTime) -> Rpc {
     Rpc::new(RpcId(id), JobId(job), ClientId(0), ProcId(0), at)
 }
 
-/// Jobs the transaction histories draw from — few enough that job rules
-/// collide, job sets overlap and a queue sees several rules over a
-/// history; enough that both kinds of multi-stop transaction come up
-/// often: disjoint job rules (stopped together) and overlapping or
-/// non-job ones (stopped in order).
+/// Jobs the transaction histories draw from — few enough that several
+/// rules name the same job and a queue sees several rules over a history
+/// (a multi-stop transaction then has a backlog hop from one stopped rule
+/// under another before it is released); enough that most multi-stop
+/// transactions also stop rules of different jobs.
 const TXN_JOBS: u32 = 12;
 
-/// A rule from two random words. Job rules dominate, as under AdapTBF;
-/// the rest are the matchers that can shadow them or split a job's
-/// traffic (overlapping job sets, client, opcode, catch-all).
+/// A rule from two random words.
 fn txn_spec(a: u32, b: u32) -> RuleSpec {
-    let job = JobId(a % TXN_JOBS);
-    let matcher = match b % 16 {
-        0..=11 => RpcMatcher::Job(job),
-        12 => RpcMatcher::JobSet(vec![job, JobId((a + 1) % TXN_JOBS)]),
-        13 => RpcMatcher::Client(ClientId(a % 3)),
-        14 => RpcMatcher::Opcode(OpCode::Read),
-        _ => RpcMatcher::Any,
-    };
     RuleSpec {
         name: format!("r{a}.{b}"),
-        matcher,
+        matcher: RpcMatcher::Job(JobId(a % TXN_JOBS)),
         rate_tps: 5.0 + (a % 40) as f64 * 5.0,
         weight: 1 + b % 4,
     }
@@ -64,25 +52,13 @@ fn txn_history(ops: &[(u32, u32, u32)]) -> (NrsTbfScheduler, Vec<RuleId>, SimTim
     let mut live = Vec::new();
     let mut now = SimTime::ZERO;
     let mut next_id = 0u64;
-    let mut arrive = |s: &mut NrsTbfScheduler, a: u32, b: u32, now: SimTime| {
-        let mut r = Rpc::new(
-            RpcId(next_id),
-            JobId(a % TXN_JOBS),
-            ClientId(b % 3),
-            ProcId(0),
-            now,
-        );
-        r.op = if b & 4 == 0 {
-            OpCode::Write
-        } else {
-            OpCode::Read
-        };
+    let mut arrive = |s: &mut NrsTbfScheduler, a: u32, now: SimTime| {
+        s.enqueue(rpc(next_id, a % TXN_JOBS, now), now);
         next_id += 1;
-        s.enqueue(r, now);
     };
     for &(op, a, b) in ops {
         match op % 10 {
-            0..=4 => arrive(&mut s, a, b, now),
+            0..=4 => arrive(&mut s, a, now),
             5 => {
                 now = t(now.as_nanos() / 1_000_000 + (a % 40) as u64);
                 for _ in 0..b % 4 {
@@ -106,7 +82,7 @@ fn txn_history(ops: &[(u32, u32, u32)]) -> (NrsTbfScheduler, Vec<RuleId>, SimTim
         }
     }
     for i in 0..4 * TXN_JOBS {
-        arrive(&mut s, i, i / TXN_JOBS, now);
+        arrive(&mut s, i, now);
     }
     (s, live, now)
 }
@@ -327,84 +303,6 @@ proptest! {
             fallback_served, unruled,
             "fallback backlog must drain while ruled queue is throttled"
         );
-    }
-
-    #[test]
-    fn fast_path_classify_matches_linear_scan(
-        // (op kind, job parameter, position parameter) triples driving a
-        // random start / stop / reorder history over a mix of job rules,
-        // overlapping job-set rules, and non-job matchers that can shadow
-        // them (client, opcode, catch-all, conjunction).
-        ops in proptest::collection::vec((0u32..8, 0u32..10, 0usize..64), 1..80),
-    ) {
-        let mut table = RuleTable::new();
-        let mut live: Vec<adaptbf_model::RuleId> = Vec::new();
-        let probe = |job: u32, client: u32, op: OpCode| {
-            let mut r = Rpc::new(RpcId(0), JobId(job), ClientId(client), ProcId(0), SimTime::ZERO);
-            r.op = op;
-            r
-        };
-        for (op, job, pos) in ops {
-            match op {
-                // Job rules dominate, as under AdapTBF.
-                0..=2 => {
-                    live.push(table.start_rule(
-                        format!("j{job}"),
-                        RpcMatcher::Job(JobId(job)),
-                        10.0,
-                        1,
-                    ));
-                }
-                // Overlapping job sets.
-                3 => {
-                    live.push(table.start_rule(
-                        format!("set{job}"),
-                        RpcMatcher::JobSet(vec![JobId(job), JobId((job + 1) % 10), JobId((job + 5) % 10)]),
-                        10.0,
-                        1,
-                    ));
-                }
-                // Non-job matchers that can shadow job rules.
-                4 => {
-                    let matcher = match pos % 4 {
-                        0 => RpcMatcher::Client(ClientId(job % 3)),
-                        1 => RpcMatcher::Opcode(OpCode::Read),
-                        2 => RpcMatcher::Any,
-                        _ => RpcMatcher::All(vec![
-                            RpcMatcher::Job(JobId(job)),
-                            RpcMatcher::Opcode(OpCode::Write),
-                        ]),
-                    };
-                    live.push(table.start_rule(format!("other{job}"), matcher, 10.0, 1));
-                }
-                // Stops come one or two at a time: a batch shares one
-                // rebuild of the shortcut.
-                5 => {
-                    let n = (1 + pos % 2).min(live.len());
-                    let ids: Vec<_> = (0..n).map(|_| live.remove(pos % live.len())).collect();
-                    table.stop_rules(&ids).unwrap();
-                }
-                _ => {
-                    if !live.is_empty() {
-                        let id = live[pos % live.len()];
-                        table.reorder(id, pos % (table.len() + 1)).unwrap();
-                    }
-                }
-            }
-            // After every mutation, the O(1) fast path must agree with the
-            // reference linear scan on a spread of RPC shapes.
-            for job in 0..10u32 {
-                for (client, opcode) in [(0u32, OpCode::Write), (1, OpCode::Read), (2, OpCode::Write)] {
-                    let rpc = probe(job, client, opcode);
-                    prop_assert_eq!(
-                        table.classify(&rpc).map(|r| r.id),
-                        table.classify_linear(&rpc).map(|r| r.id),
-                        "fast path diverged for job {} client {} after {} rules",
-                        job, client, table.len()
-                    );
-                }
-            }
-        }
     }
 
     #[test]

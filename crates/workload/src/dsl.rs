@@ -334,8 +334,6 @@ pub struct TuningSpec {
     /// Largest RPC batch a client puts in one channel message (1 = the
     /// legacy one-message-per-RPC data path).
     pub send_batch: Option<u64>,
-    /// Ask for OST threads pinned to cores (advisory/best-effort).
-    pub pin_threads: Option<bool>,
 }
 
 impl TuningSpec {
@@ -662,16 +660,6 @@ fn opt_u64(v: &Json, key: &str) -> Result<Option<u64>, DslError> {
     }
 }
 
-fn opt_bool(v: &Json, key: &str) -> Result<Option<bool>, DslError> {
-    match v.get(key) {
-        None => Ok(None),
-        Some(b) => b
-            .as_bool()
-            .map(Some)
-            .ok_or_else(|| err(format!("`{key}` must be true or false"))),
-    }
-}
-
 fn parse_job(v: &Json) -> Result<JobFileSpec, DslError> {
     let obj = as_obj(v, "job")?;
     check_keys(obj, &["id", "nodes", "streams"], "job")?;
@@ -986,19 +974,13 @@ fn parse_tuning(v: &Json) -> Result<TuningSpec, DslError> {
     let obj = as_obj(v, "tuning")?;
     check_keys(
         obj,
-        &[
-            "payload_bytes",
-            "service_quantum_us",
-            "send_batch",
-            "pin_threads",
-        ],
+        &["payload_bytes", "service_quantum_us", "send_batch"],
         "tuning",
     )?;
     Ok(TuningSpec {
         payload_bytes: opt_u64(v, "payload_bytes")?,
         service_quantum_us: opt_u64(v, "service_quantum_us")?,
         send_batch: opt_u64(v, "send_batch")?,
-        pin_threads: opt_bool(v, "pin_threads")?,
     })
 }
 
@@ -1012,9 +994,6 @@ fn render_tuning(t: &TuningSpec) -> Json {
     }
     if let Some(n) = t.send_batch {
         pairs.push(("send_batch", Json::num_u64(n)));
-    }
-    if let Some(pin) = t.pin_threads {
-        pairs.push(("pin_threads", Json::Bool(pin)));
     }
     Json::obj(pairs)
 }
@@ -1252,15 +1231,13 @@ mod tests {
             "tuning": {
                 "payload_bytes": 8192,
                 "service_quantum_us": 500,
-                "send_batch": 64,
-                "pin_threads": true
+                "send_batch": 64
             }
         }"#;
         let file = ScenarioFile::parse(text).unwrap();
         assert_eq!(file.tuning.payload_bytes, Some(8192));
         assert_eq!(file.tuning.service_quantum_us, Some(500));
         assert_eq!(file.tuning.send_batch, Some(64));
-        assert_eq!(file.tuning.pin_threads, Some(true));
         // Canonical rendering is a fixed point of parse ∘ render.
         let canonical = file.render();
         let reparsed = ScenarioFile::parse(&canonical).unwrap();
@@ -1277,7 +1254,7 @@ mod tests {
         };
         let text = partial.render();
         assert!(text.contains("\"payload_bytes\""));
-        assert!(!text.contains("\"pin_threads\""));
+        assert!(!text.contains("\"send_batch\""));
         assert_eq!(ScenarioFile::parse(&text).unwrap(), partial);
     }
 
@@ -1299,8 +1276,6 @@ mod tests {
             r#"{"service_quantum_us": 0}"#,
             // Zero send batch.
             r#"{"send_batch": 0}"#,
-            // pin_threads must be a bool.
-            r#"{"pin_threads": 1}"#,
         ];
         for tuning in bad {
             assert!(
@@ -1308,6 +1283,12 @@ mod tests {
                 "must reject tuning {tuning}"
             );
         }
+        // A knob that was removed is an unknown key like any other.
+        let err = ScenarioFile::parse(&with_tuning(r#"{"pin_threads": true}"#)).unwrap_err();
+        assert!(
+            err.to_string().contains("unknown key `pin_threads`"),
+            "{err}"
+        );
     }
 
     #[test]
