@@ -82,6 +82,24 @@ id_type!(
     "rpc"
 );
 
+/// Bit position of the process index inside an [`RpcId`]: the low 40 bits
+/// number the process's own RPCs (a trillion per process), the high bits
+/// carry the process.
+const PROC_ID_SHIFT: u32 = 40;
+
+impl RpcId {
+    /// The id of `proc`'s `ordinal`-th RPC (counting from 0) — the one id
+    /// rule of both executors. Each process numbers its own RPCs, so ids
+    /// are unique and depend only on each process's issue history, never on
+    /// how processes interleave: everything keyed on them (crash-backlog
+    /// resend order, same-instant trace-record order) is the same on one
+    /// simulator shard, sixteen, or the live runtime's client threads.
+    #[inline]
+    pub const fn for_process(proc: ProcId, ordinal: u64) -> Self {
+        RpcId(((proc.0 as u64) << PROC_ID_SHIFT) | ordinal)
+    }
+}
+
 impl JobId {
     /// Human-readable JobID label in the paper's `%e.%H` style.
     pub fn label(self) -> String {
@@ -106,6 +124,12 @@ mod tests {
         assert_eq!(OstId(1).to_string(), "ost1");
         assert_eq!(ClientId(7).to_string(), "client7");
         assert_eq!(RuleId(9).to_string(), "rule9");
+    }
+
+    #[test]
+    fn rpc_ids_are_process_local() {
+        assert_eq!(RpcId::for_process(ProcId(0), 2), RpcId(2));
+        assert_eq!(RpcId::for_process(ProcId(3), 1), RpcId((3 << 40) | 1));
     }
 
     #[test]

@@ -9,7 +9,10 @@
 //! RPCs), drained non-blockingly after every blocking receive. Issued
 //! counts are recorded only **after** a successful send, so the
 //! collector's issued totals match `ProcFinal.issued` exactly even when
-//! an OST hangs up mid-run.
+//! an OST hangs up mid-run. RPC ids follow the simulator's rule
+//! ([`RpcId::for_process`]): each thread numbers its own RPCs, so id order
+//! — what a crashed OST's backlog resends in — owes nothing to how the
+//! client threads interleave.
 
 use crate::clock::WallClock;
 use crate::metrics::ClientSlot;
@@ -18,8 +21,6 @@ use adaptbf_model::{ClientId, JobId, OpCode, ProcId, Rpc, RpcId, SimTime};
 use adaptbf_workload::{FaultPlan, ProcessSpec};
 use bytes::Bytes;
 use crossbeam::channel::{bounded, RecvTimeoutError, Sender};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -50,7 +51,6 @@ pub fn spawn_process(
     ost_txs: Vec<Sender<LiveBatch>>,
     faults: FaultPlan,
     clock: WallClock,
-    rpc_ids: Arc<AtomicU64>,
     payload: Bytes,
     slot: ClientSlot,
     max_batch: usize,
@@ -59,8 +59,8 @@ pub fn spawn_process(
         .name(format!("{job}-{proc_id}"))
         .spawn(move || {
             run_process(
-                job, proc_id, client, spec, horizon, ost_txs, faults, clock, rpc_ids, payload,
-                slot, max_batch,
+                job, proc_id, client, spec, horizon, ost_txs, faults, clock, payload, slot,
+                max_batch,
             )
         })
         .expect("spawn client thread")
@@ -76,7 +76,6 @@ fn run_process(
     ost_txs: Vec<Sender<LiveBatch>>,
     faults: FaultPlan,
     clock: WallClock,
-    rpc_ids: Arc<AtomicU64>,
     payload: Bytes,
     slot: ClientSlot,
     max_batch: usize,
@@ -140,9 +139,8 @@ fn run_process(
                 .min((spec.max_inflight - inflight) as u64)
                 .min(max_batch as u64);
             for k in 0..n {
-                let id = RpcId(rpc_ids.fetch_add(1, Ordering::Relaxed));
                 let rpc = Rpc {
-                    id,
+                    id: RpcId::for_process(proc_id, issued + k),
                     job,
                     client,
                     proc_id,

@@ -27,8 +27,6 @@ use adaptbf_workload::Scenario;
 use bytes::Bytes;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use std::collections::BTreeMap;
-use std::sync::atomic::AtomicU64;
-use std::sync::Arc;
 
 /// Hardware tuning of the live testbed (the wall-clock analogue of the
 /// simulator's `ClusterConfig`).
@@ -265,7 +263,6 @@ impl LiveCluster {
 
         // Client process threads, placed over clients and OSTs by the
         // same `client_of`/`base_ost`/`stripe_ost` rule as the simulator.
-        let rpc_ids = Arc::new(AtomicU64::new(0));
         let mut handles = Vec::new();
         let mut proc_idx = 0usize;
         for job in &scenario.jobs {
@@ -283,7 +280,6 @@ impl LiveCluster {
                     ost_txs,
                     *faults,
                     clock,
-                    rpc_ids.clone(),
                     payload.clone(),
                     metrics.client_slot(proc_idx),
                     tuning.max_batch,
@@ -367,7 +363,7 @@ impl LiveCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adaptbf_model::{AdapTbfConfig, SimDuration, SimTime};
+    use adaptbf_model::{AdapTbfConfig, RpcId, SimDuration, SimTime};
     use adaptbf_workload::faults::{ChurnSpec, CrashSpec, DegradeSpec, StallSpec};
     use adaptbf_workload::{JobSpec, ProcessSpec};
 
@@ -683,6 +679,21 @@ mod tests {
             trace.records.windows(2).all(|w| w[0].at <= w[1].at),
             "records are chronological"
         );
+        // Ids follow the simulator's rule — each process numbers its own
+        // RPCs from 0 inside its own id range — so they are unique with no
+        // counter shared between the client threads.
+        let ids: std::collections::BTreeSet<RpcId> =
+            trace.records.iter().map(|r| r.rpc.id).collect();
+        assert_eq!(ids.len(), trace.records.len(), "ids are unique");
+        for rec in &trace.records {
+            let proc = rec.rpc.proc_id;
+            let range = RpcId::for_process(proc, 0)..RpcId::for_process(ProcId(proc.0 + 1), 0);
+            assert!(range.contains(&rec.rpc.id), "{} from {proc}", rec.rpc.id);
+            assert!(
+                ids.contains(&range.start),
+                "{proc}'s first RPC is ordinal 0"
+            );
+        }
         // The round-trip through the text format is identity — the trace
         // is well-formed for the simulator's replay front end.
         let parsed = Trace::from_text(&trace.to_text()).expect("parses");

@@ -8,11 +8,6 @@
 
 use adaptbf_model::{ClientId, JobId, OpCode, ProcId, Rpc, RpcId, SimTime};
 
-/// Bit position of the process index inside an [`RpcId`]: the low 40 bits
-/// number the process's own RPCs (a trillion per process), the high bits
-/// carry the process. Ids stay unique *and* executor-independent.
-pub const PROC_ID_SHIFT: u32 = 40;
-
 /// Mutable state of one workload process during a run.
 #[derive(Debug, Clone)]
 pub struct ProcessState {
@@ -109,17 +104,12 @@ impl ProcessState {
     /// reply is measurable at million-RPC scale). The buffer is *appended*
     /// to; callers clear or drain it.
     ///
-    /// RPC ids are `(proc << PROC_ID_SHIFT) | issue-ordinal`: each process
-    /// numbers its own RPCs, so the ids a run produces depend only on each
-    /// process's issue history — not on how processes interleave globally.
-    /// (A shared global counter would make ids — and everything keyed on
-    /// them, like crash-backlog resend order — depend on the executor's
-    /// event interleaving, which the sharded engine must not.)
+    /// RPC ids follow the one rule of both executors,
+    /// [`RpcId::for_process`]: the process and its issue ordinal.
     pub fn issue_into(&mut self, now: SimTime, out: &mut Vec<Rpc>) {
         while self.available > 0 && self.inflight < self.max_inflight {
-            let id = RpcId(((self.proc_id.raw() as u64) << PROC_ID_SHIFT) | self.issued);
             out.push(Rpc {
-                id,
+                id: RpcId::for_process(self.proc_id, self.issued),
                 job: self.job,
                 client: self.client,
                 proc_id: self.proc_id,
@@ -219,7 +209,7 @@ mod tests {
         assert_eq!(r.client, ClientId(2));
         assert_eq!(r.size_bytes, 4096);
         assert_eq!(r.issued_at, SimTime::from_secs(5));
-        assert_eq!(r.id, RpcId(3u64 << PROC_ID_SHIFT));
+        assert_eq!(r.id, RpcId::for_process(ProcId(3), 0));
     }
 
     #[test]
@@ -235,7 +225,10 @@ mod tests {
         assert_eq!(ids_a, vec![RpcId(0), RpcId(1)]);
         assert_eq!(
             ids_b,
-            vec![RpcId(1 << PROC_ID_SHIFT), RpcId((1 << PROC_ID_SHIFT) | 1)]
+            vec![
+                RpcId::for_process(ProcId(1), 0),
+                RpcId::for_process(ProcId(1), 1)
+            ]
         );
     }
 }

@@ -23,16 +23,19 @@
 //! just sent from landing behind it (`Shard::run_capped`); everyone
 //! else is bounded by the first promise. When exactly one emitting shard
 //! holds events, its hard bound is open (`∞`) and it drains **solo** — no
-//! barrier at all — until one lookahead past its first actual emission
-//! ([`LoopStats::solo_drains`]). Cross-shard
-//! messages are buffered in per-destination outboxes during the window
-//! and exchanged at the barrier. (The original static
-//! `[t_min, t_min + L)` protocol survives only in this module's tests, as
-//! the oracle the adaptive windows are proptested against.)
+//! peer bound at all — until one lookahead past its first actual emission
+//! ([`LoopStats::solo_drains`]). Cross-shard messages are buffered in
+//! per-destination outboxes during the window and exchanged between
+//! epochs. One thread drives the whole coupled group — its windows hold a
+//! handful of events, far too few to pay for a barrier — while the
+//! independent shards, which share nothing with it or each other, fan out
+//! over [`crate::RunGrid`]. (The original static `[t_min, t_min + L)`
+//! protocol survives only in this module's tests, as the oracle the
+//! adaptive windows are checked against.)
 //!
 //! The code is split by responsibility: this file holds the configuration,
 //! the [`Cluster`] blueprint and its builders; `shard` the per-shard event
-//! state machine; `windows` the emits analysis and the epoch drivers;
+//! state machine; `windows` the emits analysis and the epoch driver;
 //! `merge` the fold of per-shard outputs into one [`RawRunOutput`].
 //!
 //! ## Why the shard count cannot change the run
@@ -61,13 +64,6 @@
 //!    (`FaultPlan::crashed_at` / `FaultPlan::route` — the same functions
 //!    the live runtime routes by).
 //!
-//! Same-timestamp coalescing (reply batches, duplicate thread wakes) may
-//! group events differently per shard count — the queue only coalesces
-//! *adjacent* matches, and what is adjacent differs — but all events that
-//! can touch an entity live on its shard, so a coalesced batch performs
-//! exactly the pushes, draws and state changes of the same events handled
-//! singly. Only [`LoopStats::coalesced`] / peak depth (diagnostics, not
-//! part of the digest) can differ.
 
 mod merge;
 mod shard;
@@ -134,22 +130,20 @@ impl Default for ClusterConfig {
 /// runs these are the [`LoopStats::absorb`] fold over all shards.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LoopStats {
-    /// Events popped and handled (including coalesced ones). Invariant
-    /// across shard counts: every shard count processes the same events.
+    /// Events popped and handled. Invariant across shard counts: every
+    /// shard count processes the same events.
     pub events: u64,
     /// Future-event-list population high-water mark, sampled at pop time.
     /// On sharded runs: the *sum* of per-shard peaks — an upper bound on
     /// the global population (shards need not peak at the same instant),
     /// deterministic for a given shard count.
     pub peak_queue_depth: usize,
-    /// Events absorbed by same-timestamp coalescing (reply batches and
-    /// duplicate thread wakes) instead of being dispatched individually.
-    /// Depends on queue adjacency and thus on the shard count (see the
-    /// module docs); deterministic for a given shard count.
+    /// Always 0: the loop handles every event singly. The field stays only
+    /// because the frozen `benchmark/src/sim_run.rs` names it; it goes with
+    /// the next benchmark revision (ROADMAP item 4).
     pub coalesced: u64,
     /// Epoch rounds the coupled protocol ran (0 when every shard drained
-    /// independently). Two barriers per epoch on the threaded path.
-    /// Deterministic for a given shard count and window mode, and
+    /// independently). Deterministic for a given shard count, and
     /// identical for any worker count.
     pub epochs: u64,
     /// Times the solo fast path engaged: exactly one emitting shard held
@@ -169,7 +163,6 @@ impl LoopStats {
     pub fn absorb(&mut self, other: &LoopStats) {
         self.events += other.events;
         self.peak_queue_depth += other.peak_queue_depth;
-        self.coalesced += other.coalesced;
         self.epochs += other.epochs;
         self.solo_drains += other.solo_drains;
         self.inbox_flushes += other.inbox_flushes;
@@ -378,7 +371,7 @@ impl Cluster {
             },
             // `ADAPTBF_SHARDS` if set, else 1: an execution parameter, not
             // wiring — see [`Cluster::shards`].
-            n_shards: crate::pool::env_count("ADAPTBF_SHARDS").unwrap_or(1),
+            n_shards: crate::run_grid::env_count("ADAPTBF_SHARDS").unwrap_or(1),
         }
     }
 
@@ -415,7 +408,7 @@ impl Cluster {
     fn execute(
         mut self,
         record: bool,
-        drive: fn(&Shared, &mut [Shard], usize) -> u64,
+        drive: impl FnOnce(&Shared, &mut [Shard]) -> u64,
     ) -> (RawRunOutput, Option<Trace>) {
         let lookahead = min_latency(&self.cfg.network);
         // Which shards can ever touch cross-shard traffic? A static
@@ -446,7 +439,7 @@ impl Cluster {
         if let [only] = &mut shards[..] {
             only.drain(&shared);
         } else {
-            epochs = drive(&shared, &mut shards, crate::pool::worker_count());
+            epochs = drive(&shared, &mut shards);
         }
         if shared.faults.ost_crash.is_some() {
             for shard in &mut shards {

@@ -72,9 +72,9 @@ pub(super) enum Event {
 }
 
 /// A cross-shard event in flight: buffered in the sender's outbox during
-/// an epoch, delivered into the destination shard's queue at the barrier.
-/// The canonical key makes delivery order irrelevant — the queue restores
-/// the exact global `(time, key)` order.
+/// an epoch, delivered into the destination shard's queue before the next
+/// one. The canonical key makes delivery order irrelevant — the queue
+/// restores the exact global `(time, key)` order.
 pub(super) struct Msg {
     pub(super) at: SimTime,
     pub(super) key: u64,
@@ -328,53 +328,17 @@ impl Shard {
                 self.dispatch(sh, l, now);
             }
             Event::ThreadWake { ost, at } => {
-                // Coalesce duplicate wakes for the same (ost, deadline)
-                // queued back-to-back: only one can be live — the rest
-                // would each fail the pending_wake check below anyway.
-                while self
-                    .queue
-                    .pop_if(|t, e| {
-                        t == now
-                            && matches!(e, Event::ThreadWake { ost: o, at: a }
-                                        if *o == ost && *a == at)
-                    })
-                    .is_some()
-                {
-                    self.loop_stats.events += 1;
-                    self.loop_stats.coalesced += 1;
-                }
                 let l = sh.ost_local[ost] as usize;
                 if self.osts[l].pending_wake == Some(at) {
                     self.osts[l].pending_wake = None;
                     self.dispatch(sh, l, now);
                 }
-                // Otherwise stale: a nearer wake superseded this one.
+                // Otherwise stale: a nearer wake superseded this one (or a
+                // duplicate for the same deadline already consumed it).
             }
             Event::ReplyAtClient { proc } => {
-                // A service batch completing at one instant produces a run
-                // of back-to-back replies to the same process; coalescing
-                // them re-opens the whole window in one pass. Equivalent to
-                // handling each reply alone: intermediate replies cannot
-                // make the process quiescent (it still has outstanding
-                // RPCs) and each opens at most one window slot, so the
-                // batched issue emits the same RPCs in the same order with
-                // the same RNG draws and event keys.
-                let mut replies = 1u64;
-                while self
-                    .queue
-                    .pop_if(|t, e| {
-                        t == now && matches!(e, Event::ReplyAtClient { proc: p } if *p == proc)
-                    })
-                    .is_some()
-                {
-                    replies += 1;
-                }
-                self.loop_stats.events += replies - 1;
-                self.loop_stats.coalesced += replies - 1;
                 let l = sh.proc_local[proc] as usize;
-                for _ in 0..replies {
-                    self.procs[l].on_reply();
-                }
+                self.procs[l].on_reply();
                 self.try_issue(sh, proc, now);
                 // Closed-loop bursters release their next burst `think`
                 // after the current one fully completes.

@@ -12,7 +12,7 @@ use super::*;
 use crate::report::report_body_digest;
 use adaptbf_model::{JobId, NetworkConfig};
 use adaptbf_workload::faults::{ChurnSpec, CrashSpec};
-use adaptbf_workload::{JobSpec, PlanBounds, ProcessSpec};
+use adaptbf_workload::{JobSpec, PlanBounds, ProcessSpec, WorkChunk};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -47,7 +47,7 @@ impl Shard {
 /// ≥ t_min + L — outside the window — so no shard can miss an incoming
 /// event it should have processed this epoch; the lookahead floor on
 /// client resends preserves this for fault redeliveries too.
-fn run_fixed(shared: &Shared, shards: &mut [Shard], _workers: usize) -> u64 {
+fn run_fixed(shared: &Shared, shards: &mut [Shard]) -> u64 {
     let end_ns = shared.end.as_nanos();
     let mut inboxes: Vec<Vec<Msg>> = shards.iter().map(|_| Vec::new()).collect();
     let mut epochs = 0u64;
@@ -451,7 +451,7 @@ fn assert_same_run(a: &RawRunOutput, b: &RawRunOutput, what: &str) {
 
 #[test]
 fn sharded_runs_match_single_shard_exactly() {
-    // 4 OSTs, stripe 2, no crash: the coupled epoch-barrier path with
+    // 4 OSTs, stripe 2, no crash: the coupled epoch path with
     // real cross-shard arrivals and replies at every shard count > 1.
     let cfg = ClusterConfig {
         n_osts: 4,
@@ -723,40 +723,47 @@ fn crash_window_with_an_eventless_peer_stays_solo() {
 }
 
 #[test]
-fn pooled_driver_matches_sequential_and_counters_agree() {
-    // The persistent worker pool and the heap-driven sequential
-    // driver must produce the same run *and* the same loop counters.
-    // `RunGrid` nesting pins the worker count deterministically:
-    // budget/items = 1 forces the sequential driver, 4 the pool.
+fn thread_budget_changes_nothing() {
+    // The coupled group runs on one thread and the independent shards fan
+    // out beside it, so the thread budget must change neither the run nor
+    // any loop counter. `RunGrid` nesting pins the budget a cluster run
+    // sees: budget/items = 1 runs every item inline, 4 fans them out.
     //
     // 4 OSTs: every shard emits. 8 OSTs: the four processes sit on OSTs
     // 0..=4, so shards 0–2 couple while shard 3 only ever sees its own
-    // control ticks — a *mixed* partition, whose independent shard the
-    // pool must drain too (it once skipped them).
+    // control ticks — a *mixed* partition, whose independent shard must be
+    // drained too (a worker pool once skipped it): the 1-shard run is the
+    // reference, so an undrained shard shows as missing events.
+    let released: u64 = tiny_scenario()
+        .released_by_job()
+        .iter()
+        .map(|&(_, rpcs)| rpcs)
+        .sum();
     for n_osts in [4, 8] {
         let cfg = ClusterConfig {
             n_osts,
             stripe_count: 2,
             ..Default::default()
         };
+        let build = || Cluster::build_with(&tiny_scenario(), Policy::adaptbf_default(), 29, cfg);
         let run_at = |grid_threads: usize| {
             crate::RunGrid::with_threads(grid_threads)
-                .run(vec![(), ()], |_| {
-                    Cluster::build_with(&tiny_scenario(), Policy::adaptbf_default(), 29, cfg)
-                        .shards(4)
-                        .run()
-                })
+                .run(vec![(), ()], |_| build().shards(4).run())
                 .pop()
                 .expect("two runs")
         };
-        let seq = run_at(2); // share 1 → sequential epochs
-        let pooled = run_at(8); // share 4 → worker pool
-        assert_same_run(&seq, &pooled, "pool vs sequential");
+        let base = build().shards(1).run();
+        let inline = run_at(2); // share 1
+        let fanned = run_at(8); // share 4
+        assert_same_run(&base, &inline, "1 shard vs 4 shards, share 1");
+        assert_same_run(&base, &fanned, "1 shard vs 4 shards, share 4");
         assert_eq!(
-            seq.loop_stats, pooled.loop_stats,
-            "drivers must agree on every counter"
+            inline.loop_stats, fanned.loop_stats,
+            "the worker count must not reach any counter"
         );
-        assert!(seq.loop_stats.epochs > 0, "this wiring couples");
+        assert_eq!(fanned.metrics.total_served(), released);
+        assert!(fanned.overheads.iter().all(|o| o.ticks > 0));
+        assert!(inline.loop_stats.epochs > 0, "this wiring couples");
     }
 }
 
@@ -765,7 +772,7 @@ fn loop_stats_fold_sums_events_and_bounds_depth() {
     let mut a = LoopStats {
         events: 5,
         peak_queue_depth: 3,
-        coalesced: 1,
+        coalesced: 0,
         epochs: 2,
         solo_drains: 1,
         inbox_flushes: 4,
@@ -773,7 +780,7 @@ fn loop_stats_fold_sums_events_and_bounds_depth() {
     a.absorb(&LoopStats {
         events: 7,
         peak_queue_depth: 4,
-        coalesced: 2,
+        coalesced: 0,
         epochs: 3,
         solo_drains: 2,
         inbox_flushes: 5,
@@ -783,15 +790,15 @@ fn loop_stats_fold_sums_events_and_bounds_depth() {
         LoopStats {
             events: 12,
             peak_queue_depth: 7,
-            coalesced: 3,
+            coalesced: 0,
             epochs: 5,
             solo_drains: 3,
             inbox_flushes: 9,
         }
     );
     // The folded event count is invariant across shard counts (every
-    // shard count handles the same events); the coalesced count and
-    // depth bound are per-shard-count deterministic but not invariant.
+    // shard count handles the same events); the depth bound is
+    // per-shard-count deterministic but not invariant.
     let cfg = ClusterConfig {
         n_osts: 4,
         stripe_count: 2,
@@ -920,4 +927,138 @@ fn fixed_oracle_agrees_around_a_solo_crash_window() {
         "adaptive windows diverged from the single queue"
     );
     assert_eq!(base, fixed, "fixed oracle diverged from the single queue");
+}
+
+// ---- the epoch protocol, enumerated ---------------------------------------
+
+/// `sh` with its lookahead replaced. Any value in `(0, minimum latency]`
+/// is a valid conservative lookahead, so the protocol must produce the
+/// same run under each; `execute` only ever derives the largest.
+fn with_lookahead(sh: &Shared, lookahead: SimDuration) -> Shared {
+    Shared {
+        lookahead,
+        policy: sh.policy,
+        end: sh.end,
+        network: sh.network,
+        stripe_count: sh.stripe_count,
+        n_osts: sh.n_osts,
+        faults: sh.faults,
+        replay: sh.replay,
+        emits: sh.emits.clone(),
+        ost_shard: sh.ost_shard.clone(),
+        ost_local: sh.ost_local.clone(),
+        proc_shard: sh.proc_shard.clone(),
+        proc_local: sh.proc_local.clone(),
+    }
+}
+
+/// Append to `out` every non-empty multiset of up to `max` slots out of
+/// `0..n_slots` that extends `prefix`, as non-decreasing index lists.
+fn multisets(prefix: &mut Vec<usize>, n_slots: usize, max: usize, out: &mut Vec<Vec<usize>>) {
+    if !prefix.is_empty() {
+        out.push(prefix.clone());
+    }
+    if prefix.len() < max {
+        for slot in prefix.last().copied().unwrap_or(0)..n_slots {
+            prefix.push(slot);
+            multisets(prefix, n_slots, max, out);
+            prefix.pop();
+        }
+    }
+}
+
+#[test]
+fn epoch_protocol_is_exact_on_every_small_placement() {
+    // With one driver thread the protocol is a pure function of where
+    // events fall, so enumerate it: every placement of up to four 2-RPC
+    // chunks (stripe 2: one RPC stays, one crosses) at instants on and
+    // around the window edges, over three processes on three OSTs. No
+    // jitter anywhere, so arrivals, completions and replies of different
+    // entities collide on the same nanosecond — the tie-heavy regime in
+    // which handling a run of same-instant replies or wakes one at a time
+    // must issue the same RPCs, with the same keys, as any grouping.
+    // Adaptive windows ≡ the fixed-window oracle ≡ the single queue, at the
+    // widest lookahead and at the narrowest.
+    let network = NetworkConfig {
+        base_latency: SimDuration::from_micros(100),
+        jitter: 0.0,
+    };
+    let cfg = ClusterConfig {
+        n_osts: 3,
+        stripe_count: 2,
+        network,
+        ost: adaptbf_model::OstConfig {
+            service_jitter: 0.0,
+            ..paper::ost()
+        },
+        ..Default::default()
+    };
+    // Full jitter: a latency draw can be zero, no window exists, and a
+    // coupled partition must degrade to the single queue.
+    let zero_lookahead = ClusterConfig {
+        network: NetworkConfig {
+            jitter: 1.0,
+            ..network
+        },
+        ..cfg
+    };
+    let l = min_latency(&network).as_nanos();
+    assert_eq!(min_latency(&zero_lookahead.network), SimDuration::ZERO);
+    let instants = [0, l - 1, l, l + 1, 2 * l];
+    let n_procs = cfg.n_osts;
+    let policy = Policy::NoBw;
+    let mut placements = Vec::new();
+    multisets(
+        &mut Vec::new(),
+        n_procs * instants.len(),
+        4,
+        &mut placements,
+    );
+    assert_eq!(placements.len(), 3875, "C(15 + 4, 4) − 1");
+    for placement in placements {
+        let jobs = (0..n_procs)
+            .map(|p| {
+                let chunks = placement
+                    .iter()
+                    .filter(|&&slot| slot / instants.len() == p)
+                    .map(|&slot| WorkChunk {
+                        at: SimTime(instants[slot % instants.len()]),
+                        rpcs: 2,
+                    })
+                    .collect();
+                JobSpec::uniform(JobId(p as u32 + 1), 1, 1, ProcessSpec::timed(chunks))
+            })
+            .collect();
+        let scenario = Scenario::new("enumerated", "", jobs, SimDuration::from_millis(100));
+        let build = |cfg, n| Cluster::build_with(&scenario, policy, 3, cfg).shards(n);
+        let digest = |out| digest_of(&scenario, policy, out);
+        let base = digest(build(cfg, 1).run());
+        for n in [2, 3] {
+            let adaptive = build(cfg, n).run();
+            let fixed = run_under_fixed_oracle(build(cfg, n));
+            assert!(adaptive.loop_stats.epochs > 0, "{placement:?} must couple");
+            assert!(adaptive.loop_stats.epochs <= fixed.loop_stats.epochs);
+            let tight = |drive: fn(&Shared, &mut [Shard]) -> u64| {
+                let narrowed = |sh: &Shared, shards: &mut [Shard]| {
+                    drive(&with_lookahead(sh, SimDuration(1)), shards)
+                };
+                digest(build(cfg, n).execute(false, narrowed).0)
+            };
+            for (what, got) in [
+                ("adaptive", digest(adaptive)),
+                ("fixed oracle", digest(fixed)),
+                ("adaptive, 1 ns lookahead", tight(windows::run_sharded)),
+                ("fixed oracle, 1 ns lookahead", tight(run_fixed)),
+            ] {
+                assert_eq!(base, got, "{what} at {n} shards on {placement:?}");
+            }
+        }
+        let degraded = build(zero_lookahead, 3).run();
+        assert_eq!(degraded.loop_stats.epochs, 0, "no window, no epochs");
+        assert_eq!(
+            digest(build(zero_lookahead, 1).run()),
+            digest(degraded),
+            "zero-lookahead fallback on {placement:?}"
+        );
+    }
 }

@@ -348,16 +348,15 @@ impl<E> EventQueue<E> {
     }
 
     /// Timestamp of the earliest pending event, without popping it or
-    /// advancing the clock. Used by the epoch-barrier executor to publish
+    /// advancing the clock. Used by the epoch driver to publish
     /// each shard's next-event time.
     pub fn peek_at(&mut self) -> Option<SimTime> {
         let (slot, idx) = self.locate_min()?;
         Some(self.ring[slot][idx].at)
     }
 
-    /// Pop the earliest event only if `pred` accepts it (used to coalesce
-    /// runs of equal-timestamp events aimed at the same target without
-    /// disturbing any other ordering).
+    /// Pop the earliest event only if `pred` accepts it; a rejected probe
+    /// leaves the queue and the clock untouched.
     pub fn pop_if(&mut self, pred: impl FnOnce(SimTime, &E) -> bool) -> Option<(SimTime, E)> {
         let (slot, idx) = self.locate_min()?;
         let e = &self.ring[slot][idx];

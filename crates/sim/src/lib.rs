@@ -40,7 +40,6 @@ pub mod engine;
 pub mod experiment;
 pub mod network;
 pub mod ost;
-pub(crate) mod pool;
 pub mod report;
 pub mod run_grid;
 pub mod spec;

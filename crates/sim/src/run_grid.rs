@@ -16,22 +16,37 @@ use std::sync::Mutex;
 
 thread_local! {
     /// This thread's share of the global thread budget, set by the grid
-    /// worker that spawned it (0 = not inside a grid worker). Sharded
-    /// cluster runs launched *from* a parallel grid size their worker
-    /// pools from this instead of the global budget, so
-    /// `ADAPTBF_THREADS` means **total** threads — grid parallelism and
-    /// shard workers must not multiply.
+    /// worker that spawned it (0 = not inside a grid worker). A grid built
+    /// *inside* a grid worker — the shard fan-out of a cluster run launched
+    /// from a parallel experiment grid — sizes itself from this instead of
+    /// the global budget, so `ADAPTBF_THREADS` means **total** threads:
+    /// grid parallelism and shard workers must not multiply.
     static NESTED_BUDGET: Cell<usize> = const { Cell::new(0) };
 }
 
 /// The thread budget the current thread may spend on nested parallelism,
 /// if it runs inside a [`RunGrid`] worker (`None` on free-standing
 /// threads — the caller owns the whole global budget).
-pub(crate) fn nested_budget() -> Option<usize> {
+fn nested_budget() -> Option<usize> {
     NESTED_BUDGET.with(|c| match c.get() {
         0 => None,
         n => Some(n),
     })
+}
+
+/// The process-wide thread budget: `ADAPTBF_THREADS` if set (≥ 1), else
+/// the available parallelism.
+fn global_thread_budget() -> usize {
+    env_count("ADAPTBF_THREADS")
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// A positive count from environment variable `var` (`None` when unset,
+/// unparsable or zero) — how the execution parameters `ADAPTBF_THREADS`
+/// and `ADAPTBF_SHARDS` are read.
+pub(crate) fn env_count(var: &str) -> Option<usize> {
+    let parsed = std::env::var(var).ok()?.parse::<usize>().ok()?;
+    (parsed >= 1).then_some(parsed)
 }
 
 /// Executor fanning independent runs over `std::thread::scope` workers.
@@ -51,7 +66,7 @@ impl RunGrid {
     /// budget share when nested inside another [`RunGrid`], otherwise
     /// `ADAPTBF_THREADS` if set, otherwise the available parallelism.
     pub fn new() -> Self {
-        let threads = nested_budget().unwrap_or_else(crate::pool::global_thread_budget);
+        let threads = nested_budget().unwrap_or_else(global_thread_budget);
         RunGrid { threads }
     }
 
@@ -180,15 +195,27 @@ mod tests {
     }
 
     #[test]
-    fn shard_workers_consult_the_grid_share() {
-        // The cluster's worker pool sizes itself from the nested budget
-        // when running inside a grid worker.
-        let counts = RunGrid::with_threads(6).run(vec![(); 6], |_| crate::pool::worker_count());
+    fn a_nested_grid_is_sized_from_its_share() {
+        // The shard fan-out of a cluster run is a grid built inside a grid
+        // worker: it gets the worker's share, not the global budget again.
+        let counts = RunGrid::with_threads(6).run(vec![(); 6], |_| RunGrid::new().threads());
         assert!(
             counts.iter().all(|&c| c == 1),
             "6/6 budget → 1 each: {counts:?}"
         );
-        let counts = RunGrid::with_threads(12).run(vec![(), ()], |_| crate::pool::worker_count());
+        let counts = RunGrid::with_threads(12).run(vec![(), ()], |_| RunGrid::new().threads());
         assert_eq!(counts, vec![6, 6]);
+    }
+
+    #[test]
+    #[should_panic(expected = "a scoped thread panicked")]
+    fn a_panicking_item_propagates_at_join_instead_of_hanging() {
+        // Two real workers: one item panics, the other worker finishes the
+        // rest, and the scope re-raises at join — no worker waits on a
+        // peer, so there is nothing to hang on.
+        RunGrid::with_threads(2).run((0..8u32).collect(), |i| {
+            assert_ne!(i, 3, "item 3 fails");
+            i
+        });
     }
 }

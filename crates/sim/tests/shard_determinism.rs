@@ -71,7 +71,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Fault-free random scenarios on a striped 4-OST wiring (the coupled
-    /// epoch-barrier path): digest identical at shards 1, 2, 4, 16.
+    /// epoch path): digest identical at shards 1, 2, 4, 16.
     #[test]
     fn digest_is_shard_count_invariant(
         scenario in scenario_strategy(),
