@@ -95,13 +95,38 @@ impl AllocationController {
         self.period
     }
 
+    /// The fraction of `T_i·Δt` carried into the next period's budget,
+    /// in `[0, 1)`.
+    pub fn budget_carry(&self) -> f64 {
+        self.budget_carry
+    }
+
     /// Run one observation period: consume the stats the System Stats
     /// Controller collected and produce the grants the Rule Management
     /// Daemon should apply for the next `Δt`.
     ///
     /// Jobs with zero observed demand are not *active* (Section III-C-1)
     /// and receive no allocation; their ledger state is untouched.
+    ///
+    /// This is [`AllocationController::step_into`] with a sink that keeps
+    /// every [`JobTrace`] in `trace.jobs`.
     pub fn step(&mut self, observations: &[JobObservation]) -> AllocationOutcome {
+        let mut jobs = Vec::new();
+        let mut outcome = self.step_into(observations, |jt| jobs.push(*jt));
+        outcome.trace.jobs = jobs;
+        outcome
+    }
+
+    /// [`AllocationController::step`] with the per-job diagnostics handed
+    /// to `sink`, one [`JobTrace`] per active job in job order, instead of
+    /// collected: the returned outcome's `trace.jobs` is empty. A caller
+    /// that reads two of the trace's fields (the control plane's gauges)
+    /// pays for those two, not for a vector of all twenty-one.
+    pub fn step_into(
+        &mut self,
+        observations: &[JobObservation],
+        mut sink: impl FnMut(&JobTrace),
+    ) -> AllocationOutcome {
         let period = self.period;
         self.period += 1;
         let AllocationController {
@@ -290,7 +315,6 @@ impl AllocationController {
         // ---- Persist & emit --------------------------------------------
         let period_secs = config.period.as_secs_f64();
         let mut allocations = Vec::with_capacity(n);
-        let mut job_traces = Vec::with_capacity(n);
         for i in 0..n {
             let job = obs[i].job;
             let a3 = a2(i) - reclaimed[i] + comp_gain[i];
@@ -308,7 +332,7 @@ impl AllocationController {
                 tokens: a3,
                 rate_tps: a3 as f64 / period_secs,
             });
-            job_traces.push(JobTrace {
+            sink(&JobTrace {
                 job,
                 nodes: nodes[i],
                 demand: demand[i],
@@ -341,7 +365,7 @@ impl AllocationController {
                 reclaim_coefficient: c,
                 reclaim_coefficient_raw: c_raw,
                 total_reclaimed,
-                jobs: job_traces,
+                jobs: Vec::new(),
             },
         }
     }
@@ -561,6 +585,22 @@ mod tests {
             (a.rate_tps - 500.0).abs() < 1e-9,
             "50 tokens / 100 ms = 500 tps"
         );
+    }
+
+    #[test]
+    fn a_period_looks_up_only_its_active_jobs() {
+        // 4,096 jobs have been seen and idle in the ledger; a period with 8
+        // active ones makes two lookups each — read, then store — however
+        // many entries sit behind them.
+        let mut c = controller();
+        let crowd: Vec<JobObservation> = (0..4096).map(|j| obs(j, 1, 5)).collect();
+        c.step(&crowd);
+        assert_eq!(c.ledger().len(), 4096);
+        let before = c.ledger.lookups;
+        let active: Vec<JobObservation> = (0..8).map(|j| obs(j * 500, 1, 50)).collect();
+        let out = c.step(&active);
+        assert_eq!(out.allocations.len(), 8);
+        assert_eq!(c.ledger.lookups - before, 16);
     }
 
     #[test]

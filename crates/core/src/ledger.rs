@@ -6,11 +6,17 @@
 //! and the last applied allocation, which Eq 3 needs as `α^{t-1}_x`).
 //! Entries are never garbage-collected: a departed job's record stays so
 //! the global ledger invariant `Σ_x r_x = 0` holds forever.
+//!
+//! That is also why the store is slot-indexed: a control cycle touches
+//! only the period's *active* jobs (two lookups each — read at period
+//! start, write at period end), while the entries of every job ever seen
+//! pile up behind them. A [`JobSlots`] interner makes each lookup an array
+//! index whatever the pile's size; the job-ordered slot list that
+//! [`JobLedger::iter`] walks is only written when a job is first seen.
 
 use crate::forecast::ForecastState;
-use adaptbf_model::JobId;
+use adaptbf_model::{JobId, JobSlots};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Persistent per-job state.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -43,9 +49,17 @@ impl LedgerEntry {
 }
 
 /// The per-OST ledger of [`LedgerEntry`]s, keyed by job.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct JobLedger {
-    entries: BTreeMap<JobId, LedgerEntry>,
+    slots: JobSlots,
+    /// Entries by slot (first-sight order).
+    entries: Vec<LedgerEntry>,
+    /// Every slot, in ascending job order.
+    by_job: Vec<u32>,
+    /// Work counter behind the per-cycle cost tests: [`JobLedger::entry`]
+    /// calls made.
+    #[cfg(test)]
+    pub(crate) lookups: u64,
 }
 
 impl JobLedger {
@@ -56,30 +70,43 @@ impl JobLedger {
 
     /// Entry for `job`, default-initialized if unseen.
     pub fn entry(&mut self, job: JobId) -> &mut LedgerEntry {
-        self.entries.entry(job).or_default()
+        #[cfg(test)]
+        {
+            self.lookups += 1;
+        }
+        let slot = self.slots.intern(job);
+        if slot == self.entries.len() {
+            self.entries.push(LedgerEntry::default());
+            // Jobs mostly show up in id order, which is a push.
+            let slots = &self.slots;
+            let at = self
+                .by_job
+                .partition_point(|&s| slots.job(s as usize) < job);
+            self.by_job.insert(at, slot as u32);
+        }
+        &mut self.entries[slot]
     }
 
     /// Read-only entry lookup.
     pub fn get(&self, job: JobId) -> Option<&LedgerEntry> {
-        self.entries.get(&job)
+        self.slots.get(job).map(|slot| &self.entries[slot])
     }
 
     /// The record `r_x`, zero for unseen jobs.
     pub fn record(&self, job: JobId) -> i64 {
-        self.entries.get(&job).map_or(0, |e| e.record)
+        self.get(job).map_or(0, |e| e.record)
     }
 
     /// [`LedgerEntry::previous_alloc`] of `job`, zero for unseen jobs.
     pub fn previous_alloc(&self, job: JobId, previous_period: u64) -> u64 {
-        self.entries
-            .get(&job)
+        self.get(job)
             .map_or(0, |e| e.previous_alloc(previous_period))
     }
 
     /// Sum of all records — the ledger conservation invariant says this is
     /// always zero.
     pub fn record_sum(&self) -> i64 {
-        self.entries.values().map(|e| e.record).sum()
+        self.entries.iter().map(|e| e.record).sum()
     }
 
     /// Number of jobs ever seen.
@@ -94,7 +121,17 @@ impl JobLedger {
 
     /// Iterate entries in job order.
     pub fn iter(&self) -> impl Iterator<Item = (JobId, &LedgerEntry)> {
-        self.entries.iter().map(|(j, e)| (*j, e))
+        self.by_job
+            .iter()
+            .map(|&slot| (self.slots.job(slot as usize), &self.entries[slot as usize]))
+    }
+}
+
+/// Ledgers are equal when they hold the same entries for the same jobs,
+/// whatever order the jobs were first seen in.
+impl PartialEq for JobLedger {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
     }
 }
 

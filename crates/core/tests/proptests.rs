@@ -12,10 +12,11 @@
 //!   grants converge to the node-share ratios;
 //! * **determinism** — identical inputs yield identical outcomes.
 
-use adaptbf_core::AllocationController;
+use adaptbf_core::{AllocationController, JobLedger, LedgerEntry};
 use adaptbf_model::config::paper;
 use adaptbf_model::{JobId, JobObservation};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// One random period: per-job demand (0 = inactive that period).
 fn demand_seq(n_jobs: usize, periods: usize) -> impl Strategy<Value = Vec<Vec<u64>>> {
@@ -197,6 +198,79 @@ proptest! {
                 out.trace.total_allocated(),
                 out.trace.budget
             );
+        }
+    }
+
+    /// The sink form against the collecting wrapper: the same traces in
+    /// the same order, and a sink that throws them away changes nothing
+    /// the controller keeps or returns.
+    #[test]
+    fn step_equals_step_into_with_any_sink(
+        nodes in proptest::collection::vec(1u64..32, 2..6),
+        seq in demand_seq(5, 25),
+    ) {
+        let n = nodes.len();
+        let mut collecting = AllocationController::new(paper::adaptbf());
+        let mut sinking = collecting.clone();
+        let mut discarding = collecting.clone();
+        for demands in &seq {
+            let obs = observations(&nodes, &demands[..n]);
+            let want = collecting.step(&obs);
+            let mut jobs = Vec::new();
+            let mut got = sinking.step_into(&obs, |jt| jobs.push(*jt));
+            prop_assert!(got.trace.jobs.is_empty(), "the sink got them instead");
+            got.trace.jobs = jobs;
+            prop_assert_eq!(&got.trace, &want.trace);
+            prop_assert_eq!(&got.allocations, &want.allocations);
+            let dropped = discarding.step_into(&obs, |_| {});
+            prop_assert_eq!(&dropped.allocations, &want.allocations);
+            prop_assert!(discarding.ledger() == collecting.ledger());
+            prop_assert!(sinking.ledger() == collecting.ledger());
+        }
+    }
+
+    /// The slot-indexed ledger against a `BTreeMap<JobId, LedgerEntry>`
+    /// under random `entry`/`get`/`iter`/`record_sum` histories over ids
+    /// on both sides of the interner's dense limit (65,536), and `==`
+    /// against a ledger that met the same jobs in another order.
+    #[test]
+    fn ledger_equals_a_btreemap_model(
+        ops in proptest::collection::vec((0u32..4, 0u32..12, 0u64..100), 1..120),
+    ) {
+        let job = |k: u32| JobId(if k % 3 == 2 { (1 << 16) + 7 * k } else { 40 - 3 * k });
+        let mut ledger = JobLedger::new();
+        let mut model: BTreeMap<JobId, LedgerEntry> = BTreeMap::new();
+        for (op, k, v) in ops {
+            let (j, v) = (job(k), v as i64 - 50);
+            match op {
+                0 | 1 => {
+                    let (e, m) = (ledger.entry(j), model.entry(j).or_default());
+                    prop_assert_eq!(*e, *m);
+                    e.record += v;
+                    e.last_alloc = v.unsigned_abs();
+                    e.last_active_period = Some(k as u64);
+                    *m = *e;
+                }
+                2 => {
+                    prop_assert_eq!(ledger.get(j), model.get(&j));
+                    prop_assert_eq!(ledger.record(j), model.get(&j).map_or(0, |e| e.record));
+                    let prev = model.get(&j).map_or(0, |e| e.previous_alloc(k as u64));
+                    prop_assert_eq!(ledger.previous_alloc(j, k as u64), prev);
+                }
+                _ => {
+                    // The same entries met in descending job order.
+                    let mut other = JobLedger::new();
+                    for (j, e) in model.iter().rev() {
+                        *other.entry(*j) = *e;
+                    }
+                    prop_assert!(other == ledger);
+                    other.entry(j).record += 1;
+                    prop_assert!(other != ledger, "a differing or extra entry");
+                }
+            }
+            prop_assert!(ledger.iter().eq(model.iter().map(|(j, e)| (*j, e))), "job order");
+            prop_assert_eq!(ledger.record_sum(), model.values().map(|e| e.record).sum::<i64>());
+            prop_assert_eq!((ledger.len(), ledger.is_empty()), (model.len(), model.is_empty()));
         }
     }
 }

@@ -7,10 +7,9 @@
 //! the simulator's event loop and the live runtime's OST threads run the
 //! exact same control cycle.
 
-use adaptbf_core::{AllocationController, AllocationOutcome};
-use adaptbf_model::{AdapTbfConfig, JobId, JobObservation, SimTime};
+use adaptbf_core::{AllocationController, AllocationOutcome, JobTrace};
+use adaptbf_model::{AdapTbfConfig, JobId, JobObservation, JobSlots, SimTime};
 use adaptbf_tbf::{JobStatsTracker, NrsTbfScheduler, RuleDaemon};
-use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// Wall-clock overhead accounting for the control plane.
@@ -56,8 +55,10 @@ pub struct ControllerDriver {
     pub controller: AllocationController,
     /// The rule daemon mirroring allocations into TBF rules.
     pub daemon: RuleDaemon,
-    /// Node counts per job (the priority weights), from the scenario.
-    nodes: BTreeMap<JobId, u64>,
+    /// Node counts per job (the priority weights), from the scenario:
+    /// `nodes[node_slots.get(job)]`, built once.
+    node_slots: JobSlots,
+    nodes: Vec<u64>,
     overhead: ControllerOverhead,
     /// Per-tick scratch (one control cycle runs every period on every
     /// OST; reuse beats reallocating a handful of vectors each time).
@@ -67,11 +68,20 @@ pub struct ControllerDriver {
 }
 
 impl ControllerDriver {
-    /// New driver for one OST.
-    pub fn new(config: AdapTbfConfig, nodes: BTreeMap<JobId, u64>) -> Self {
+    /// New driver for one OST; `jobs` carries `(id, nodes)`, a later entry
+    /// for the same job replacing an earlier one.
+    pub fn new(config: AdapTbfConfig, jobs: &[(JobId, u64)]) -> Self {
+        let mut node_slots = JobSlots::with_capacity(jobs.len());
+        let mut nodes = Vec::with_capacity(jobs.len());
+        for &(job, n) in jobs {
+            let slot = node_slots.intern(job);
+            nodes.resize(nodes.len().max(slot + 1), n);
+            nodes[slot] = n;
+        }
         ControllerDriver {
             controller: AllocationController::new(config),
             daemon: RuleDaemon::new(),
+            node_slots,
             nodes,
             overhead: ControllerOverhead::default(),
             stats_scratch: Vec::new(),
@@ -82,26 +92,44 @@ impl ControllerDriver {
 
     /// Execute one control cycle against `scheduler`/`job_stats` at `now`:
     /// collect stats, allocate, apply rules, clear stats. Returns the
-    /// allocation outcome for metrics/tracing.
+    /// allocation outcome with every job's trace collected
+    /// ([`ControllerDriver::tick_into`] with a collecting sink).
     pub fn tick(
         &mut self,
         scheduler: &mut NrsTbfScheduler,
         job_stats: &mut JobStatsTracker,
         now: SimTime,
     ) -> AllocationOutcome {
+        let mut jobs = Vec::new();
+        let mut outcome = self.tick_into(scheduler, job_stats, now, |jt| jobs.push(*jt));
+        outcome.trace.jobs = jobs;
+        outcome
+    }
+
+    /// One control cycle whose per-job traces go to `sink` (see
+    /// [`AllocationController::step_into`]) instead of into the returned
+    /// outcome.
+    pub fn tick_into(
+        &mut self,
+        scheduler: &mut NrsTbfScheduler,
+        job_stats: &mut JobStatsTracker,
+        now: SimTime,
+        sink: impl FnMut(&JobTrace),
+    ) -> AllocationOutcome {
         let t0 = Instant::now();
 
         // (1) collect job stats (job order — the daemon relies on it).
         job_stats.collect_into(&mut self.stats_scratch);
         self.obs_scratch.clear();
-        let nodes = &self.nodes;
+        let (node_slots, nodes) = (&self.node_slots, &self.nodes);
         self.obs_scratch
-            .extend(self.stats_scratch.iter().map(|(job, demand)| {
-                JobObservation::new(*job, nodes.get(job).copied().unwrap_or(1), *demand)
+            .extend(self.stats_scratch.iter().map(|&(job, demand)| {
+                let n = node_slots.get(job).map_or(1, |slot| nodes[slot]);
+                JobObservation::new(job, n, demand)
             }));
 
         // (2-4) run the allocation algorithm (updates Job Records).
-        let outcome = self.controller.step(&self.obs_scratch);
+        let outcome = self.controller.step_into(&self.obs_scratch, sink);
 
         // (5-7) apply rules with hierarchy weights from node counts.
         self.weights_scratch.clear();
@@ -142,10 +170,8 @@ mod tests {
     }
 
     fn driver(nodes: &[(u32, u64)]) -> ControllerDriver {
-        ControllerDriver::new(
-            paper::adaptbf(),
-            nodes.iter().map(|(j, n)| (JobId(*j), *n)).collect(),
-        )
+        let jobs: Vec<(JobId, u64)> = nodes.iter().map(|(j, n)| (JobId(*j), *n)).collect();
+        ControllerDriver::new(paper::adaptbf(), &jobs)
     }
 
     fn feed(scheduler: &mut NrsTbfScheduler, stats: &mut JobStatsTracker, job: u32, n: u64) {

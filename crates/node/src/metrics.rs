@@ -15,7 +15,16 @@
 //!
 //! Event timestamps are near-monotone (the event loop's clock never runs
 //! backwards), so the `time → bucket index` division is cached and most
-//! events resolve their bucket with a single range check.
+//! events resolve their bucket with a single range check; a family keeps
+//! its row count rather than dividing its length by its stride per add.
+//!
+//! A control tick writes gauges for a whole ledger — every job the OST
+//! has ever seen, most of them idle — into one bucket, so those go in a
+//! row at a time ([`Metrics::set_records`], [`Metrics::set_allocations`]):
+//! the row, its bitmap words and the row count are found once per walk.
+//! [`Metrics::fold_shards`] is the one place per-shard collectors become a
+//! run's, for both executors; it takes its first shard as it is, so a
+//! 1-shard run folds without copying a cell.
 
 use adaptbf_model::{
     BucketSeries, JobId, JobSlots, LatencyHistogram, PerJobSeries, SimDuration, SimTime,
@@ -44,6 +53,8 @@ struct SlotSeries {
     stride: usize,
     /// Bucket-major matrix, `rows × stride`, zero-filled.
     values: Vec<f64>,
+    /// Rows in `values` (kept, not derived: every per-RPC add checks it).
+    rows: usize,
     /// Per-slot logical series length in buckets (0 = untouched; such
     /// slots are excluded from the folded [`PerJobSeries`], exactly like
     /// a job that never got a map entry in the keyed implementation).
@@ -63,13 +74,19 @@ impl SlotSeries {
             bucket,
             stride: 0,
             values: Vec::new(),
+            rows: 0,
             len: Vec::new(),
             written: Vec::new(),
         }
     }
 
-    fn rows(&self) -> usize {
-        self.values.len().checked_div(self.stride).unwrap_or(0)
+    /// Make row `idx` exist.
+    #[inline]
+    fn reach(&mut self, idx: usize) {
+        if idx >= self.rows {
+            self.rows = idx + 1;
+            self.values.resize(self.rows * self.stride, 0.0);
+        }
     }
 
     /// Words per bitmap row.
@@ -85,7 +102,7 @@ impl SlotSeries {
         if slots <= self.stride {
             return;
         }
-        let rows = self.rows();
+        let rows = self.rows;
         let stride = if rows > 0 {
             slots.max(self.stride * 2)
         } else {
@@ -121,9 +138,7 @@ impl SlotSeries {
     #[inline]
     fn cell(&mut self, slot: usize, idx: usize) -> &mut f64 {
         debug_assert!(slot < self.stride);
-        if idx >= self.rows() {
-            self.values.resize((idx + 1) * self.stride, 0.0);
-        }
+        self.reach(idx);
         if idx >= self.len[slot] {
             self.len[slot] = idx + 1;
         }
@@ -143,6 +158,30 @@ impl SlotSeries {
             self.written.resize(word + 1, 0);
         }
         self.written[word] |= 1 << (slot % 64);
+    }
+
+    /// [`SlotSeries::set`] for every `(slot, value)` of `cells`, all in row
+    /// `idx`: the row, its bitmap words and the row count are found once
+    /// for the walk instead of once per cell. The slots must already be
+    /// inside the stride, so nothing re-lays the matrix mid-walk.
+    fn set_row(&mut self, idx: usize, cells: &[(usize, f64)]) {
+        if cells.is_empty() {
+            return;
+        }
+        self.reach(idx);
+        let words = self.row_words();
+        if self.written.len() < (idx + 1) * words {
+            self.written.resize((idx + 1) * words, 0);
+        }
+        let row = &mut self.values[idx * self.stride..][..self.stride];
+        let bits = &mut self.written[idx * words..][..words];
+        for &(slot, value) in cells {
+            row[slot] = value;
+            bits[slot / 64] |= 1 << (slot % 64);
+            if self.len[slot] <= idx {
+                self.len[slot] = idx + 1;
+            }
+        }
     }
 
     #[inline]
@@ -209,8 +248,8 @@ impl SlotSeries {
             }
         }
         let max = self.longest();
-        if max > self.rows() {
-            self.values.resize(max * self.stride, 0.0);
+        if max > 0 {
+            self.reach(max - 1);
         }
         for slot in 0..self.stride {
             if self.len[slot] > 0 {
@@ -299,6 +338,9 @@ pub struct Metrics {
     cache_start: u64,
     cache_end: u64,
     cache_idx: usize,
+    /// A gauge row's `(slot, value)` cells between resolving the slots and
+    /// writing the row (scratch, kept across ticks).
+    row: Vec<(usize, f64)>,
 }
 
 impl Metrics {
@@ -318,6 +360,7 @@ impl Metrics {
             cache_start: 0,
             cache_end: bucket.as_nanos(),
             cache_idx: 0,
+            row: Vec::new(),
         }
     }
 
@@ -400,20 +443,46 @@ impl Metrics {
         self.demand.add(slot, idx, 1.0);
     }
 
-    /// Record the controller's view after a tick (records + allocations).
+    /// Record the controller's view of one job after a tick (records +
+    /// allocations).
     pub fn on_allocation(&mut self, job: JobId, now: SimTime, record: i64, tokens: u64) {
-        let slot = self.slot(job);
-        let idx = self.bucket_idx(now);
-        self.records.set(slot, idx, record as f64);
-        self.allocations.set(slot, idx, tokens as f64);
+        self.set_records(now, [(job, record as f64)]);
+        self.set_allocations(now, [(job, tokens as f64)]);
     }
 
     /// Record only the lending/borrowing gauge (idle jobs whose records
     /// persist between allocations).
     pub fn set_record(&mut self, job: JobId, now: SimTime, record: f64) {
-        let slot = self.slot(job);
+        self.set_records(now, [(job, record)]);
+    }
+
+    /// Write one tick's lending/borrowing gauges — a whole ledger's worth,
+    /// most of it idle jobs — as one row.
+    pub fn set_records(&mut self, now: SimTime, cells: impl IntoIterator<Item = (JobId, f64)>) {
+        self.set_row(|m| &mut m.records, now, cells);
+    }
+
+    /// Write one tick's token-allocation gauges as one row.
+    pub fn set_allocations(&mut self, now: SimTime, cells: impl IntoIterator<Item = (JobId, f64)>) {
+        self.set_row(|m| &mut m.allocations, now, cells);
+    }
+
+    /// The jobs' slots are resolved first (a first-seen job may re-lay the
+    /// families out), then the row is written in one walk.
+    fn set_row(
+        &mut self,
+        family: fn(&mut Metrics) -> &mut SlotSeries,
+        now: SimTime,
+        cells: impl IntoIterator<Item = (JobId, f64)>,
+    ) {
         let idx = self.bucket_idx(now);
-        self.records.set(slot, idx, record);
+        let mut row = std::mem::take(&mut self.row);
+        row.clear();
+        for (job, value) in cells {
+            row.push((self.slot(job), value));
+        }
+        family(self).set_row(idx, &row);
+        self.row = row;
     }
 
     /// Declare how much work a job releases within the horizon (enables
@@ -578,7 +647,15 @@ impl Metrics {
         released: impl IntoIterator<Item = (JobId, u64)>,
         until: SimTime,
     ) -> Metrics {
-        let mut folded = Metrics::new(bucket);
+        // Absorbing into an empty collector is the identity on everything
+        // but completions, which an absorb drops: the first shard is taken
+        // as it is instead of copied cell by cell.
+        let mut shards = shards.into_iter();
+        let mut folded = shards.next().unwrap_or_else(|| Metrics::new(bucket));
+        debug_assert_eq!(folded.bucket, bucket, "mismatched bucket widths");
+        for c in &mut folded.counters {
+            c.completion = None;
+        }
         for shard in shards {
             folded.absorb(&shard);
         }
@@ -834,6 +911,56 @@ mod tests {
                 assert_eq!(metrics.records.is_written(slot, r), r == row, "{job} {r}");
             }
         }
+    }
+
+    #[test]
+    fn a_row_write_equals_cell_by_cell_sets() {
+        // Six ticks each write a growing ledger's worth of gauges, zeros
+        // among them, into one bucket (one bucket is skipped). The jobs
+        // are first seen inside the walks, so resolving a row re-lays the
+        // matrix out mid-way, where the cell-by-cell side re-lays it out
+        // between two of its writes.
+        let (mut by_row, mut by_cell) = (m(), m());
+        // Values, written bits and logical length of every slot's column
+        // (the strides differ: only one side ever re-lays rows out).
+        let state = |x: &Metrics| -> Vec<(usize, Vec<(f64, bool)>)> {
+            let r = &x.records;
+            let cell = |slot, row| (r.values[row * r.stride + slot], r.is_written(slot, row));
+            (0..x.slots.len())
+                .map(|slot| {
+                    (
+                        r.len[slot],
+                        (0..r.rows).map(|row| cell(slot, row)).collect(),
+                    )
+                })
+                .collect()
+        };
+        let mut relaid = 0;
+        for tick in 0..6u32 {
+            let now = SimTime::from_millis(100 * u64::from(tick + tick / 4));
+            let cells: Vec<(JobId, f64)> = (0..3 + 40 * tick)
+                .rev()
+                .map(|j| (JobId(j), f64::from((j + tick) % 4) - 1.0))
+                .collect();
+            let stride = by_row.records.stride;
+            by_row.set_records(now, cells.iter().copied());
+            relaid += u32::from(tick > 0 && by_row.records.stride != stride);
+            for &(job, value) in &cells {
+                let (slot, idx) = (by_cell.slot(job), by_cell.bucket_idx(now));
+                by_cell.records.set(slot, idx, value);
+            }
+            assert_eq!(state(&by_row), state(&by_cell), "tick {tick}");
+        }
+        assert!(relaid >= 3, "rows resolved across {relaid} re-layouts");
+        // What a merge copies out of either is the same, zeros included.
+        let (mut from_row, mut from_cell) = (m(), m());
+        from_row.on_allocation(JobId(6), SimTime::from_millis(300), 9, 9);
+        from_cell.on_allocation(JobId(6), SimTime::from_millis(300), 9, 9);
+        from_row.absorb(&by_row);
+        from_cell.absorb(&by_cell);
+        assert_eq!(state(&from_row), state(&from_cell));
+        assert_eq!(from_row.records(), by_cell.records());
+        assert_eq!(by_cell.records().get(JobId(6)).unwrap().get(3), 0.0);
     }
 
     /// The merge walks as they were before the bucket-major order: slot

@@ -8,11 +8,19 @@
 //! simulated OST; the live runtime moves one node into each OST thread.
 //! Decentralization is structural either way: a node never references
 //! another node's state.
+//!
+//! [`OstNode::control_cycle`] is the whole per-period sequence both
+//! executors run. The allocation's per-job diagnostics reach it through a
+//! sink ([`ControllerDriver::tick_into`]) rather than as a returned
+//! vector: the cycle keeps each job's grant for the allocation gauges,
+//! reads the record gauges straight off the ledger, and — in debug builds
+//! only — runs the paper's algebra as an audit over the same stream, so
+//! every debug test run checks it on every cycle.
 
 use crate::control::{ControllerDriver, ControllerOverhead};
 use crate::metrics::Metrics;
 use crate::policy::Policy;
-use adaptbf_core::{AllocationController, AllocationOutcome};
+use adaptbf_core::{AllocationController, AllocationOutcome, AllocationTrace, JobTrace};
 use adaptbf_model::{CycleGate, JobId, Rpc, SimTime, TbfSchedulerConfig};
 use adaptbf_tbf::{JobStatsTracker, NrsTbfScheduler, RpcMatcher, RuleSpec};
 use std::collections::BTreeMap;
@@ -35,6 +43,9 @@ pub struct OstNode {
     jobs: Vec<(JobId, u64)>,
     /// `T_i` the Static BW baseline's fixed rule rates sum to.
     static_rate_total: f64,
+    /// The jobs a cycle allocated to and their grants, between the sink
+    /// that sees them and the gauge row they become (scratch).
+    granted: Vec<(JobId, f64)>,
 }
 
 impl OstNode {
@@ -58,10 +69,7 @@ impl OstNode {
             Policy::StaticBw => {
                 install_static_rules(&mut scheduler, jobs, static_rate_total, now);
             }
-            Policy::AdapTbf(config) => {
-                let nodes: BTreeMap<JobId, u64> = jobs.iter().copied().collect();
-                driver = Some(ControllerDriver::new(config, nodes));
-            }
+            Policy::AdapTbf(config) => driver = Some(ControllerDriver::new(config, jobs)),
         }
         OstNode {
             scheduler,
@@ -71,6 +79,7 @@ impl OstNode {
             policy,
             jobs: jobs.to_vec(),
             static_rate_total,
+            granted: Vec::new(),
         }
     }
 
@@ -122,19 +131,23 @@ impl OstNode {
             CycleGate::StatsLost => self.job_stats.clear(),
             CycleGate::Healthy => {}
         }
-        let outcome = driver.tick(&mut self.scheduler, &mut self.job_stats, now);
-        for jt in &outcome.trace.jobs {
-            metrics.on_allocation(jt.job, now, jt.record_after, jt.after_recompensation);
-        }
-        // Ledger and trace are both in job order: one merge walk finds the
-        // ledger entries the trace skips.
-        let mut traced = outcome.trace.jobs.iter().map(|jt| jt.job).peekable();
-        for (job, entry) in driver.controller.ledger().iter() {
-            while traced.next_if(|&t| t < job).is_some() {}
-            if traced.peek() != Some(&job) {
-                metrics.set_record(job, now, entry.record as f64);
+        let granted = &mut self.granted;
+        granted.clear();
+        let mut audit = Audit::default();
+        let outcome = driver.tick_into(&mut self.scheduler, &mut self.job_stats, now, |jt| {
+            granted.push((jt.job, jt.after_recompensation as f64));
+            if cfg!(debug_assertions) {
+                audit.job(jt);
             }
+        });
+        if cfg!(debug_assertions) {
+            audit.cycle(&outcome.trace, &driver.controller);
         }
+        metrics.set_allocations(now, granted.iter().copied());
+        // A traced job's ledger entry already holds its `record_after`, so
+        // the ledger alone is the whole record row, idle jobs included.
+        let ledger = driver.controller.ledger();
+        metrics.set_records(now, ledger.iter().map(|(job, e)| (job, e.record as f64)));
         true
     }
 
@@ -181,6 +194,69 @@ impl OstNode {
     pub fn recover(&mut self, now: SimTime) {
         if matches!(self.policy, Policy::StaticBw) {
             install_static_rules(&mut self.scheduler, &self.jobs, self.static_rate_total, now);
+        }
+    }
+}
+
+/// The paper's algebra, checked on every control cycle of a debug build
+/// through the sink that feeds the gauges — so every debug test run
+/// (goldens, chaos smoke, churn) is an audit run, with no switch.
+#[derive(Default)]
+struct Audit {
+    /// Σ final grants seen so far this cycle.
+    granted: u64,
+}
+
+impl Audit {
+    /// Per job: the grant never falls below its integerized floor — a job
+    /// lends only what it was granted beyond its demand (Eq 4), and a
+    /// reclaim takes at most what the job borrowed and holds (Eq 14) —
+    /// and the carried remainder stays bounded: a floor-stage fraction
+    /// (Eq 24) shifted by at most one fix-up token either way.
+    fn job(&mut self, jt: &JobTrace) {
+        self.granted += jt.after_recompensation;
+        let owed = if jt.borrower {
+            jt.record_after_redistribution.unsigned_abs()
+        } else {
+            0
+        };
+        assert!(
+            jt.after_redistribution >= jt.initial.min(jt.demand)
+                && jt.reclaimed <= owed.min(jt.after_redistribution)
+                && jt.after_recompensation >= jt.after_redistribution - jt.reclaimed,
+            "grant below its floor: {jt:?}"
+        );
+        assert!(
+            jt.remainder_after.abs() < 2.0,
+            "unbounded remainder: {jt:?}"
+        );
+    }
+
+    /// Per cycle: `C ∈ [0, 1]` is the clamp of the raw Eq (13) value, the
+    /// budget's carried fraction is one, and the grants sum to the
+    /// period's integer budget and the records to zero (the two sums are
+    /// exact only with the remainder machinery on: the floor-only ablation
+    /// loses fractions by design).
+    fn cycle(&self, trace: &AllocationTrace, controller: &AllocationController) {
+        let (c, raw) = (trace.reclaim_coefficient, trace.reclaim_coefficient_raw);
+        assert!(
+            (0.0..=1.0).contains(&c) && c == raw.clamp(0.0, 1.0),
+            "C = {c}, raw {raw}"
+        );
+        let carry = controller.budget_carry();
+        assert!(
+            (0.0..1.0).contains(&carry),
+            "budget carry {carry} outside [0, 1)"
+        );
+        if controller.config().enable_remainders {
+            assert_eq!(
+                self.granted, trace.budget,
+                "Σ grants ≠ budget in period {}",
+                trace.period
+            );
+            assert_eq!(controller.ledger().record_sum(), 0, "Σ records ≠ 0");
+        } else {
+            assert!(self.granted <= trace.budget, "granted more than the budget");
         }
     }
 }
@@ -356,6 +432,46 @@ mod tests {
         let allocations = metrics.allocations();
         let granted = allocations.get(JobId(2)).expect("allocated once");
         assert_eq!(granted.get(3), 0.0, "idle jobs get no allocation gauge");
+    }
+
+    #[test]
+    fn collect_sees_exactly_what_arrived_since_the_last_wipe() {
+        // A lost read, then a crash, then re-arrivals from jobs old and
+        // new: each wipe empties the period's stats, and the next read
+        // returns exactly the non-zero counts, in job order.
+        let mut node = adaptbf_node();
+        let mut metrics = Metrics::new(SimDuration::from_millis(100));
+        offer(&mut node, 2, 50, SimTime::ZERO);
+        offer(&mut node, 1, 7, SimTime::ZERO);
+        let lost = SimTime::from_millis(100);
+        assert!(node.control_cycle(lost, CycleGate::StatsLost, &mut metrics));
+        assert!(node.job_stats.collect().is_empty());
+        offer(&mut node, 2, 3, SimTime::from_millis(150));
+        assert_eq!(node.job_stats.collect(), vec![(JobId(2), 3)]);
+        node.crash_reset();
+        assert!(node.job_stats.collect().is_empty(), "wiped with the OST");
+        offer(&mut node, 70_000, 2, SimTime::from_millis(250));
+        offer(&mut node, 1, 4, SimTime::from_millis(250));
+        let want = vec![(JobId(1), 4), (JobId(70_000), 2)];
+        assert_eq!(node.job_stats.collect(), want);
+        assert_eq!(node.job_stats.collect(), want, "reading does not consume");
+        assert!(node.control_cycle(SimTime::from_millis(300), CycleGate::Healthy, &mut metrics));
+        assert_eq!(metrics.allocations().jobs(), vec![JobId(1), JobId(70_000)]);
+        assert!(node.job_stats.collect().is_empty(), "collected and cleared");
+    }
+
+    #[test]
+    #[should_panic(expected = "Σ grants ≠ budget")]
+    fn the_audit_catches_a_token_that_went_missing() {
+        let mut node = adaptbf_node();
+        offer(&mut node, 1, 400, SimTime::ZERO);
+        offer(&mut node, 2, 400, SimTime::ZERO);
+        let out = node.tick(SimTime::from_millis(100)).expect("controller");
+        let mut audit = Audit::default();
+        out.trace.jobs.iter().for_each(|jt| audit.job(jt));
+        audit.cycle(&out.trace, node.controller().unwrap()); // balanced: passes
+        audit.granted -= 1;
+        audit.cycle(&out.trace, node.controller().unwrap());
     }
 
     #[test]

@@ -134,6 +134,21 @@ fn metric_op_strategy() -> impl Strategy<Value = MetricOp> {
     ]
 }
 
+/// One event into the collector under test.
+fn apply(m: &mut Metrics, op: MetricOp) {
+    let ms = SimTime::from_millis;
+    match op {
+        MetricOp::SetReleased(j, n) => m.set_released(JobId(j), n),
+        MetricOp::ServedAt(j, now, lat) => {
+            m.on_served_at(JobId(j), ms(now), ms(now.saturating_sub(lat)))
+        }
+        MetricOp::Served(j, now) => m.on_served(JobId(j), ms(now)),
+        MetricOp::Arrival(j, now) => m.on_arrival(JobId(j), ms(now)),
+        MetricOp::Allocation(j, now, r, tk) => m.on_allocation(JobId(j), ms(now), r, tk),
+        MetricOp::SetRecord(j, now, r) => m.set_record(JobId(j), ms(now), r as f64),
+    }
+}
+
 /// A small random scenario: up to 4 jobs, mixed patterns, short horizon.
 fn scenario_strategy() -> impl Strategy<Value = Scenario> {
     let job = (1u64..8, 1usize..3, 10u64..200, 0u8..3)
@@ -381,6 +396,54 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `fold_shards` takes its first shard as it is instead of absorbing
+    /// it into an empty collector. For 1–4 shards with overlapping jobs,
+    /// ragged lengths (a shard may already be finalized), release totals
+    /// some shards knew inline, and a gauge every shard wrote as 0.0,
+    /// every report shape equals the absorb-everything fold's.
+    #[test]
+    fn fold_shards_equals_absorbing_every_shard_into_an_empty_collector(
+        streams in proptest::collection::vec(
+            (proptest::collection::vec(metric_op_strategy(), 0..120), any::<bool>()),
+            1..5,
+        ),
+        released in proptest::collection::vec((job_strategy(), 1u64..40), 0..6),
+    ) {
+        let bucket = SimDuration::from_millis(100);
+        let ms = SimTime::from_millis;
+        let shards: Vec<Metrics> = streams
+            .iter()
+            .enumerate()
+            .map(|(k, (ops, finalized))| {
+                let mut shard = Metrics::new(bucket);
+                ops.iter().for_each(|op| apply(&mut shard, *op));
+                shard.set_record(JobId(1), ms(700 + 100 * (k as u64 % 2)), 0.0);
+                if *finalized {
+                    shard.finalize(ms(2_000 + 500 * k as u64));
+                }
+                shard
+            })
+            .collect();
+        let released: Vec<(JobId, u64)> = released.iter().map(|&(j, n)| (JobId(j), n)).collect();
+
+        let mut want = Metrics::new(bucket);
+        shards.iter().for_each(|shard| want.absorb(shard));
+        released.iter().for_each(|&(job, total)| want.set_released(job, total));
+        want.rebuild_completions();
+        want.finalize(ms(5_000));
+        let got = Metrics::fold_shards(bucket, shards, released, ms(5_000));
+
+        prop_assert_eq!(got.served(), want.served());
+        prop_assert_eq!(got.demand(), want.demand());
+        prop_assert_eq!(got.records(), want.records());
+        prop_assert_eq!(got.allocations(), want.allocations());
+        prop_assert_eq!(got.served_by_job(), want.served_by_job());
+        prop_assert_eq!(got.released_by_job(), want.released_by_job());
+        prop_assert_eq!(got.completion_time(), want.completion_time());
+        prop_assert_eq!(got.latency_by_job(), want.latency_by_job());
+        prop_assert_eq!(got.last_service, want.last_service);
+    }
 
     /// The tentpole equivalence: a random stream of metric events drives
     /// the slot-interned collector and the retained BTreeMap reference;

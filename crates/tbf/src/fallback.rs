@@ -18,7 +18,10 @@
 //! `base + i`, and everything below `base` is gone. Serving from the front
 //! only moves `base`, so it never touches a link or a tail — a link or
 //! tail that points below `base` simply reads as "none". Re-packing the
-//! ring moves `base` past every old position for the same reason.
+//! ring moves `base` past every old position for the same reason. A link
+//! is a *distance* between two positions that are both in the ring, so it
+//! is bounded by the ring's length — how many RPCs are parked at once —
+//! and not by how many have ever been: positions may pass 2³² freely.
 //!
 //! Jobs are known by the scheduler's slots. The index costs one `u32`
 //! link per parked RPC and one `u64` tail per slot up to the highest that
@@ -71,6 +74,16 @@ impl FallbackQueue {
         }
     }
 
+    /// An empty queue whose first position is `base` (≥ 1) — as if
+    /// `base − 1` RPCs had already passed through.
+    #[cfg(test)]
+    fn starting_at(base: u64) -> Self {
+        FallbackQueue {
+            base,
+            ..Self::new()
+        }
+    }
+
     /// Parked RPCs.
     pub(crate) fn len(&self) -> usize {
         self.live
@@ -97,7 +110,7 @@ impl FallbackQueue {
         }
         let tail = std::mem::replace(&mut self.tails[slot], pos);
         let prev = if tail >= self.base {
-            u32::try_from(pos - tail).expect("fewer than 2^32 RPCs parked")
+            u32::try_from(pos - tail).expect("fewer than 2^32 RPCs parked at once")
         } else {
             0
         };
@@ -220,12 +233,19 @@ mod tests {
         );
     }
 
+    /// On a fresh queue, and on one 2³² RPCs have already passed through:
+    /// its positions no longer fit a `u32`, its links — distances — do.
     #[test]
     fn take_job_lifts_only_that_job_and_fifo_survives() {
-        let mut q = FallbackQueue::new();
+        lifts_only_that_job(FallbackQueue::new());
+        lifts_only_that_job(FallbackQueue::starting_at(u64::from(u32::MAX) + 1));
+    }
+
+    fn lifts_only_that_job(mut q: FallbackQueue) {
         for i in 0..9 {
             park(&mut q, rpc(i, i as u32 % 3));
         }
+        assert!(q.ring.iter().all(|p| p.prev <= 3), "links are distances");
         assert_eq!(q.pop_front(), Some(rpc(0, 0)));
         // Latest first; RPC 0 was already served, so its link is not
         // followed.
@@ -355,13 +375,19 @@ mod tests {
         /// push / pop / take-jobs / drain histories: same pops, same
         /// lifted RPCs per job (latest first), same
         /// `iter()` order and `len` after every step. Every history
-        /// crosses at least one re-pack of tombstones with survivors.
+        /// crosses at least one re-pack of tombstones with survivors, and
+        /// half of them start with 2³² RPCs already through the queue:
+        /// the `u32` links are distances inside the ring, so how far the
+        /// positions have run is nothing to them.
         #[test]
         fn equals_a_plain_vecdeque(
             before in proptest::collection::vec((0u32..12, 0u32..JOBS, 1usize..12), 0..80),
             after in proptest::collection::vec((0u32..12, 0u32..JOBS, 1usize..12), 1..80),
+            long_lived in any::<bool>(),
         ) {
-            let mut pair = Pair { q: FallbackQueue::new(), model: VecDeque::new(), next_id: 0 };
+            let base = if long_lived { u64::from(u32::MAX) + 1 } else { 1 };
+            let q = FallbackQueue::starting_at(base);
+            let mut pair = Pair { q, model: VecDeque::new(), next_id: 0 };
             for (op, job, n) in before {
                 pair.step(op, job, n);
             }

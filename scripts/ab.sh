@@ -1,0 +1,84 @@
+#!/bin/sh
+# Alternating A/B of one benchmark workload between two checkouts:
+#
+#   scripts/ab.sh <parent-tree> <change-tree> <workload> [pairs]
+#
+# Builds each tree's benchmark package once into <tree>/.bench_build (the
+# directory the driver uses, git-ignored; nothing under benchmark/ is
+# written), then runs `pairs` (default 10) pairs of fresh `--child rep`
+# processes at seed $AB_SEED (default 7), alternating which side goes
+# first. Prints, per metric, each side's median [quartiles], the ratio
+# change/parent and the change's wins/ties out of the pairs, then each
+# side's report digest. Exits 1 when a side's digest varies, or the two
+# sides' digests differ on a sim_* workload. Raw (uncalibrated) numbers:
+# the harness's calibrated medians still need a full `--seconds 16` run.
+set -eu
+[ $# -ge 3 ] || { sed -n '2,5p' "$0" >&2; exit 2; }
+parent=$(cd "$1" && pwd)
+change=$(cd "$2" && pwd)
+workload=$3
+pairs=${4:-10}
+seed=${AB_SEED:-7}
+out=$(mktemp -d)
+trap 'rm -rf "$out"' EXIT
+
+for tree in "$parent" "$change"; do
+    CARGO_TARGET_DIR="$tree/.bench_build" cargo build --release --quiet --offline \
+        --manifest-path "$tree/benchmark/Cargo.toml"
+done
+
+rep() { # <side> <tree> <pair>
+    (cd "$2" && .bench_build/release/adaptbf-benchmark --child rep \
+        --workload "$workload" --seed "$seed") >"$out/$1.$3"
+}
+i=1
+while [ "$i" -le "$pairs" ]; do
+    if [ $((i % 2)) -eq 1 ]; then
+        rep parent "$parent" "$i"; rep change "$change" "$i"
+    else
+        rep change "$change" "$i"; rep parent "$parent" "$i"
+    fi
+    i=$((i + 1))
+done
+
+field() { # <side> <name>: one value per pair, in pair order
+    i=1
+    while [ "$i" -le "$pairs" ]; do
+        awk -v n="$2" '$2 == n { print $3 }' "$out/$1.$i"
+        i=$((i + 1))
+    done
+}
+quartiles() { # values on stdin -> "median [q1..q3]", nearest rank
+    sort -g | awk '{ v[NR] = $1 } END {
+        q1 = v[int((NR + 3) / 4)]; q3 = v[int((3 * NR + 3) / 4)]
+        med = NR % 2 ? v[(NR + 1) / 2] : (v[NR / 2] + v[NR / 2 + 1]) / 2
+        printf "%.6g [%.6g..%.6g]", med, q1, q3 }'
+}
+
+printf '%s, seed %s, %s pairs (parent %s, change %s)\n' \
+    "$workload" "$seed" "$pairs" "$parent" "$change"
+for metric in rpcs_per_s:higher wall_s:lower cpu_us_per_rpc:lower peak_rss_mib:lower; do
+    name=${metric%:*}
+    field parent "$name" >"$out/p"
+    field change "$name" >"$out/c"
+    [ -s "$out/p" ] || continue
+    p=$(quartiles <"$out/p")
+    c=$(quartiles <"$out/c")
+    printf '  %-16s parent %s  change %s  x%.3f' "$name" "$p" "$c" \
+        "$(echo "${c%% *} ${p%% *}" | awk '{ print $1 / $2 }')"
+    paste "$out/p" "$out/c" | awk -v better="${metric#*:}" '
+        { if ($1 == $2) ties++; else if ((better == "higher") == ($2 > $1)) wins++ }
+        END { printf "  wins %d ties %d of %d\n", wins, ties, NR }'
+done
+
+status=0
+for side in parent change; do
+    field "$side" digest | sort -u >"$out/digest.$side"
+    printf '  digest %s: %s\n' "$side" "$(tr '\n' ' ' <"$out/digest.$side")"
+    [ "$(wc -l <"$out/digest.$side")" -le 1 ] || status=1
+done
+case $workload in
+sim_*) cmp -s "$out/digest.parent" "$out/digest.change" || status=1 ;;
+esac
+[ "$status" -eq 0 ] || echo "DIGESTS DIFFER" >&2
+exit "$status"
