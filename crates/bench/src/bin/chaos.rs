@@ -22,95 +22,74 @@
 //!   --no-bench      skip writing BENCH_chaos.json (CI smoke)
 
 use adaptbf_bench::chaos::{
-    campaign_json, check_floor, check_live_floor, floor_text, live_floor_text, run_campaign,
-    run_live_campaign, shrink_case, summary_table, worst_cases, CampaignConfig,
+    campaign_json, check_floor, floor_text, run_campaign, shrink_case, summary_table, worst_cases,
+    CampaignConfig,
 };
 use adaptbf_bench::{arg_value, workspace_root};
+use adaptbf_cli::exec::Executor;
 
 fn main() {
     let flag = |name: &str| std::env::args().any(|a| a == name);
     let value = arg_value::<u64>;
     let seed = value("--seed").unwrap_or(42);
-    if flag("--live") {
-        let mut config = if flag("--smoke") {
+    let (live, smoke) = (flag("--live"), flag("--smoke"));
+    let (exec, mut config, floor_file) = if live {
+        let config = if smoke {
             CampaignConfig::live_smoke(seed)
         } else {
             CampaignConfig::live(seed)
         };
-        if let Some(plans) = value("--plans") {
-            config.plans_per_scenario = plans as usize;
-        }
-        run_live(config, flag("--write-floor"), flag("--check-floor"));
-        return;
-    }
-    let mut config = if flag("--smoke") {
-        CampaignConfig::smoke(seed)
+        (Executor::Live, config, "chaos_live_floor.txt")
     } else {
-        CampaignConfig::full(seed)
+        let config = if smoke {
+            CampaignConfig::smoke(seed)
+        } else {
+            CampaignConfig::full(seed)
+        };
+        (Executor::Sim { shards: None }, config, "chaos_floor.txt")
     };
     if let Some(plans) = value("--plans") {
         config.plans_per_scenario = plans as usize;
     }
+    let floor_path = workspace_root().join("crates/bench").join(floor_file);
 
-    let campaign = run_campaign(config);
+    if live {
+        println!(
+            "live chaos campaign: {} cases over the threaded runtime (wall-clock)",
+            3 * config.plans_per_scenario * 3
+        );
+    }
+    let campaign = run_campaign(config, exec);
     print!("{}", summary_table(&campaign));
+    if live {
+        print!("{}", floor_text(&campaign, exec));
+    }
 
-    if !flag("--no-bench") {
+    // No BENCH artifact from a live campaign: its numbers are wall-clock
+    // and would dirty the tree on every run.
+    if !live && !flag("--no-bench") {
         let path = workspace_root().join("BENCH_chaos.json");
         std::fs::write(&path, campaign_json(&campaign)).expect("write BENCH_chaos.json");
         println!("wrote {}", path.display());
     }
 
     if flag("--write-floor") {
-        let path = workspace_root().join("crates/bench/chaos_floor.txt");
-        std::fs::write(&path, floor_text(&campaign)).expect("write chaos_floor.txt");
-        println!("wrote {}", path.display());
+        std::fs::write(&floor_path, floor_text(&campaign, exec)).expect("write the floor file");
+        println!("wrote {}", floor_path.display());
     }
 
-    if flag("--shrink-worst") {
+    if !live && flag("--shrink-worst") {
         shrink_worst(&campaign);
     }
 
     if flag("--check-floor") {
-        let path = workspace_root().join("crates/bench/chaos_floor.txt");
-        let floor = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
-        match check_floor(&campaign, &floor) {
-            Ok(()) => println!("OK: resilience floor holds"),
+        let floor = std::fs::read_to_string(&floor_path)
+            .unwrap_or_else(|e| panic!("read {}: {e}", floor_path.display()));
+        match check_floor(&campaign, exec, &floor) {
+            Ok(()) => println!("OK: resilience floor holds ({floor_file})"),
             Err(e) => {
                 eprintln!("FAIL: {e}");
                 eprintln!("(rerun with --write-floor after an intentional change)");
-                std::process::exit(1);
-            }
-        }
-    }
-}
-
-/// Sweep the campaign grid over the live threaded runtime and gate on
-/// the count-shaped live floor (`crates/bench/chaos_live_floor.txt`).
-/// No BENCH artifact: live numbers are wall-clock and would dirty the
-/// tree on every run.
-fn run_live(config: CampaignConfig, write_floor: bool, do_check: bool) {
-    println!(
-        "live chaos campaign: {} cases over the threaded runtime (wall-clock)",
-        3 * config.plans_per_scenario * 3
-    );
-    let campaign = run_live_campaign(config);
-    print!("{}", summary_table(&campaign));
-    print!("{}", live_floor_text(&campaign));
-    let path = workspace_root().join("crates/bench/chaos_live_floor.txt");
-    if write_floor {
-        std::fs::write(&path, live_floor_text(&campaign)).expect("write chaos_live_floor.txt");
-        println!("wrote {}", path.display());
-    }
-    if do_check {
-        let floor = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
-        match check_live_floor(&campaign, &floor) {
-            Ok(()) => println!("OK: live resilience floor holds"),
-            Err(e) => {
-                eprintln!("FAIL: {e}");
-                eprintln!("(rerun with --live --write-floor after an intentional change)");
                 std::process::exit(1);
             }
         }

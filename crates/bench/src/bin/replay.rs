@@ -16,135 +16,95 @@
 //!   exactly, resends and all).
 
 use adaptbf_bench::{write_artifact, Options};
-use adaptbf_model::JobId;
-use adaptbf_sim::cluster::ClusterConfig;
-use adaptbf_sim::{
-    plan_file_run, replay_cluster_config, replay_report, Cluster, Policy, RunGrid, RunReport,
-};
-use adaptbf_workload::scenarios;
+use adaptbf_cli::exec::{execute, Executor};
+use adaptbf_sim::{plan_file_run, replay_cluster_config, replay_report, FileRun, Policy, RunGrid};
+use adaptbf_workload::{scenarios, ScenarioFile};
 
 fn main() {
     let opts = Options::from_args();
-    let scenario = scenarios::token_redistribution_scaled(opts.scale);
-    let policy = Policy::adaptbf_default();
+    let plan = |file: &ScenarioFile| FileRun {
+        seed: opts.seed,
+        ..plan_file_run(file).expect("valid built-in")
+    };
+    let plain = ScenarioFile::from_scenario(&scenarios::token_redistribution_scaled(opts.scale));
+    record_and_replay(&plan(&plain), "replay_summary.csv");
 
-    println!("recording {} (seed {})...", scenario.name, opts.seed);
-    let (original, trace) =
-        Cluster::build_with(&scenario, policy, opts.seed, ClusterConfig::default()).run_traced();
-    write_artifact(&format!("{}.trace", scenario.name), &trace.to_text());
+    // The same grid through an OST crash window.
+    let faulty = scenarios::ost_failover_scaled(opts.scale);
+    let crash = faulty
+        .faults
+        .ost_crash
+        .expect("ost_failover crashes an OST");
     println!(
-        "recorded {} RPC arrivals, {} served",
+        "\nOST {} down {}..{}:",
+        crash.ost,
+        crash.from,
+        crash.recovery_at()
+    );
+    record_and_replay(&plan(&faulty), "replay_faults.csv");
+}
+
+/// Record `plan` once, replay the identical arrival stream under all three
+/// policies over the deterministic run grid, write the trace and the
+/// per-job served table, and hold the replay to its contract: under the
+/// recorded policy it reproduces the recording exactly — per-job served
+/// counts and the resend/re-route accounting of whatever fault plan rode
+/// the trace header.
+fn record_and_replay(plan: &FileRun, csv_name: &str) {
+    let name = &plan.scenario.name;
+    println!("recording {name} (seed {})...", plan.seed);
+    let ran = execute(plan, Executor::Sim { shards: None }, true).expect("simulated run");
+    let (original, trace) = (ran.report, ran.trace.expect("recording run"));
+    write_artifact(&format!("{name}.trace"), &trace.to_text());
+    println!(
+        "recorded {} RPC arrivals, {} served, fault stats {:?}",
         trace.records.len(),
-        original.metrics.total_served()
+        original.metrics.total_served(),
+        original.fault_stats,
     );
 
-    // Fan the three replays out over the deterministic run grid.
     let cluster = replay_cluster_config(&trace);
-    let reports = RunGrid::new().run(vec![Policy::NoBw, Policy::StaticBw, policy], |p| {
-        replay_report(&trace, p, opts.seed, cluster)
+    assert_eq!(
+        cluster.faults, plan.cluster.faults,
+        "the fault plan must ride the trace header"
+    );
+    let reports = RunGrid::new().run(vec![Policy::NoBw, Policy::StaticBw, plan.policy], |p| {
+        replay_report(&trace, p, plan.seed, cluster)
     });
 
-    let jobs: Vec<JobId> = trace.meta.jobs.iter().map(|&(j, _)| j).collect();
     let mut csv = String::from("job");
-    for r in &reports {
-        csv.push_str(&format!(",{}_served", r.policy));
-    }
-    csv.push('\n');
     let mut table = format!("{:<10}", "job");
     for r in &reports {
+        csv.push_str(&format!(",{}_served", r.policy));
         table.push_str(&format!(" {:>12}", r.policy));
     }
+    csv.push('\n');
     table.push('\n');
-    for job in &jobs {
+    let recorded = original.metrics.served_by_job();
+    for &(job, _) in &trace.meta.jobs {
         csv.push_str(&job.to_string());
         table.push_str(&format!("{:<10}", job.to_string()));
         for r in &reports {
-            let served = r.per_job.get(job).map_or(0, |o| o.served);
+            let served = r.per_job.get(&job).map_or(0, |o| o.served);
             csv.push_str(&format!(",{served}"));
-            table.push_str(&format!(" {:>12}", served));
+            table.push_str(&format!(" {served:>12}"));
         }
         csv.push('\n');
         table.push('\n');
-    }
-    write_artifact("replay_summary.csv", &csv);
-
-    // The adaptbf replay must reproduce the recording exactly.
-    let adaptbf_replay = &reports[2];
-    for job in &jobs {
-        let recorded = original
-            .metrics
-            .served_by_job()
-            .get(job)
-            .copied()
-            .unwrap_or(0);
-        let replayed = adaptbf_replay.per_job.get(job).map_or(0, |o| o.served);
-        assert_eq!(recorded, replayed, "replay determinism violated for {job}");
-    }
-    println!("\nper-job served RPCs on the identical arrival stream:\n{table}");
-    println!("adaptbf replay reproduced the recording exactly ✓");
-
-    // ---- fault variant: the same grid through an OST crash window ------
-    let file = scenarios::ost_failover_scaled(opts.scale);
-    let plan = plan_file_run(&file).expect("valid fault built-in");
-    println!(
-        "\nrecording {} (seed {}, OST {} down {}..{})...",
-        plan.scenario.name,
-        opts.seed,
-        file.faults.ost_crash.unwrap().ost,
-        file.faults.ost_crash.unwrap().from,
-        file.faults.ost_crash.unwrap().recovery_at(),
-    );
-    let (faulty_original, faulty_trace) =
-        Cluster::build_with(&plan.scenario, plan.policy, opts.seed, plan.cluster).run_traced();
-    write_artifact(
-        &format!("{}.trace", plan.scenario.name),
-        &faulty_trace.to_text(),
-    );
-    println!(
-        "recorded {} RPC arrivals, {} served, fault stats {:?}",
-        faulty_trace.records.len(),
-        faulty_original.metrics.total_served(),
-        faulty_original.fault_stats,
-    );
-    let faulty_cluster = replay_cluster_config(&faulty_trace);
-    assert!(
-        !faulty_cluster.faults.is_none(),
-        "the crash window must ride the trace header"
-    );
-    let faulty_reports: Vec<RunReport> = RunGrid::new()
-        .run(vec![Policy::NoBw, Policy::StaticBw, plan.policy], |p| {
-            replay_report(&faulty_trace, p, opts.seed, faulty_cluster)
-        });
-    let fault_jobs: Vec<JobId> = faulty_trace.meta.jobs.iter().map(|&(j, _)| j).collect();
-    let mut csv = String::from("job");
-    for r in &faulty_reports {
-        csv.push_str(&format!(",{}_served", r.policy));
-    }
-    csv.push('\n');
-    for job in &fault_jobs {
-        csv.push_str(&job.to_string());
-        for r in &faulty_reports {
-            csv.push_str(&format!(",{}", r.per_job.get(job).map_or(0, |o| o.served)));
-        }
-        csv.push('\n');
-    }
-    write_artifact("replay_faults.csv", &csv);
-    for job in &fault_jobs {
-        let recorded = faulty_original
-            .metrics
-            .served_by_job()
-            .get(job)
-            .copied()
-            .unwrap_or(0);
-        let replayed = faulty_reports[2].per_job.get(job).map_or(0, |o| o.served);
         assert_eq!(
-            recorded, replayed,
-            "faulty replay determinism violated for {job}"
+            recorded.get(&job).copied().unwrap_or(0),
+            reports[2].per_job.get(&job).map_or(0, |o| o.served),
+            "replay determinism violated for {job}"
         );
     }
     assert_eq!(
-        faulty_original.fault_stats, faulty_reports[2].fault_stats,
+        original.fault_stats, reports[2].fault_stats,
         "replay must regenerate the identical resend/re-route accounting"
     );
-    println!("faulty replay reproduced the recording exactly ✓");
+    write_artifact(csv_name, &csv);
+    println!("\nper-job served RPCs on the identical arrival stream:\n{table}");
+    println!(
+        "{} replay reproduced the recording exactly ✓",
+        plan.policy.name()
+    );
 }

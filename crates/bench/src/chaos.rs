@@ -3,7 +3,7 @@
 //!
 //! A campaign samples [`PlanBounds`] fault plans (one deterministic plan
 //! per `(campaign seed, scenario, plan index)`), runs each plan under all
-//! three policies on a striped two-OST testbed via [`RunGrid`], and scores
+//! three policies on a striped two-OST testbed via [`adaptbf_sim::RunGrid`], and scores
 //! every run with `analysis::resilience` — dip depth, recovery time and
 //! the conservation audit of the `FaultStats` partition. The fold is a
 //! per-policy [`Scorecard`] whose worst numbers become the CI resilience
@@ -21,24 +21,22 @@
 //! oracle on every candidate. The survivor renders as a canonical
 //! scenario file ready to check in as a golden regression.
 //!
-//! [`run_live_campaign`] sweeps the same sampled grid over the live
-//! threaded runtime instead of the simulator — every plan the sampler
-//! emits is live-feasible now that the full fault battery runs on real
-//! threads. Live runs are wall-clock (each takes its scenario duration in
-//! real time) and their dip/recovery numbers jitter, so the live floor
-//! (`crates/bench/chaos_live_floor.txt`, [`live_floor_text`] /
-//! [`check_live_floor`]) is count-shaped rather than strict: the grid
-//! size is pinned exactly, the conservation audit — a pure invariant of
-//! the `FaultStats` partition, untouched by timing — may never break, and
-//! the number of resilience violations may not grow past the recorded
-//! ceiling.
+//! [`run_campaign`] takes the executor: on [`Executor::Live`] the same
+//! sampled grid sweeps the live threaded runtime instead of the simulator
+//! — every plan the sampler emits is live-feasible now that the full
+//! fault battery runs on real threads. Live runs are wall-clock (each
+//! takes its scenario duration in real time) and their dip/recovery
+//! numbers jitter, so the live floor (`crates/bench/chaos_live_floor.txt`)
+//! is count-shaped rather than strict: the grid size is pinned exactly,
+//! the conservation audit — a pure invariant of the `FaultStats`
+//! partition, untouched by timing — may never break, and the number of
+//! resilience violations may not grow past the recorded ceiling.
 
 use adaptbf_analysis::{conservation_ok, score_run, RunScore, Scorecard};
+use adaptbf_cli::exec::{execute, Executor};
 use adaptbf_model::{SimDuration, SimTime};
-use adaptbf_sim::cluster::Cluster;
 use adaptbf_sim::report::report_body_digest;
-use adaptbf_sim::{plan_file_run, replay_cluster_config, replay_report};
-use adaptbf_sim::{Experiment, RunGrid, RunReport};
+use adaptbf_sim::{plan_file_run, replay_cluster_config, replay_report, RunReport};
 use adaptbf_workload::dsl::faults_block_json;
 use adaptbf_workload::faults::PlanBounds;
 use adaptbf_workload::{scenarios, ScenarioFile};
@@ -206,22 +204,29 @@ pub fn campaign_cases(config: CampaignConfig) -> Vec<ChaosCase> {
     cases
 }
 
-/// Run and score one grid cell.
-pub fn score_case(case: &ChaosCase, tolerance: f64) -> CaseOutcome {
+/// Run and score one grid cell on `exec`. The cell's scenario file
+/// resolves through [`plan_file_run`] either way, so a live campaign's
+/// testbed describes the same hardware the simulated one models — same
+/// wiring, same fault plan, same seed.
+pub fn score_case(case: &ChaosCase, tolerance: f64, exec: Executor) -> CaseOutcome {
     let plan = plan_file_run(&case.file).expect("sampled chaos case must plan");
-    let horizon = plan.scenario.duration;
-    let period = SimDuration::from_millis(case.file.run.period_ms.unwrap_or(100));
-    let report = Experiment::new(plan.scenario, plan.policy)
-        .seed(plan.seed)
-        .cluster_config(plan.cluster)
-        .run();
-    let window = case.file.faults.disturbance_window(period, horizon);
+    let report = execute(&plan, exec, false)
+        .expect("sampled chaos plans run on both executors")
+        .report;
+    let window = disturbance_window(&case.file, plan.scenario.duration);
     let score = score_over(&report, window, tolerance);
     CaseOutcome {
         case: case.clone(),
         score,
         window,
     }
+}
+
+/// The hull of a chaos file's fault plan over its run (`None` = nothing
+/// to score a dip against).
+fn disturbance_window(file: &ScenarioFile, horizon: SimDuration) -> Option<(SimTime, SimTime)> {
+    let period = SimDuration::from_millis(file.run.period_ms.unwrap_or(100));
+    file.faults.disturbance_window(period, horizon)
 }
 
 /// Score a report over an optional disturbance window, falling back to a
@@ -239,68 +244,15 @@ fn score_over(report: &RunReport, window: Option<(SimTime, SimTime)>, tolerance:
     }
 }
 
-/// Run the whole campaign grid (fanned out over [`RunGrid`]; results are
-/// byte-identical to a sequential sweep regardless of thread count).
-pub fn run_campaign(config: CampaignConfig) -> Campaign {
+/// Run the whole campaign grid on `exec`, over [`Executor::grid`]:
+/// simulated cells fan out (results are byte-identical to a sequential
+/// sweep regardless of thread count), live cells run one at a time.
+pub fn run_campaign(config: CampaignConfig, exec: Executor) -> Campaign {
     let cases = campaign_cases(config);
     let tolerance = config.tolerance;
-    let outcomes = RunGrid::new().run(cases, move |case| score_case(&case, tolerance));
-    let mut per_policy: BTreeMap<String, Scorecard> = POLICIES
-        .iter()
-        .map(|p| (p.to_string(), Scorecard::new()))
-        .collect();
-    for outcome in &outcomes {
-        per_policy
-            .get_mut(&outcome.case.policy)
-            .expect("policy key")
-            .absorb(&outcome.score);
-    }
-    Campaign {
-        config,
-        outcomes,
-        per_policy,
-    }
-}
-
-/// Run and score one grid cell on the live threaded runtime.
-///
-/// The cell's scenario file resolves through [`plan_file_run`] and the
-/// CLI's exact `ClusterConfig` → `LiveTuning` mapping, so the live
-/// testbed describes the same hardware the simulated campaign models —
-/// same wiring, same fault plan, same seed.
-pub fn score_live_case(case: &ChaosCase, tolerance: f64) -> CaseOutcome {
-    let plan = plan_file_run(&case.file).expect("sampled chaos case must plan");
-    let horizon = plan.scenario.duration;
-    let period = SimDuration::from_millis(case.file.run.period_ms.unwrap_or(100));
-    let tuning = adaptbf_cli::live_tuning_with(&plan.cluster, &plan.tuning);
-    let live = adaptbf_runtime::LiveCluster::run_with_faults(
-        &plan.scenario,
-        plan.policy,
-        tuning,
-        &case.file.faults,
-        plan.seed,
-    )
-    .expect("sampled chaos plans are live-feasible");
-    let window = case.file.faults.disturbance_window(period, horizon);
-    let score = score_over(&live.report, window, tolerance);
-    CaseOutcome {
-        case: case.clone(),
-        score,
-        window,
-    }
-}
-
-/// Sweep the campaign grid over the live threaded runtime.
-///
-/// Runs are sequential — each live run already owns the machine's
-/// threads (clients, OST I/O pools, controllers), so overlapping them
-/// would contend for cores and distort every score.
-pub fn run_live_campaign(config: CampaignConfig) -> Campaign {
-    let cases = campaign_cases(config);
-    let outcomes: Vec<CaseOutcome> = cases
-        .iter()
-        .map(|case| score_live_case(case, config.tolerance))
-        .collect();
+    let outcomes = exec
+        .grid()
+        .run(cases, move |case| score_case(&case, tolerance, exec));
     let mut per_policy: BTreeMap<String, Scorecard> = POLICIES
         .iter()
         .map(|p| (p.to_string(), Scorecard::new()))
@@ -448,177 +400,112 @@ pub fn campaign_json(campaign: &Campaign) -> String {
     json
 }
 
-/// The adaptbf resilience floor as the key-value text checked in at
-/// `crates/bench/chaos_floor.txt`.
-pub fn floor_text(campaign: &Campaign) -> String {
-    let card = &campaign.per_policy["adaptbf"];
-    format!(
-        "adaptbf_worst_dip_ratio {:.4}\nadaptbf_worst_recovery_secs {:.4}\n\
-         adaptbf_unrecovered_runs {}\nadaptbf_conservation_violations {}\n",
-        card.worst_dip_ratio,
-        card.worst_recovery_secs,
-        card.unrecovered_runs,
-        card.conservation_violations
-    )
+/// How a floor row's checked-in value bounds the measured one.
+#[derive(Debug, Clone, Copy)]
+enum Bound {
+    /// Measured may not fall below the floor value.
+    AtLeast,
+    /// Measured may not rise above the floor value.
+    AtMost,
+    /// Measured must equal the floor value (re-floor after an intentional
+    /// reshape).
+    Exactly,
 }
 
-/// Compare a campaign's adaptbf scorecard against a checked-in floor.
+/// One line of a floor file — `key value` — as `(key, measured, decimals
+/// the value prints with, how the floor bounds it)`.
+type FloorRow = (&'static str, f64, usize, Bound);
+
+/// The rows a campaign on `exec` is held to.
 ///
-/// The campaign is bit-deterministic, so the comparison is strict (a tiny
-/// epsilon only absorbs the floor file's 4-decimal rounding): the dip may
-/// not deepen, recovery may not slow, and no new unrecovered runs or
-/// conservation breaks may appear.
-pub fn check_floor(campaign: &Campaign, floor: &str) -> Result<(), String> {
-    let mut values: BTreeMap<&str, f64> = BTreeMap::new();
-    for line in floor.lines() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let (key, value) = line
-            .split_once(' ')
-            .ok_or_else(|| format!("malformed floor line `{line}`"))?;
-        values.insert(
-            match key {
-                "adaptbf_worst_dip_ratio" => "dip",
-                "adaptbf_worst_recovery_secs" => "recovery",
-                "adaptbf_unrecovered_runs" => "unrecovered",
-                "adaptbf_conservation_violations" => "conservation",
-                other => return Err(format!("unknown floor key `{other}`")),
-            },
-            value
-                .trim()
-                .parse()
-                .map_err(|e| format!("bad floor value for `{key}`: {e}"))?,
-        );
-    }
-    let need = |k: &str| values.get(k).copied().ok_or(format!("floor missing {k}"));
-    let card = &campaign.per_policy["adaptbf"];
-    const EPS: f64 = 1e-4;
-    if card.worst_dip_ratio < need("dip")? - EPS {
-        return Err(format!(
-            "worst_dip_ratio regressed: {:.4} < floor {:.4}",
-            card.worst_dip_ratio,
-            need("dip")?
-        ));
-    }
-    if card.worst_recovery_secs > need("recovery")? + EPS {
-        return Err(format!(
-            "worst_recovery_secs regressed: {:.4} > floor {:.4}",
-            card.worst_recovery_secs,
-            need("recovery")?
-        ));
-    }
-    if (card.unrecovered_runs as f64) > need("unrecovered")? {
-        return Err(format!(
-            "unrecovered_runs regressed: {} > floor {}",
-            card.unrecovered_runs,
-            need("unrecovered")?
-        ));
-    }
-    if (card.conservation_violations as f64) > need("conservation")? {
-        return Err(format!(
-            "conservation_violations regressed: {} > floor {}",
-            card.conservation_violations,
-            need("conservation")?
-        ));
-    }
-    Ok(())
-}
-
-/// Count the campaign's conservation-audit failures across all policies.
-fn conservation_violations(campaign: &Campaign) -> usize {
-    campaign
-        .outcomes
-        .iter()
-        .filter(|o| !o.score.conservation_ok)
-        .count()
-}
-
-/// Count the campaign's resilience violations (`RunScore::violates`)
-/// across all policies.
-fn resilience_violations(campaign: &Campaign) -> usize {
-    campaign
-        .outcomes
-        .iter()
-        .filter(|o| o.score.violates())
-        .count()
-}
-
-/// The live resilience floor as the key-value text checked in at
-/// `crates/bench/chaos_live_floor.txt`.
-///
-/// Unlike the simulated floor, the live floor is count-shaped: wall-clock
+/// A simulated campaign is bit-deterministic, so its floor
+/// (`crates/bench/chaos_floor.txt`) is the adaptbf scorecard itself: the
+/// dip may not deepen, recovery may not slow, and no new unrecovered runs
+/// or conservation breaks may appear. A live campaign's floor
+/// (`crates/bench/chaos_live_floor.txt`) is count-shaped: wall-clock
 /// jitter moves dip depth and recovery time between runs, so pinning them
 /// to four decimals would flake. What it pins instead: the grid size
 /// (exact — the case expansion is deterministic), zero conservation
 /// breaks (a pure bookkeeping invariant, independent of timing), and a
-/// ceiling on resilience violations.
-pub fn live_floor_text(campaign: &Campaign) -> String {
-    format!(
-        "live_cases {}\nlive_conservation_violations {}\nlive_resilience_violations {}\n",
-        campaign.outcomes.len(),
-        conservation_violations(campaign),
-        resilience_violations(campaign)
-    )
+/// ceiling on resilience violations, both counted across all policies.
+fn floor_rows(campaign: &Campaign, exec: Executor) -> Vec<FloorRow> {
+    use Bound::{AtLeast, AtMost, Exactly};
+    let count = |pred: fn(&RunScore) -> bool| {
+        campaign.outcomes.iter().filter(|o| pred(&o.score)).count() as f64
+    };
+    match exec {
+        Executor::Sim { .. } => {
+            let card = &campaign.per_policy["adaptbf"];
+            let (dip, recovery) = (card.worst_dip_ratio, card.worst_recovery_secs);
+            let unrecovered = card.unrecovered_runs as f64;
+            let broken = card.conservation_violations as f64;
+            vec![
+                ("adaptbf_worst_dip_ratio", dip, 4, AtLeast),
+                ("adaptbf_worst_recovery_secs", recovery, 4, AtMost),
+                ("adaptbf_unrecovered_runs", unrecovered, 0, AtMost),
+                ("adaptbf_conservation_violations", broken, 0, AtMost),
+            ]
+        }
+        Executor::Live => {
+            let cases = campaign.outcomes.len() as f64;
+            let broken = count(|s| !s.conservation_ok);
+            let violating = count(RunScore::violates);
+            vec![
+                ("live_cases", cases, 0, Exactly),
+                ("live_conservation_violations", broken, 0, AtMost),
+                ("live_resilience_violations", violating, 0, AtMost),
+            ]
+        }
+    }
 }
 
-/// Compare a live campaign against the checked-in live floor: the grid
-/// must match exactly, conservation breaks may not exceed the recorded
-/// count (zero), and resilience violations may not grow past the ceiling.
-pub fn check_live_floor(campaign: &Campaign, floor: &str) -> Result<(), String> {
-    let mut values: BTreeMap<&str, usize> = BTreeMap::new();
-    for line in floor.lines() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
+/// The floor of a campaign that ran on `exec`, as the key-value text
+/// checked in under `crates/bench/`.
+pub fn floor_text(campaign: &Campaign, exec: Executor) -> String {
+    let mut out = String::new();
+    for (key, measured, decimals, _) in floor_rows(campaign, exec) {
+        let _ = writeln!(out, "{key} {measured:.decimals$}");
+    }
+    out
+}
+
+/// Compare a campaign that ran on `exec` against its checked-in floor:
+/// every row must be present (and no other), and each measured value must
+/// sit on the right side of its floor value. A tiny epsilon only absorbs
+/// the floor file's 4-decimal rounding; counts are whole numbers, so for
+/// them the comparison is exact.
+pub fn check_floor(campaign: &Campaign, exec: Executor, floor: &str) -> Result<(), String> {
+    const EPS: f64 = 1e-4;
+    let rows = floor_rows(campaign, exec);
+    let mut values: BTreeMap<&str, f64> = BTreeMap::new();
+    for line in floor.lines().map(str::trim).filter(|l| !l.is_empty()) {
         let (key, value) = line
             .split_once(' ')
-            .ok_or_else(|| format!("malformed live floor line `{line}`"))?;
-        if !matches!(
-            key,
-            "live_cases" | "live_conservation_violations" | "live_resilience_violations"
-        ) {
-            return Err(format!("unknown live floor key `{key}`"));
+            .ok_or_else(|| format!("malformed floor line `{line}`"))?;
+        if !rows.iter().any(|row| row.0 == key) {
+            return Err(format!("unknown floor key `{key}`"));
         }
-        values.insert(
-            key,
-            value
-                .trim()
-                .parse()
-                .map_err(|e| format!("bad live floor value for `{key}`: {e}"))?,
-        );
+        let value = value
+            .trim()
+            .parse()
+            .map_err(|e| format!("bad floor value for `{key}`: {e}"))?;
+        values.insert(key, value);
     }
-    let need = |k: &str| {
-        values
-            .get(k)
-            .copied()
-            .ok_or(format!("live floor missing {k}"))
-    };
-    if campaign.outcomes.len() != need("live_cases")? {
-        return Err(format!(
-            "grid changed: ran {} cases, floor expects {} \
-             (rerun with --write-floor after an intentional reshape)",
-            campaign.outcomes.len(),
-            need("live_cases")?
-        ));
-    }
-    let conservation = conservation_violations(campaign);
-    if conservation > need("live_conservation_violations")? {
-        return Err(format!(
-            "conservation regressed: {} violations > floor {}",
-            conservation,
-            need("live_conservation_violations")?
-        ));
-    }
-    let resilience = resilience_violations(campaign);
-    if resilience > need("live_resilience_violations")? {
-        return Err(format!(
-            "resilience regressed: {} violations > floor {}",
-            resilience,
-            need("live_resilience_violations")?
-        ));
+    for (key, measured, decimals, bound) in rows {
+        let floor = *values
+            .get(key)
+            .ok_or_else(|| format!("floor missing {key}"))?;
+        let (broken, requires) = match bound {
+            Bound::AtLeast => (measured < floor - EPS, "at least"),
+            Bound::AtMost => (measured > floor + EPS, "at most"),
+            Bound::Exactly => ((measured - floor).abs() > EPS, "exactly"),
+        };
+        if broken {
+            return Err(format!(
+                "{key} regressed: measured {measured:.decimals$}, \
+                 floor requires {requires} {floor:.decimals$}"
+            ));
+        }
     }
     Ok(())
 }
@@ -693,12 +580,8 @@ fn oracle_digest(report: &RunReport) -> String {
 /// candidate.
 pub fn scored_run(file: &ScenarioFile, tolerance: f64) -> Option<ScoredRun> {
     let plan = plan_file_run(file).ok()?;
-    let horizon = plan.scenario.duration;
-    let period = SimDuration::from_millis(file.run.period_ms.unwrap_or(100));
-    let jobs = plan.scenario.job_ids();
-    let (out, trace) =
-        Cluster::build_with(&plan.scenario, plan.policy, plan.seed, plan.cluster).run_traced();
-    let report = out.into_report(plan.scenario.name.clone(), plan.policy, &jobs);
+    let ran = execute(&plan, Executor::Sim { shards: None }, true).ok()?;
+    let (report, trace) = (ran.report, ran.trace?);
     let replayed = replay_report(
         &trace,
         plan.policy,
@@ -708,7 +591,7 @@ pub fn scored_run(file: &ScenarioFile, tolerance: f64) -> Option<ScoredRun> {
     if oracle_digest(&report) != oracle_digest(&replayed) {
         return None;
     }
-    let window = file.faults.disturbance_window(period, horizon);
+    let window = disturbance_window(file, plan.scenario.duration);
     Some(ScoredRun {
         score: score_over(&report, window, tolerance),
         body_digest: report_body_digest(&report),
@@ -900,34 +783,12 @@ mod tests {
         assert_eq!(seeds.len(), 3 * 3, "one distinct seed per (scenario, plan)");
     }
 
+    /// Both floor shapes through the one row table: a campaign passes
+    /// its own floor text; every row, pushed in its bad direction, fails
+    /// naming its key; unknown keys, missing keys and malformed lines are
+    /// rejected.
     #[test]
-    fn floor_check_accepts_own_floor_and_rejects_regressions() {
-        let mut campaign = Campaign {
-            config: CampaignConfig::smoke(1),
-            outcomes: Vec::new(),
-            per_policy: POLICIES
-                .iter()
-                .map(|p| (p.to_string(), Scorecard::new()))
-                .collect(),
-        };
-        let card = campaign.per_policy.get_mut("adaptbf").unwrap();
-        card.runs = 4;
-        card.worst_dip_ratio = 0.25;
-        card.worst_recovery_secs = 1.5;
-        let floor = floor_text(&campaign);
-        assert!(check_floor(&campaign, &floor).is_ok());
-        let card = campaign.per_policy.get_mut("adaptbf").unwrap();
-        card.worst_dip_ratio = 0.1;
-        assert!(check_floor(&campaign, &floor).is_err());
-        let card = campaign.per_policy.get_mut("adaptbf").unwrap();
-        card.worst_dip_ratio = 0.25;
-        card.conservation_violations = 1;
-        assert!(check_floor(&campaign, &floor).is_err());
-        assert!(check_floor(&campaign, "garbage").is_err());
-    }
-
-    #[test]
-    fn live_floor_pins_grid_size_and_violation_counts() {
+    fn floor_check_accepts_own_floor_and_rejects_each_regression() {
         let config = CampaignConfig::live_smoke(1);
         let clean_score = RunScore {
             tracked_jobs: 1,
@@ -936,41 +797,89 @@ mod tests {
             worst_recovery_secs: Some(0.1),
             conservation_ok: true,
         };
-        let outcomes: Vec<CaseOutcome> = campaign_cases(config)
-            .into_iter()
-            .map(|case| CaseOutcome {
-                case,
-                score: clean_score,
-                window: None,
-            })
-            .collect();
         let mut campaign = Campaign {
             config,
-            outcomes,
+            outcomes: campaign_cases(config)
+                .into_iter()
+                .map(|case| CaseOutcome {
+                    case,
+                    score: clean_score,
+                    window: None,
+                })
+                .collect(),
             per_policy: POLICIES
                 .iter()
                 .map(|p| (p.to_string(), Scorecard::new()))
                 .collect(),
         };
-        let floor = live_floor_text(&campaign);
-        assert!(floor.contains("live_cases 9"), "{floor}");
-        assert!(floor.contains("live_conservation_violations 0"), "{floor}");
-        assert!(floor.contains("live_resilience_violations 0"), "{floor}");
-        assert!(check_live_floor(&campaign, &floor).is_ok());
-        // A conservation break is a hard failure.
-        campaign.outcomes[0].score.conservation_ok = false;
-        let err = check_live_floor(&campaign, &floor).unwrap_err();
-        assert!(err.contains("conservation"), "{err}");
-        campaign.outcomes[0].score.conservation_ok = true;
-        // An unrecovered tracked job exceeds the zero-violation ceiling.
-        campaign.outcomes[0].score.all_recovered = false;
-        let err = check_live_floor(&campaign, &floor).unwrap_err();
-        assert!(err.contains("resilience"), "{err}");
-        campaign.outcomes[0].score.all_recovered = true;
-        // A reshaped grid must be re-floored, not silently accepted.
-        campaign.outcomes.pop();
-        let err = check_live_floor(&campaign, &floor).unwrap_err();
-        assert!(err.contains("grid changed"), "{err}");
-        assert!(check_live_floor(&campaign, "garbage").is_err());
+        fn card(c: &mut Campaign) -> &mut Scorecard {
+            c.per_policy.get_mut("adaptbf").unwrap()
+        }
+        card(&mut campaign).runs = 4;
+        card(&mut campaign).worst_dip_ratio = 0.25;
+        card(&mut campaign).worst_recovery_secs = 1.5;
+
+        type Regress = fn(&mut Campaign);
+        let sim_regressions: [(&str, Regress); 4] = [
+            ("adaptbf_worst_dip_ratio", |c| card(c).worst_dip_ratio = 0.1),
+            ("adaptbf_worst_recovery_secs", |c| {
+                card(c).worst_recovery_secs = 1.6
+            }),
+            ("adaptbf_unrecovered_runs", |c| card(c).unrecovered_runs = 1),
+            ("adaptbf_conservation_violations", |c| {
+                card(c).conservation_violations = 1
+            }),
+        ];
+        let live_regressions: [(&str, Regress); 4] = [
+            // A reshaped grid must be re-floored, not silently accepted —
+            // in either direction.
+            ("live_cases", |c| {
+                c.outcomes.pop();
+            }),
+            ("live_cases", |c| c.outcomes.push(c.outcomes[0].clone())),
+            // A conservation break is a hard failure.
+            ("live_conservation_violations", |c| {
+                c.outcomes[0].score.conservation_ok = false
+            }),
+            // An unrecovered tracked job exceeds the zero-violation ceiling.
+            ("live_resilience_violations", |c| {
+                c.outcomes[0].score.all_recovered = false
+            }),
+        ];
+        for (exec, regressions) in [
+            (Executor::Sim { shards: None }, &sim_regressions),
+            (Executor::Live, &live_regressions),
+        ] {
+            let floor = floor_text(&campaign, exec);
+            assert!(check_floor(&campaign, exec, &floor).is_ok(), "{floor}");
+            for (key, regress) in regressions {
+                assert!(floor.contains(&format!("{key} ")), "{floor}");
+                let mut worse = Campaign {
+                    config,
+                    outcomes: campaign.outcomes.clone(),
+                    per_policy: campaign.per_policy.clone(),
+                };
+                regress(&mut worse);
+                let err = check_floor(&worse, exec, &floor).unwrap_err();
+                assert!(err.starts_with(key), "{key}: {err}");
+            }
+            let err = check_floor(&campaign, exec, "garbage").unwrap_err();
+            assert!(err.contains("malformed"), "{err}");
+            let err = check_floor(&campaign, exec, &format!("{floor}bogus_key 1\n")).unwrap_err();
+            assert!(err.contains("unknown floor key"), "{err}");
+            let first_line_gone = floor.split_once('\n').unwrap().1;
+            let err = check_floor(&campaign, exec, first_line_gone).unwrap_err();
+            assert!(err.contains("floor missing"), "{err}");
+        }
+        // The checked-in key sets and number formats.
+        assert_eq!(
+            floor_text(&campaign, Executor::Sim { shards: None }),
+            "adaptbf_worst_dip_ratio 0.2500\nadaptbf_worst_recovery_secs 1.5000\n\
+             adaptbf_unrecovered_runs 0\nadaptbf_conservation_violations 0\n"
+        );
+        assert_eq!(
+            floor_text(&campaign, Executor::Live),
+            "live_cases 9\nlive_conservation_violations 0\nlive_resilience_violations 0\n"
+        );
     }
 }

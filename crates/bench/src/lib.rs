@@ -8,13 +8,17 @@
 //! | Binary | What it produces |
 //! |---|---|
 //! | `figs [--fig N]` | Figs. 3–9 — timelines, bars + gains, records & demand, frequency sweep (all of them without `--fig`) |
-//! | `overhead` | §IV-G — allocation cost scaling, framework overhead, Table II config |
 //! | `ablations` | design ablations of the allocation algorithm |
 //! | `replay` | record once, replay under all three policies |
 //! | `chaos` | seeded fault campaigns → `BENCH_chaos.json` + floors |
 //!
 //! Performance is measured elsewhere: the repository's one benchmark is
-//! the standalone `benchmark/` package (see `benchmark/README.md`).
+//! the standalone `benchmark/` package (see `benchmark/README.md`). That
+//! includes §IV-G: its two bounds are asserted by
+//! `tests/shape_frequency_and_overhead.rs` and
+//! `tests/scalability_and_churn.rs`, and measured by the benchmark's
+//! `core.step_us`, `core.step_ns_per_job`, `node.tick_us` and
+//! `node.ctl_us_per_job` rows.
 //!
 //! Absolute numbers come from the simulated substrate (a calibrated model
 //! of the paper's CloudLab testbed — see the "Reproduction scope" section

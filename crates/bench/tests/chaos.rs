@@ -6,7 +6,10 @@ use adaptbf_bench::chaos::{
     base_files, campaign_cases, campaign_json, check_floor, floor_text, run_campaign,
     shrink_candidates, CampaignConfig, POLICIES,
 };
+use adaptbf_cli::exec::Executor;
 use adaptbf_workload::ScenarioFile;
+
+const SIM: Executor = Executor::Sim { shards: None };
 
 fn tiny() -> CampaignConfig {
     CampaignConfig {
@@ -22,13 +25,13 @@ fn tiny() -> CampaignConfig {
 /// wall-clock data and every run is deterministic).
 #[test]
 fn same_campaign_seed_reproduces_byte_identical_report() {
-    let first = campaign_json(&run_campaign(tiny()));
-    let second = campaign_json(&run_campaign(tiny()));
+    let first = campaign_json(&run_campaign(tiny(), SIM));
+    let second = campaign_json(&run_campaign(tiny(), SIM));
     assert_eq!(first, second);
     assert!(first.contains("\"campaign_seed\": 8"));
     // And its own floor always passes its own campaign.
-    let campaign = run_campaign(tiny());
-    assert!(check_floor(&campaign, &floor_text(&campaign)).is_ok());
+    let campaign = run_campaign(tiny(), SIM);
+    assert!(check_floor(&campaign, SIM, &floor_text(&campaign, SIM)).is_ok());
 }
 
 #[test]

@@ -5,18 +5,18 @@
 #![warn(missing_docs)]
 
 use adaptbf_analysis::summary::analyze_comparison;
-use adaptbf_analysis::LatencyComparison;
 use adaptbf_model::config::paper;
-use adaptbf_model::{AdapTbfConfig, JobId, SimDuration};
-use adaptbf_runtime::{LiveCluster, LiveTuning};
-use adaptbf_sim::cluster::ClusterConfig;
+use adaptbf_model::{AdapTbfConfig, SimDuration};
 use adaptbf_sim::report::frequency_sweep_on;
 use adaptbf_sim::report::{comparison_table, frequency_csv};
 use adaptbf_sim::spec::{plan_file_run, policy_by_name, recorded_policy, replay_cluster_config};
-use adaptbf_sim::{Cluster, Comparison, Experiment, Policy, RunReport};
+use adaptbf_sim::{Comparison, FileRun, Policy, RunReport};
 use adaptbf_workload::trace::Trace;
-use adaptbf_workload::{scenarios, Scenario, ScenarioFile, TuningSpec};
+use adaptbf_workload::{scenarios, ScenarioFile};
+use exec::{execute, Executor};
 use std::fmt::Write as _;
+
+pub mod exec;
 
 /// Usage text shown on argument errors and by `help`.
 pub const USAGE: &str = "usage: adaptbf <command> [options]\n\
@@ -95,47 +95,11 @@ fn usage(msg: impl Into<String>) -> CliError {
     CliError::Usage(msg.into())
 }
 
-/// Parsed command-line options.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Options {
-    /// RNG seed.
-    pub seed: u64,
-    /// Workload scale factor.
-    pub scale: f64,
-    /// AdapTBF period in milliseconds.
-    pub period_ms: u64,
-    /// Policy for `run`/`record`/`replay`.
-    pub policy: String,
-    /// Trace output path for `record`.
-    pub out: Option<String>,
-    /// Event-loop shard count for `run`/`record`/`replay`; `None` keeps
-    /// the simulator's `ADAPTBF_SHARDS` default. Execution parameter
-    /// only — never changes results.
-    pub shards: Option<usize>,
-    /// Execute `run` on the live threaded runtime instead of the
-    /// simulator.
-    pub live: bool,
-}
-
-impl Default for Options {
-    fn default() -> Self {
-        Options {
-            seed: 42,
-            scale: 1.0,
-            period_ms: 100,
-            policy: "adaptbf".into(),
-            out: None,
-            shards: None,
-            live: false,
-        }
-    }
-}
-
-/// `--key value` options as given, before defaults are applied — so a
-/// scenario file's `run` block (or a trace header) can supply defaults
-/// that explicit flags override.
+/// `--key value` options as given. Nothing is defaulted here: a scenario
+/// file's `run` block (or a trace header) supplies what a flag leaves
+/// unset, and the planner supplies the rest.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct RawOptions {
+pub struct Options {
     /// `--seed N`.
     pub seed: Option<u64>,
     /// `--scale F`.
@@ -146,143 +110,80 @@ pub struct RawOptions {
     pub policy: Option<String>,
     /// `--out FILE`.
     pub out: Option<String>,
-    /// `--shards N`.
+    /// `--shards N`: event-loop shard count; `None` keeps the simulator's
+    /// `ADAPTBF_SHARDS` default. Execution parameter only — never changes
+    /// results.
     pub shards: Option<usize>,
     /// `--live` (flag, no value).
     pub live: bool,
 }
 
-impl RawOptions {
-    /// Parse trailing `--key value` pairs (plus the `--live` flag).
-    pub fn parse(args: &[String]) -> Result<RawOptions, CliError> {
-        let mut raw = RawOptions::default();
-        let mut i = 0;
-        while i < args.len() {
-            let key = args[i].as_str();
-            if key == "--live" {
-                raw.live = true;
-                i += 1;
-                continue;
-            }
-            let value = args
-                .get(i + 1)
-                .ok_or_else(|| usage(format!("{key} needs a value")))?;
-            match key {
-                "--seed" => {
-                    raw.seed = Some(
-                        value
-                            .parse()
-                            .map_err(|_| usage("--seed takes an integer"))?,
-                    );
-                }
-                "--scale" => {
-                    let scale: f64 = value.parse().map_err(|_| usage("--scale takes a float"))?;
-                    if scale <= 0.0 {
-                        return Err(usage("--scale must be positive"));
-                    }
-                    raw.scale = Some(scale);
-                }
-                "--period" => {
-                    let ms: u64 = value
-                        .parse()
-                        .map_err(|_| usage("--period takes milliseconds"))?;
-                    if ms == 0 {
-                        return Err(usage("--period must be positive"));
-                    }
-                    raw.period_ms = Some(ms);
-                }
-                "--policy" => {
-                    if policy_by_name(value, AdapTbfConfig::default()).is_none() {
-                        return Err(usage(format!("unknown policy {value}")));
-                    }
-                    raw.policy = Some(value.clone());
-                }
-                "--out" => raw.out = Some(value.clone()),
-                "--shards" => {
-                    let n: usize = value
-                        .parse()
-                        .map_err(|_| usage("--shards takes an integer"))?;
-                    if n == 0 {
-                        return Err(usage("--shards must be positive"));
-                    }
-                    raw.shards = Some(n);
-                }
-                other => return Err(usage(format!("unknown option {other}"))),
-            }
-            i += 2;
-        }
-        Ok(raw)
-    }
-
-    /// Fill unset options from `base`.
-    pub fn resolve(self, base: Options) -> Options {
-        Options {
-            seed: self.seed.unwrap_or(base.seed),
-            scale: self.scale.unwrap_or(base.scale),
-            period_ms: self.period_ms.unwrap_or(base.period_ms),
-            policy: self.policy.unwrap_or(base.policy),
-            out: self.out.or(base.out),
-            shards: self.shards.or(base.shards),
-            live: self.live || base.live,
-        }
-    }
-}
-
-/// Parse trailing `--key value` options against the built-in defaults.
+/// Parse trailing `--key value` pairs (plus the `--live` flag).
 pub fn parse_options(args: &[String]) -> Result<Options, CliError> {
-    Ok(RawOptions::parse(args)?.resolve(Options::default()))
-}
-
-/// Built-in scenario names and builders.
-pub fn scenario_by_name(name: &str, scale: f64) -> Result<Scenario, CliError> {
-    match name {
-        "token_allocation" => Ok(scenarios::token_allocation_scaled(scale)),
-        "token_redistribution" => Ok(scenarios::token_redistribution_scaled(scale)),
-        "token_recompensation" => Ok(scenarios::token_recompensation_scaled(scale)),
-        "hog_and_victim" => Ok(scenarios::hog_and_victim_scaled(scale)),
-        "job_churn" => Ok(scenarios::job_churn_scaled(scale)),
-        "many_jobs" => Ok(scenarios::many_jobs(32, (30.0 * scale).max(5.0) as u64)),
-        "million_rpc" => Ok(scenarios::million_rpc_scaled(scale)),
-        other => Err(usage(format!(
-            "unknown scenario {other}; try `adaptbf scenarios`"
-        ))),
+    let mut opts = Options::default();
+    let mut i = 0;
+    while i < args.len() {
+        let key = args[i].as_str();
+        if key == "--live" {
+            opts.live = true;
+            i += 1;
+            continue;
+        }
+        let value = args
+            .get(i + 1)
+            .ok_or_else(|| usage(format!("{key} needs a value")))?;
+        match key {
+            "--seed" => {
+                opts.seed = Some(
+                    value
+                        .parse()
+                        .map_err(|_| usage("--seed takes an integer"))?,
+                );
+            }
+            "--scale" => {
+                let scale: f64 = value.parse().map_err(|_| usage("--scale takes a float"))?;
+                if scale <= 0.0 {
+                    return Err(usage("--scale must be positive"));
+                }
+                opts.scale = Some(scale);
+            }
+            "--period" => {
+                let ms: u64 = value
+                    .parse()
+                    .map_err(|_| usage("--period takes milliseconds"))?;
+                if ms == 0 {
+                    return Err(usage("--period must be positive"));
+                }
+                opts.period_ms = Some(ms);
+            }
+            "--policy" => {
+                if policy_by_name(value, AdapTbfConfig::default()).is_none() {
+                    return Err(usage(format!("unknown policy {value}")));
+                }
+                opts.policy = Some(value.clone());
+            }
+            "--out" => opts.out = Some(value.clone()),
+            "--shards" => {
+                let n: usize = value
+                    .parse()
+                    .map_err(|_| usage("--shards takes an integer"))?;
+                if n == 0 {
+                    return Err(usage("--shards must be positive"));
+                }
+                opts.shards = Some(n);
+            }
+            other => return Err(usage(format!("unknown option {other}"))),
+        }
+        i += 2;
     }
+    Ok(opts)
 }
 
-/// Built-ins that are full scenario *files* (workload + run block + fault
-/// schedule), listed by `adaptbf scenarios` alongside the plain mixes.
-pub const FAULT_BUILTINS: &[&str] = &["ost_failover", "churn_under_degradation"];
-
-/// Resolve one of [`FAULT_BUILTINS`]: they flow through the same
-/// `plan_file_run` path as `--scenario-file`, so their faults and wiring
-/// are injected automatically.
-pub fn scenario_file_by_name(name: &str, scale: f64) -> Option<ScenarioFile> {
-    match name {
-        "ost_failover" => Some(scenarios::ost_failover_scaled(scale)),
-        "churn_under_degradation" => Some(scenarios::churn_under_degradation_scaled(scale)),
-        _ => None,
-    }
-}
-
-fn adaptbf_config(opts: &Options) -> AdapTbfConfig {
-    paper::adaptbf().with_period(SimDuration::from_millis(opts.period_ms))
-}
-
-/// A command's workload plus the options/wiring it resolved to.
-struct Target {
-    scenario: Scenario,
-    opts: Options,
-    cluster: ClusterConfig,
-    /// Live-testbed knobs from the file's `tuning` block (defaults for
-    /// built-ins); only the `--live` paths consume it.
-    tuning: TuningSpec,
-}
-
-/// Resolve `<name> [opts]` or `--scenario-file FILE [opts]` into a
-/// runnable target. A scenario file's `run` block supplies option
-/// defaults; explicit flags override it.
-fn load_target(command: &str, rest: &[String]) -> Result<Target, CliError> {
-    match rest.first().map(String::as_str) {
+/// Resolve `<name> [opts]` or `--scenario-file FILE [opts]` into the run
+/// plan. A built-in name and a file take the same path: a [`ScenarioFile`]
+/// whose `run` block the explicit flags override, planned once.
+fn load_target(command: &str, rest: &[String]) -> Result<(FileRun, Options), CliError> {
+    let (mut file, opts) = match rest.first().map(String::as_str) {
         Some("--scenario-file") => {
             let path = rest
                 .get(1)
@@ -290,110 +191,91 @@ fn load_target(command: &str, rest: &[String]) -> Result<Target, CliError> {
             let text = std::fs::read_to_string(path)
                 .map_err(|e| CliError::Io(format!("cannot read {path}: {e}")))?;
             let file = ScenarioFile::parse(&text).map_err(|e| usage(e.to_string()))?;
-            let raw = RawOptions::parse(&rest[2..])?;
-            if raw.scale.is_some() {
+            let opts = parse_options(&rest[2..])?;
+            if opts.scale.is_some() {
                 return Err(usage("--scale applies to built-in scenarios only"));
             }
-            target_from_file(&file, raw)
+            (file, opts)
         }
         Some(name) if !name.starts_with("--") => {
-            let raw = RawOptions::parse(&rest[1..])?;
-            // Fault built-ins are full scenario files (workload + wiring +
-            // fault schedule) and resolve exactly like --scenario-file.
-            if let Some(file) = scenario_file_by_name(name, raw.scale.unwrap_or(1.0)) {
-                return target_from_file(&file, raw);
-            }
-            let opts = raw.resolve(Options::default());
-            Ok(Target {
-                scenario: scenario_by_name(name, opts.scale)?,
-                opts,
-                cluster: ClusterConfig::default(),
-                tuning: TuningSpec::default(),
-            })
+            let opts = parse_options(&rest[1..])?;
+            let (_, build) = scenarios::BUILTINS
+                .iter()
+                .find(|(builtin, _)| *builtin == name)
+                .ok_or_else(|| {
+                    usage(format!("unknown scenario {name}; try `adaptbf scenarios`"))
+                })?;
+            (build(opts.scale.unwrap_or(1.0)), opts)
         }
-        _ => Err(usage(format!(
-            "{command} needs a scenario name or --scenario-file FILE"
-        ))),
-    }
-}
-
-/// Resolve a parsed scenario file into a runnable target; its `run` block
-/// supplies option defaults that the raw command-line flags override, and
-/// its `faults` block rides in the cluster wiring.
-fn target_from_file(file: &ScenarioFile, raw: RawOptions) -> Result<Target, CliError> {
-    let plan = plan_file_run(file).map_err(|e| usage(e.to_string()))?;
-    let opts = raw.resolve(Options {
-        seed: plan.seed,
-        scale: 1.0,
-        period_ms: file.run.period_ms.unwrap_or(100),
-        policy: file
-            .run
-            .policy
-            .clone()
-            .unwrap_or_else(|| "adaptbf".to_string()),
-        out: None,
-        shards: None,
-        live: false,
-    });
-    Ok(Target {
-        scenario: plan.scenario,
-        opts,
-        cluster: plan.cluster,
-        tuning: plan.tuning,
-    })
+        _ => {
+            return Err(usage(format!(
+                "{command} needs a scenario name or --scenario-file FILE"
+            )))
+        }
+    };
+    let run = &mut file.run;
+    run.seed = opts.seed.or(run.seed);
+    run.period_ms = opts.period_ms.or(run.period_ms);
+    // Only `run` and `record` pick a policy. The other commands always run
+    // AdapTBF (compare and analyze next to the two baselines), so they
+    // plan the default policy at the resolved period.
+    run.policy = match command {
+        "run" | "record" => opts.policy.clone().or(run.policy.take()),
+        _ => None,
+    };
+    let plan = plan_file_run(&file).map_err(|e| usage(e.to_string()))?;
+    Ok((plan, opts))
 }
 
 /// Execute a full command line; returns the text to print.
 pub fn dispatch(args: &[String]) -> Result<String, CliError> {
+    const LIVE_COMMANDS: &str = "--live only applies to `run`, `compare`, `analyze` and `record`";
     let command = args.first().map(String::as_str).unwrap_or("");
     match command {
         "help" | "--help" | "-h" => Ok(USAGE.to_string()),
         "scenarios" => Ok(list_scenarios()),
         "run" | "compare" | "analyze" | "sweep" | "ledger" | "record" => {
-            let target = load_target(command, &args[1..])?;
-            let Target {
-                scenario,
-                opts,
-                cluster,
-                tuning,
-            } = &target;
+            let (plan, opts) = load_target(command, &args[1..])?;
             if command != "record" && opts.out.is_some() {
                 return Err(usage("--out only applies to `record`"));
             }
-            if !matches!(command, "run" | "compare" | "analyze" | "record") && opts.live {
-                return Err(usage(
-                    "--live only applies to `run`, `compare`, `analyze` and `record`",
-                ));
+            if opts.live && matches!(command, "sweep" | "ledger") {
+                return Err(usage(LIVE_COMMANDS));
             }
+            let exec = match (opts.live, opts.shards) {
+                (false, shards) => Executor::Sim { shards },
+                (true, None) => Executor::Live,
+                (true, Some(_)) => {
+                    return Err(usage(
+                        "`--shards` shards the simulator's event loop; \
+                         it does not apply with `--live`",
+                    ))
+                }
+            };
             match command {
-                "run" if opts.live => cmd_run_live(scenario, opts, *cluster, tuning),
-                "run" => cmd_run(scenario, opts, *cluster),
-                "compare" => cmd_compare(scenario, opts, *cluster, tuning),
-                "analyze" => cmd_analyze(scenario, opts, *cluster, tuning),
-                "sweep" => cmd_sweep(scenario, opts, *cluster),
-                "ledger" => cmd_ledger(scenario, opts, *cluster),
-                "record" if opts.live => cmd_record_live(scenario, opts, *cluster, tuning),
-                "record" => cmd_record(scenario, opts, *cluster),
-                _ => unreachable!(),
+                "run" => cmd_run(&plan, exec),
+                "compare" => cmd_compare(&plan, exec),
+                "analyze" => cmd_analyze(&plan, exec),
+                "sweep" => Ok(cmd_sweep(&plan)),
+                "ledger" => cmd_ledger(&plan, exec),
+                _ => cmd_record(&plan, exec, opts.out),
             }
         }
         "replay" => {
             let path = args
                 .get(1)
                 .ok_or_else(|| usage("replay needs a trace file"))?;
-            let raw = RawOptions::parse(&args[2..])?;
-            if raw.scale.is_some() {
+            let opts = parse_options(&args[2..])?;
+            if opts.scale.is_some() {
                 return Err(usage("--scale does not apply to replay"));
             }
-            if raw.out.is_some() {
+            if opts.out.is_some() {
                 return Err(usage("--out only applies to `record`"));
             }
-            if raw.live {
-                return Err(usage(
-                    "--live only applies to `run`, `compare`, `analyze` and `record`",
-                ));
+            if opts.live {
+                return Err(usage(LIVE_COMMANDS));
             }
-            cmd_replay(path, raw)
+            cmd_replay(path, opts)
         }
         "" => Err(usage("missing command")),
         other => Err(usage(format!("unknown command {other}"))),
@@ -401,52 +283,31 @@ pub fn dispatch(args: &[String]) -> Result<String, CliError> {
 }
 
 fn list_scenarios() -> String {
-    let names = [
-        "token_allocation",
-        "token_redistribution",
-        "token_recompensation",
-        "hog_and_victim",
-        "job_churn",
-        "many_jobs",
-        "million_rpc",
-    ];
-    let mut out = String::from("built-in scenarios:\n");
-    for n in names {
-        let s = scenario_by_name(n, 1.0).expect("known name");
-        let _ = writeln!(
-            out,
+    let mut plain = String::from("built-in scenarios:\n");
+    let mut faulty = String::from("built-in fault scenarios (workload + fault schedule):\n");
+    for (name, build) in scenarios::BUILTINS {
+        let file = build(1.0);
+        let s = file.to_scenario().expect("valid built-in");
+        let line = format!(
             "  {:<22} {} jobs, {}  — {}",
-            n,
+            name,
             s.jobs.len(),
             s.duration,
             s.description
         );
+        if file.faults.is_none() {
+            let _ = writeln!(plain, "{line}");
+        } else {
+            // The live runtime runs the full fault battery; a plan is only
+            // refused if it fails validation outright.
+            let live = match file.faults.validate() {
+                Ok(()) => "live: ok",
+                Err(_) => "live: invalid fault plan",
+            };
+            let _ = writeln!(faulty, "{line} [{live}]");
+        }
     }
-    out.push_str("built-in fault scenarios (workload + fault schedule):\n");
-    for &n in FAULT_BUILTINS {
-        let file = scenario_file_by_name(n, 1.0).expect("known name");
-        let s = file.to_scenario().expect("valid built-in");
-        // The live runtime runs the full fault battery; a plan is only
-        // refused if it fails validation outright.
-        let live = match file.faults.validate() {
-            Ok(()) => "live: ok",
-            Err(_) => "live: invalid fault plan",
-        };
-        let _ = writeln!(
-            out,
-            "  {:<22} {} jobs, {}  — {} [{}]",
-            n,
-            s.jobs.len(),
-            s.duration,
-            s.description,
-            live,
-        );
-    }
-    out
-}
-
-fn policy_from(opts: &Options) -> Policy {
-    policy_by_name(&opts.policy, adaptbf_config(opts)).expect("policy names are checked at parse")
+    plain + &faulty
 }
 
 fn render_report(report: &RunReport, seed: u64) -> String {
@@ -480,83 +341,21 @@ fn render_report(report: &RunReport, seed: u64) -> String {
     out
 }
 
-fn cmd_run(
-    scenario: &Scenario,
-    opts: &Options,
-    cluster: ClusterConfig,
-) -> Result<String, CliError> {
-    let mut experiment = Experiment::new(scenario.clone(), policy_from(opts))
-        .seed(opts.seed)
-        .cluster_config(cluster);
-    if let Some(n) = opts.shards {
-        experiment = experiment.shards(n);
-    }
-    Ok(render_report(&experiment.run(), opts.seed))
-}
-
-/// The live-testbed analogue of a simulated wiring: same OST model, TBF
-/// knobs and topology, with small payloads so emulated RPCs move real
-/// bytes without shoveling 1 MiB each through memory. This is *the*
-/// `ClusterConfig` → `LiveTuning` mapping, so live-vs-sim comparisons
-/// cannot silently run on different hardware.
-pub fn live_tuning_from(cluster: &ClusterConfig) -> LiveTuning {
-    LiveTuning {
-        ost: cluster.ost,
-        tbf: cluster.tbf,
-        n_osts: cluster.n_osts,
-        n_clients: cluster.n_clients,
-        stripe_count: cluster.stripe_count,
-        static_rate_total: cluster.static_rate_total,
-        bucket: cluster.bucket,
-        payload_bytes: 4096,
-        max_batch: 256,
-        pin_threads: false,
-    }
-}
-
-/// [`live_tuning_from`] with a scenario file's `tuning` block applied on
-/// top. `service_quantum_us` pins the emulated disk's mean per-RPC service
-/// time by re-deriving the device bandwidth (`quantum = rpc_size / (B/k)`,
-/// solved for `B`), so the file controls wall-clock service pacing without
-/// exposing raw bandwidth numbers.
-pub fn live_tuning_with(cluster: &ClusterConfig, tuning: &TuningSpec) -> LiveTuning {
-    let mut t = live_tuning_from(cluster);
-    if let Some(bytes) = tuning.payload_bytes {
-        t.payload_bytes = bytes as usize;
-    }
-    if let Some(us) = tuning.service_quantum_us {
-        let quantum_secs = us as f64 / 1e6;
-        t.ost.disk_bw_bytes_per_s =
-            (t.ost.rpc_size as f64 * t.ost.n_io_threads as f64 / quantum_secs) as u64;
-    }
-    if let Some(batch) = tuning.send_batch {
-        t.max_batch = batch as usize;
-    }
-    t
-}
-
-fn cmd_run_live(
-    scenario: &Scenario,
-    opts: &Options,
-    cluster: ClusterConfig,
-    tuning: &TuningSpec,
-) -> Result<String, CliError> {
-    let live = LiveCluster::run_with_faults(
-        scenario,
-        policy_from(opts),
-        live_tuning_with(&cluster, tuning),
-        &cluster.faults,
-        opts.seed,
-    )
-    .map_err(|e| CliError::Run(e.to_string()))?;
+/// `run`: one policy, the per-job table. A live run adds its thread and
+/// wall-clock header and, when faults moved RPCs, the audited
+/// fault-accounting partition.
+fn cmd_run(plan: &FileRun, exec: Executor) -> Result<String, CliError> {
+    let ran = execute(plan, exec, false)?;
+    let table = render_report(&ran.report, plan.seed);
+    let Some(elapsed) = ran.elapsed else {
+        return Ok(table);
+    };
+    let procs: usize = plan.scenario.jobs.iter().map(|j| j.processes.len()).sum();
     let mut out = format!(
-        "live run: {} OST thread(s), {} process thread(s), wall time {:.2?}\n\n",
-        live.records_per_ost.len(),
-        live.procs.len(),
-        live.elapsed,
+        "live run: {} OST thread(s), {procs} process thread(s), wall time {elapsed:.2?}\n\n{table}",
+        plan.cluster.n_osts,
     );
-    out.push_str(&render_report(&live.report, opts.seed));
-    let fs = live.report.fault_stats;
+    let fs = ran.report.fault_stats;
     if fs != Default::default() {
         let _ = writeln!(
             out,
@@ -568,79 +367,36 @@ fn cmd_run_live(
     Ok(out)
 }
 
-/// `record --live`: run the scenario on the threaded runtime with the
-/// recorder hook on, then write the captured trace — the same versioned
-/// format `record` emits from the simulator — so a wall-clock (faulty) run
-/// can be re-injected deterministically with `replay`.
-fn cmd_record_live(
-    scenario: &Scenario,
-    opts: &Options,
-    cluster: ClusterConfig,
-    tuning: &TuningSpec,
-) -> Result<String, CliError> {
-    let policy = policy_from(opts);
-    let (live, trace) = LiveCluster::record_with_faults(
-        scenario,
-        policy,
-        live_tuning_with(&cluster, tuning),
-        &cluster.faults,
-        opts.seed,
-    )
-    .map_err(|e| CliError::Run(e.to_string()))?;
-    let path = opts
-        .out
-        .clone()
-        .unwrap_or_else(|| format!("{}.trace", scenario.name));
+/// `record`: run with the recorder on, then write the captured trace. Both
+/// executors emit the same versioned format, so a wall-clock (faulty) run
+/// re-injects deterministically with `replay` just like a simulated one.
+fn cmd_record(plan: &FileRun, exec: Executor, out: Option<String>) -> Result<String, CliError> {
+    let ran = execute(plan, exec, true)?;
+    let trace = ran.trace.expect("a recording run yields its trace");
+    let name = &plan.scenario.name;
+    let path = out.unwrap_or_else(|| format!("{name}.trace"));
     std::fs::write(&path, trace.to_text())
         .map_err(|e| CliError::Io(format!("cannot write {path}: {e}")))?;
+    let wall = ran
+        .elapsed
+        .map_or(String::new(), |e| format!(", live, wall time {e:.2?}"));
     Ok(format!(
-        "recorded {} RPCs ({} served) live from {} under {} (seed {}, wall time {:.2?})\n\
-         wrote {path}\n\
-         replay in the simulator with: adaptbf replay {path}",
-        trace.records.len(),
-        live.report.metrics.total_served(),
-        scenario.name,
-        policy.name(),
-        opts.seed,
-        live.elapsed,
-    ))
-}
-
-fn cmd_record(
-    scenario: &Scenario,
-    opts: &Options,
-    cluster: ClusterConfig,
-) -> Result<String, CliError> {
-    let policy = policy_from(opts);
-    let mut recorder = Cluster::build_with(scenario, policy, opts.seed, cluster);
-    if let Some(n) = opts.shards {
-        recorder = recorder.shards(n);
-    }
-    let (out, trace) = recorder.run_traced();
-    let path = opts
-        .out
-        .clone()
-        .unwrap_or_else(|| format!("{}.trace", scenario.name));
-    std::fs::write(&path, trace.to_text())
-        .map_err(|e| CliError::Io(format!("cannot write {path}: {e}")))?;
-    Ok(format!(
-        "recorded {} RPCs ({} served) from {} under {} (seed {})\n\
+        "recorded {} RPCs ({} served) from {name} under {} (seed {}{wall})\n\
          wrote {path}\n\
          replay with: adaptbf replay {path}",
         trace.records.len(),
-        out.metrics.total_served(),
-        scenario.name,
-        policy.name(),
-        opts.seed,
+        ran.report.metrics.total_served(),
+        plan.policy.name(),
+        plan.seed,
     ))
 }
 
-fn cmd_replay(path: &str, raw: RawOptions) -> Result<String, CliError> {
+fn cmd_replay(path: &str, opts: Options) -> Result<String, CliError> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| CliError::Io(format!("cannot read {path}: {e}")))?;
     let trace = Trace::from_text(&text).map_err(|e| usage(e.to_string()))?;
-    let seed = raw.seed.unwrap_or(trace.meta.seed);
-    let policy = match (&raw.policy, raw.period_ms) {
+    let seed = opts.seed.unwrap_or(trace.meta.seed);
+    let policy = match (&opts.policy, opts.period_ms) {
         (None, None) => recorded_policy(&trace)
             .ok_or_else(|| usage(format!("trace has unknown policy {}", trace.meta.policy)))?,
         (name, period_ms) => {
@@ -655,7 +411,7 @@ fn cmd_replay(path: &str, raw: RawOptions) -> Result<String, CliError> {
         policy,
         seed,
         replay_cluster_config(&trace),
-        raw.shards,
+        opts.shards,
     );
     let mut out = format!(
         "replaying {path}: {} RPCs recorded from {} (seed {}, {})\n\n",
@@ -668,121 +424,78 @@ fn cmd_replay(path: &str, raw: RawOptions) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// The `--live` analogue of `Comparison::run_with`: three back-to-back
-/// wall-clock runs on the live threaded runtime, one per policy, folded
-/// into the same `Comparison` the simulator path produces — so the
-/// downstream gain/fairness/latency tables render unchanged.
-fn live_comparison(
-    scenario: &Scenario,
-    opts: &Options,
-    cluster: ClusterConfig,
-    tuning: &TuningSpec,
-) -> Result<Comparison, CliError> {
-    let run = |policy: Policy| -> Result<RunReport, CliError> {
-        let live = LiveCluster::run_with_faults(
-            scenario,
-            policy,
-            live_tuning_with(&cluster, tuning),
-            &cluster.faults,
-            opts.seed,
+/// The plan under all three policies (its own being AdapTBF at the
+/// resolved period), then `render` over the comparison. Wall-clock runs
+/// (three back to back) say so in a one-line banner; the tables are the
+/// same.
+fn compared(
+    command: &str,
+    plan: &FileRun,
+    exec: Executor,
+    render: impl Fn(&Comparison) -> String,
+) -> Result<String, CliError> {
+    let mut runs = exec
+        .grid()
+        .run(
+            vec![Policy::NoBw, Policy::StaticBw, plan.policy],
+            |policy| {
+                let plan = FileRun {
+                    policy,
+                    ..plan.clone()
+                };
+                execute(&plan, exec, false)
+            },
         )
-        .map_err(|e| CliError::Run(e.to_string()))?;
-        Ok(live.report)
+        .into_iter();
+    let mut next = || runs.next().expect("three runs");
+    let (no_bw, static_bw, adaptbf) = (next()?, next()?, next()?);
+    let banner = match adaptbf.elapsed {
+        Some(_) => format!(
+            "live {command}: three wall-clock runs (seed {})\n\n",
+            plan.seed
+        ),
+        None => String::new(),
     };
-    Ok(Comparison {
-        no_bw: run(Policy::NoBw)?,
-        static_bw: run(Policy::StaticBw)?,
-        adaptbf: run(Policy::AdapTbf(adaptbf_config(opts)))?,
+    let comparison = Comparison {
+        no_bw: no_bw.report,
+        static_bw: static_bw.report,
+        adaptbf: adaptbf.report,
+    };
+    Ok(banner + &render(&comparison))
+}
+
+fn cmd_compare(plan: &FileRun, exec: Executor) -> Result<String, CliError> {
+    compared("compare", plan, exec, |c| {
+        comparison_table(&c.job_rows(), c.overall_row())
     })
 }
 
-fn comparison_for(
-    scenario: &Scenario,
-    opts: &Options,
-    cluster: ClusterConfig,
-    tuning: &TuningSpec,
-) -> Result<Comparison, CliError> {
-    if opts.live {
-        live_comparison(scenario, opts, cluster, tuning)
-    } else {
-        Ok(Comparison::run_with(
-            scenario,
-            opts.seed,
-            Policy::AdapTbf(adaptbf_config(opts)),
-            cluster,
-        ))
-    }
+fn cmd_analyze(plan: &FileRun, exec: Executor) -> Result<String, CliError> {
+    compared("analyze", plan, exec, |c| {
+        let analysis = analyze_comparison(c, &plan.scenario);
+        format!("{}\n{}", analysis.table(), analysis.latency.table())
+    })
 }
 
-fn cmd_compare(
-    scenario: &Scenario,
-    opts: &Options,
-    cluster: ClusterConfig,
-    tuning: &TuningSpec,
-) -> Result<String, CliError> {
-    let comparison = comparison_for(scenario, opts, cluster, tuning)?;
-    let mut out = String::new();
-    if opts.live {
-        let _ = writeln!(
-            out,
-            "live compare: three wall-clock runs (seed {})\n",
-            opts.seed
-        );
-    }
-    out.push_str(&comparison_table(
-        &comparison.job_rows(),
-        comparison.overall_row(),
-    ));
-    Ok(out)
+fn cmd_sweep(plan: &FileRun) -> String {
+    let periods = [100u64, 200, 500, 1000, 2000].map(SimDuration::from_millis);
+    // The sweep sets each point's period itself, so it starts from the
+    // paper config rather than the plan's.
+    let points = frequency_sweep_on(
+        &plan.scenario,
+        plan.seed,
+        paper::adaptbf(),
+        &periods,
+        plan.cluster,
+    );
+    frequency_csv(&points)
 }
 
-fn cmd_analyze(
-    scenario: &Scenario,
-    opts: &Options,
-    cluster: ClusterConfig,
-    tuning: &TuningSpec,
-) -> Result<String, CliError> {
-    let comparison = comparison_for(scenario, opts, cluster, tuning)?;
-    let analysis = analyze_comparison(&comparison, scenario);
-    let mut out = String::new();
-    if opts.live {
-        let _ = writeln!(
-            out,
-            "live analyze: three wall-clock runs (seed {})\n",
-            opts.seed
-        );
-    }
-    out.push_str(&analysis.table());
-    out.push('\n');
-    out.push_str(&analysis.latency.table());
-    Ok(out)
-}
-
-fn cmd_sweep(
-    scenario: &Scenario,
-    opts: &Options,
-    cluster: ClusterConfig,
-) -> Result<String, CliError> {
-    let periods: Vec<SimDuration> = [100u64, 200, 500, 1000, 2000]
-        .map(SimDuration::from_millis)
-        .to_vec();
-    let points = frequency_sweep_on(scenario, opts.seed, adaptbf_config(opts), &periods, cluster);
-    Ok(frequency_csv(&points))
-}
-
-fn cmd_ledger(
-    scenario: &Scenario,
-    opts: &Options,
-    cluster: ClusterConfig,
-) -> Result<String, CliError> {
-    let report = Experiment::new(scenario.clone(), Policy::AdapTbf(adaptbf_config(opts)))
-        .seed(opts.seed)
-        .cluster_config(cluster)
-        .run();
+fn cmd_ledger(plan: &FileRun, exec: Executor) -> Result<String, CliError> {
+    let report = execute(plan, exec, false)?.report;
     let mut out = String::from("final lending/borrowing records (positive = lent):\n");
     let records = report.metrics.records();
-    let jobs: Vec<JobId> = report.per_job.keys().copied().collect();
-    for job in jobs {
+    for &job in report.per_job.keys() {
         let last = records
             .get(job)
             .and_then(|s| s.values.last().copied())
@@ -791,9 +504,6 @@ fn cmd_ledger(
     }
     Ok(out)
 }
-
-/// Re-exported latency table type (used by `analyze`).
-pub type Latency = LatencyComparison;
 
 #[cfg(test)]
 mod tests {
@@ -808,10 +518,10 @@ mod tests {
         let o = parse_options(&[]).unwrap();
         assert_eq!(o, Options::default());
         let o = parse_options(&argv("--seed 7 --scale 0.5 --period 200 --policy no_bw")).unwrap();
-        assert_eq!(o.seed, 7);
-        assert_eq!(o.scale, 0.5);
-        assert_eq!(o.period_ms, 200);
-        assert_eq!(o.policy, "no_bw");
+        assert_eq!(o.seed, Some(7));
+        assert_eq!(o.scale, Some(0.5));
+        assert_eq!(o.period_ms, Some(200));
+        assert_eq!(o.policy.as_deref(), Some("no_bw"));
     }
 
     #[test]
@@ -849,28 +559,38 @@ mod tests {
         assert!(dispatch(&argv("run")).is_err());
     }
 
+    /// `adaptbf scenarios` is the built-in table: every entry once, in
+    /// table order, plain mixes first and the fault drills — exactly the
+    /// entries that carry a fault plan — tagged with their live capability.
     #[test]
-    fn scenarios_lists_all() {
+    fn scenarios_lists_exactly_the_builtin_table() {
         let out = dispatch(&argv("scenarios")).unwrap();
-        for name in [
-            "token_allocation",
-            "job_churn",
-            "many_jobs",
-            "hog_and_victim",
-            "ost_failover",
-            "churn_under_degradation",
-        ] {
-            assert!(out.contains(name), "missing {name} in {out}");
-        }
-    }
-
-    #[test]
-    fn fault_builtin_list_and_resolver_agree() {
-        for &name in FAULT_BUILTINS {
-            let file = scenario_file_by_name(name, 1.0)
-                .unwrap_or_else(|| panic!("{name} listed but not resolvable"));
-            assert_eq!(file.name, name);
-            assert!(!file.faults.is_none(), "{name} must carry a fault plan");
+        let listed: Vec<(&str, bool)> = out
+            .lines()
+            .filter(|l| l.starts_with("  "))
+            .map(|l| {
+                let name = l.split_whitespace().next().unwrap();
+                (name, l.ends_with(" [live: ok]"))
+            })
+            .collect();
+        let table: Vec<(&str, bool)> = scenarios::BUILTINS
+            .iter()
+            .map(|(name, build)| (*name, !build(1.0).faults.is_none()))
+            .collect();
+        assert_eq!(listed, table, "{out}");
+        assert_eq!(
+            listed.iter().filter(|(_, live)| *live).count(),
+            2,
+            "ost_failover and churn_under_degradation ship with fault plans"
+        );
+        assert!(
+            !out.contains("sim-only") && !out.contains("invalid"),
+            "{out}"
+        );
+        // A fault drill is named after the file it builds.
+        for (name, build) in scenarios::BUILTINS {
+            let file = build(1.0);
+            assert!(file.faults.is_none() || file.name == *name, "{name}");
         }
     }
 
@@ -1055,6 +775,14 @@ mod tests {
         // --live drives run/compare/analyze/record, nothing else.
         assert!(dispatch(&argv("sweep token_allocation --scale 0.015625 --live")).is_err());
         assert!(dispatch(&argv("ledger token_allocation --scale 0.015625 --live")).is_err());
+        // --shards is the simulator's; the live executor has no shard count.
+        for command in ["run", "record", "compare", "analyze"] {
+            let args = argv(&format!("{command} token_allocation --live --shards 4"));
+            match dispatch(&args) {
+                Err(CliError::Usage(msg)) => assert!(msg.contains("--shards"), "{msg}"),
+                other => panic!("{command}: {other:?}"),
+            }
+        }
     }
 
     /// Write a short-horizon scenario file so the three wall-clock runs a
@@ -1166,35 +894,6 @@ mod tests {
             "{out}"
         );
         assert!(out.contains("overall:"), "{out}");
-    }
-
-    #[test]
-    fn scenario_listing_tags_live_capability() {
-        // Every built-in fault plan now runs on the live runtime.
-        let out = dispatch(&argv("scenarios")).unwrap();
-        assert!(out.contains("live: ok"), "{out}");
-        assert!(!out.contains("sim-only"), "{out}");
-    }
-
-    #[test]
-    fn live_tuning_applies_the_scenario_tuning_block() {
-        let cluster = ClusterConfig::default();
-        let tuning = TuningSpec {
-            payload_bytes: Some(8192),
-            service_quantum_us: Some(2000),
-            send_batch: Some(32),
-        };
-        let t = live_tuning_with(&cluster, &tuning);
-        assert_eq!(t.payload_bytes, 8192);
-        assert_eq!(t.max_batch, 32);
-        // A 2 ms quantum: the derived bandwidth must put the mean per-RPC
-        // service time at exactly the requested quantum.
-        assert!((t.ost.mean_service_secs() - 0.002).abs() < 1e-6);
-        // An empty block is the identity.
-        assert_eq!(
-            live_tuning_with(&cluster, &TuningSpec::default()),
-            live_tuning_from(&cluster)
-        );
     }
 
     #[test]

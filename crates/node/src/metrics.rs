@@ -278,7 +278,7 @@ impl SlotSeries {
 }
 
 /// Per-slot scalar counters, fused into one struct so the serve path
-/// touches a single cache line (served + completion check per RPC).
+/// touches a single cache line per RPC.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 struct SlotCounters {
     /// Total RPCs served.
@@ -431,9 +431,6 @@ impl Metrics {
         let c = &mut self.counters[slot];
         c.served += 1;
         c.last_served = c.last_served.max(now);
-        if c.has_release && c.served == c.released {
-            c.completion = Some(now);
-        }
     }
 
     /// Record an OSS arrival.
@@ -667,12 +664,10 @@ impl Metrics {
         folded
     }
 
-    /// Recompute completion instants from merged counters: a tracked job
-    /// that served exactly its released total completed at its last
-    /// serve. Identical to the inline detection in the serve path (the
-    /// serve that reaches the released total *is* the job's last serve),
-    /// but usable when [`Metrics::set_released`] necessarily runs after
-    /// the serves — i.e. on a shard-merged collector.
+    /// The one completion rule: a tracked job that served exactly its
+    /// released total completed at its last serve. Runs on the merged
+    /// collector ([`Metrics::fold_shards`]), because release totals are
+    /// only known there; the serve path itself detects nothing.
     pub fn rebuild_completions(&mut self) {
         for c in &mut self.counters {
             if c.has_release && c.served > 0 && c.served == c.released {
@@ -704,9 +699,11 @@ mod tests {
         let mut metrics = m();
         metrics.set_released(JobId(1), 2);
         metrics.on_served(JobId(1), SimTime::from_millis(50));
+        metrics.rebuild_completions();
         assert_eq!(metrics.completion_time()[&JobId(1)], None);
         assert_eq!(metrics.completion_of(JobId(1)), None);
         metrics.on_served(JobId(1), SimTime::from_millis(160));
+        metrics.rebuild_completions();
         assert_eq!(
             metrics.completion_time()[&JobId(1)],
             Some(SimTime::from_millis(160))
@@ -813,13 +810,8 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_completions_matches_inline_detection() {
-        // Inline path: release known up front.
-        let mut inline = m();
-        inline.set_released(JobId(1), 2);
-        inline.on_served(JobId(1), SimTime::from_millis(40));
-        inline.on_served(JobId(1), SimTime::from_millis(90));
-        // Merged path: serves split across shards, release set post-merge.
+    fn rebuild_completions_finds_the_last_serve_after_a_merge() {
+        // Serves split across shards, release set post-merge.
         let mut sh0 = m();
         sh0.on_served(JobId(1), SimTime::from_millis(40));
         let mut sh1 = m();
@@ -827,7 +819,6 @@ mod tests {
         sh0.absorb(&sh1);
         sh0.set_released(JobId(1), 2);
         sh0.rebuild_completions();
-        assert_eq!(sh0.completion_of(JobId(1)), inline.completion_of(JobId(1)));
         assert_eq!(sh0.completion_of(JobId(1)), Some(SimTime::from_millis(90)));
         // An incomplete or never-serving job must stay None.
         sh0.set_released(JobId(2), 4);
@@ -845,6 +836,7 @@ mod tests {
         inline.on_served_at(JobId(1), SimTime::from_millis(40), SimTime::ZERO);
         inline.on_arrival(JobId(2), SimTime::from_millis(60));
         inline.on_served_at(JobId(1), SimTime::from_millis(90), SimTime::from_millis(10));
+        inline.rebuild_completions();
         inline.finalize(SimTime::from_millis(500));
 
         let mut sh0 = m();

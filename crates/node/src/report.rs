@@ -189,6 +189,7 @@ mod tests {
         m.on_served(JobId(1), SimTime::from_millis(100));
         m.on_served(JobId(1), SimTime::from_millis(500));
         m.on_served(JobId(2), SimTime::from_millis(900));
+        m.rebuild_completions();
         let r = RunReport::from_run(
             "tiny",
             "no_bw",

@@ -3,10 +3,6 @@
 //! simulator no longer carries. It survives here as the reference the
 //! adaptive windows are checked against.
 
-// `mod.rs` already gates this file; repeating the gate on its first item
-// keeps the repo's non-test line counter (`awk '/^#\[cfg\(test\)\]/{exit}'`,
-// see CHANGES.md) from counting a test-only file as shipped code.
-#[cfg(test)]
 use super::shard::Msg;
 use super::*;
 use crate::report::report_body_digest;

@@ -25,6 +25,7 @@ struct RefMetrics {
     served_by_job: BTreeMap<JobId, u64>,
     released_by_job: BTreeMap<JobId, u64>,
     completion_time: BTreeMap<JobId, Option<SimTime>>,
+    last_served: BTreeMap<JobId, SimTime>,
     last_service: SimTime,
     latency_by_job: BTreeMap<JobId, LatencyHistogram>,
 }
@@ -51,13 +52,9 @@ impl RefMetrics {
     fn on_served(&mut self, job: JobId, now: SimTime) {
         self.served.add(job, now, 1.0);
         self.last_service = self.last_service.max(now);
-        let count = self.served_by_job.entry(job).or_insert(0);
-        *count += 1;
-        if let Some(total) = self.released_by_job.get(&job) {
-            if *count == *total {
-                self.completion_time.insert(job, Some(now));
-            }
-        }
+        *self.served_by_job.entry(job).or_insert(0) += 1;
+        let last = self.last_served.entry(job).or_insert(now);
+        *last = (*last).max(now);
     }
 
     fn on_arrival(&mut self, job: JobId, now: SimTime) {
@@ -76,6 +73,17 @@ impl RefMetrics {
     fn set_released(&mut self, job: JobId, total: u64) {
         self.released_by_job.insert(job, total);
         self.completion_time.entry(job).or_insert(None);
+    }
+
+    /// The completion rule, restated over the maps: a tracked job that
+    /// served exactly its released total completed at its latest serve.
+    fn rebuild_completions(&mut self) {
+        for (job, total) in &self.released_by_job {
+            if self.served_by_job.get(job) == Some(total) {
+                self.completion_time
+                    .insert(*job, self.last_served.get(job).copied());
+            }
+        }
     }
 
     fn finalize(&mut self, until: SimTime) {
@@ -490,6 +498,8 @@ proptest! {
         // Mid-stream (pre-finalize) views must already agree.
         prop_assert_eq!(flat.total_served(), reference.served_by_job.values().sum::<u64>());
         prop_assert_eq!(flat.served(), reference.served.clone());
+        flat.rebuild_completions();
+        reference.rebuild_completions();
         flat.finalize(ms(5_000));
         reference.finalize(ms(5_000));
         prop_assert_eq!(flat.served_by_job(), reference.served_by_job.clone());

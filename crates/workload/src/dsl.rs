@@ -40,7 +40,7 @@
 //!
 //! The optional `tuning` block ([`TuningSpec`]) pins live-runtime testbed
 //! knobs that have no simulator meaning — RPC payload bytes, the emulated
-//! service quantum, thread pinning — parsed with the same strictness as
+//! service quantum, the client send batch — parsed with the same strictness as
 //! `faults` (unknown keys are errors) and rendered canonically.
 //!
 //! Rendering is canonical: [`ScenarioFile::render`] after
@@ -374,7 +374,7 @@ pub struct ScenarioFile {
     /// loss, disk degradation, OST crash/recovery, process churn).
     pub faults: FaultPlan,
     /// Optional live-testbed knobs (payload bytes, service quantum,
-    /// thread pinning). Ignored by the simulator.
+    /// send batch). Ignored by the simulator.
     pub tuning: TuningSpec,
 }
 

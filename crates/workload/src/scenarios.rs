@@ -420,6 +420,36 @@ pub fn job_churn_scaled(f: f64) -> Scenario {
     )
 }
 
+/// A built-in's constructor: the scale factor in, the scenario file out.
+pub type BuiltinFn = fn(f64) -> ScenarioFile;
+
+/// Every built-in scenario: name → constructor taking the scale factor, in
+/// `adaptbf scenarios` order. Plain mixes and fault drills alike come out
+/// as a [`ScenarioFile`], so a built-in name and `--scenario-file` take the
+/// same path from here on (the plain mixes carry an empty `run` block and
+/// no faults).
+pub const BUILTINS: &[(&str, BuiltinFn)] = &[
+    ("token_allocation", |f| plain(token_allocation_scaled(f))),
+    ("token_redistribution", |f| {
+        plain(token_redistribution_scaled(f))
+    }),
+    ("token_recompensation", |f| {
+        plain(token_recompensation_scaled(f))
+    }),
+    ("hog_and_victim", |f| plain(hog_and_victim_scaled(f))),
+    ("job_churn", |f| plain(job_churn_scaled(f))),
+    ("many_jobs", |f| {
+        plain(many_jobs(32, (30.0 * f).max(5.0) as u64))
+    }),
+    ("million_rpc", |f| plain(million_rpc_scaled(f))),
+    ("ost_failover", ost_failover_scaled),
+    ("churn_under_degradation", churn_under_degradation_scaled),
+];
+
+fn plain(scenario: Scenario) -> ScenarioFile {
+    ScenarioFile::from_scenario(&scenario)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

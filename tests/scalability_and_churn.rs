@@ -62,7 +62,7 @@ fn controller_overhead_stays_small_with_many_jobs() {
     // bound has to hold just as well when half the rules are replaced
     // every period while thousands of RPCs sit parked: a cycle's cost
     // must follow what changed, not what changed times what is parked
-    // (the shape `overhead` and `benches/tbf_scheduler.rs` print).
+    // (the shape the benchmark's `node.ctl_us_per_job` row measures).
     for n in [64u32, 512, 2048] {
         let universe = n + n / 2;
         let jobs: Vec<_> = (1..=universe)
