@@ -15,7 +15,7 @@
 //!                   instead of the simulator (wall-clock; floor file is
 //!                   crates/bench/chaos_live_floor.txt, count-shaped)
 //!   --check-floor   compare against the floor file, exit 1 on a
-//!                   resilience regression
+//!                   resilience regression; warn about a stale floor
 //!   --write-floor   rewrite the floor file from this campaign
 //!   --shrink-worst  minimize the worst violating case and write it as a
 //!                   canonical scenario file under results/ (sim only)
@@ -86,7 +86,10 @@ fn main() {
         let floor = std::fs::read_to_string(&floor_path)
             .unwrap_or_else(|e| panic!("read {}: {e}", floor_path.display()));
         match check_floor(&campaign, exec, &floor) {
-            Ok(()) => println!("OK: resilience floor holds ({floor_file})"),
+            Ok(slack) => {
+                slack.iter().for_each(|warning| println!("WARN: {warning}"));
+                println!("OK: resilience floor holds ({floor_file})");
+            }
             Err(e) => {
                 eprintln!("FAIL: {e}");
                 eprintln!("(rerun with --write-floor after an intentional change)");

@@ -469,14 +469,17 @@ pub fn floor_text(campaign: &Campaign, exec: Executor) -> String {
     out
 }
 
-/// Compare a campaign that ran on `exec` against its checked-in floor:
+/// Compare a campaign `run` on `exec` against its checked-in floor:
 /// every row must be present (and no other), and each measured value must
 /// sit on the right side of its floor value. A tiny epsilon only absorbs
 /// the floor file's 4-decimal rounding; counts are whole numbers, so for
-/// them the comparison is exact.
-pub fn check_floor(campaign: &Campaign, exec: Executor, floor: &str) -> Result<(), String> {
+/// them the comparison is exact. A floor that holds comes back with one
+/// warning per row measured more than 20 % inside its floor value: a
+/// stale bound, which would let that much regression through.
+pub fn check_floor(run: &Campaign, exec: Executor, floor: &str) -> Result<Vec<String>, String> {
     const EPS: f64 = 1e-4;
-    let rows = floor_rows(campaign, exec);
+    let mut slack = Vec::new();
+    let rows = floor_rows(run, exec);
     let mut values: BTreeMap<&str, f64> = BTreeMap::new();
     for line in floor.lines().map(str::trim).filter(|l| !l.is_empty()) {
         let (key, value) = line
@@ -506,8 +509,13 @@ pub fn check_floor(campaign: &Campaign, exec: Executor, floor: &str) -> Result<(
                  floor requires {requires} {floor:.decimals$}"
             ));
         }
+        if (measured - floor).abs() > 0.2 * floor.abs() + EPS {
+            slack.push(format!(
+                "{key} has over 20 % slack: measured {measured:.decimals$}, floor {floor:.decimals$}"
+            ));
+        }
     }
-    Ok(())
+    Ok(slack)
 }
 
 /// Printable campaign summary table.
@@ -784,9 +792,10 @@ mod tests {
     }
 
     /// Both floor shapes through the one row table: a campaign passes
-    /// its own floor text; every row, pushed in its bad direction, fails
-    /// naming its key; unknown keys, missing keys and malformed lines are
-    /// rejected.
+    /// its own floor text without a warning; every row, pushed in its bad
+    /// direction, fails naming its key, and far in its good direction,
+    /// passes with one warning naming it; unknown keys, missing keys and
+    /// malformed lines are rejected.
     #[test]
     fn floor_check_accepts_own_floor_and_rejects_each_regression() {
         let config = CampaignConfig::live_smoke(1);
@@ -851,17 +860,41 @@ mod tests {
             (Executor::Live, &live_regressions),
         ] {
             let floor = floor_text(&campaign, exec);
-            assert!(check_floor(&campaign, exec, &floor).is_ok(), "{floor}");
-            for (key, regress) in regressions {
-                assert!(floor.contains(&format!("{key} ")), "{floor}");
-                let mut worse = Campaign {
+            assert_eq!(check_floor(&campaign, exec, &floor), Ok(vec![]), "{floor}");
+            let changed = |change: &Regress| {
+                let mut other = Campaign {
                     config,
                     outcomes: campaign.outcomes.clone(),
                     per_policy: campaign.per_policy.clone(),
                 };
-                regress(&mut worse);
-                let err = check_floor(&worse, exec, &floor).unwrap_err();
+                change(&mut other);
+                check_floor(&other, exec, &floor)
+            };
+            for (key, regress) in regressions {
+                assert!(floor.contains(&format!("{key} ")), "{floor}");
+                let err = changed(regress).unwrap_err();
                 assert!(err.starts_with(key), "{key}: {err}");
+            }
+            // Stale floors: the at-least and at-most rows with room to
+            // improve warn past 20 %, not before; the exit is unchanged.
+            let improvements: [(&str, Regress, Regress); 2] = [
+                (
+                    "adaptbf_worst_dip_ratio",
+                    |c| card(c).worst_dip_ratio = 0.3,
+                    |c| card(c).worst_dip_ratio = 0.31,
+                ),
+                (
+                    "adaptbf_worst_recovery_secs",
+                    |c| card(c).worst_recovery_secs = 1.2,
+                    |c| card(c).worst_recovery_secs = 1.19,
+                ),
+            ];
+            for (key, inside, past) in &improvements {
+                let sim = matches!(exec, Executor::Sim { .. });
+                assert_eq!(changed(inside), Ok(vec![]), "{key}");
+                let warned = changed(past).unwrap();
+                assert_eq!(warned.len(), usize::from(sim), "{warned:?}");
+                assert!(warned.iter().all(|w| w.starts_with(key)), "{warned:?}");
             }
             let err = check_floor(&campaign, exec, "garbage").unwrap_err();
             assert!(err.contains("malformed"), "{err}");

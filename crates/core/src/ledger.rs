@@ -13,6 +13,8 @@
 //! pile up behind them. A [`JobSlots`] interner makes each lookup an array
 //! index whatever the pile's size; the job-ordered slot list that
 //! [`JobLedger::iter`] walks is only written when a job is first seen.
+//! Slots are first-sight order, so [`JobLedger::entries`] only grows at
+//! the end and a whole-ledger reader can key its own state by slot.
 
 use crate::forecast::ForecastState;
 use adaptbf_model::{JobId, JobSlots};
@@ -89,7 +91,7 @@ impl JobLedger {
 
     /// Read-only entry lookup.
     pub fn get(&self, job: JobId) -> Option<&LedgerEntry> {
-        self.slots.get(job).map(|slot| &self.entries[slot])
+        self.slot_of(job).map(|slot| &self.entries[slot])
     }
 
     /// The record `r_x`, zero for unseen jobs.
@@ -117,6 +119,21 @@ impl JobLedger {
     /// Whether no job has been seen.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
+    }
+
+    /// Entries by slot (first-sight order).
+    pub fn entries(&self) -> &[LedgerEntry] {
+        &self.entries
+    }
+
+    /// The job whose entry sits at `slot` of [`JobLedger::entries`].
+    pub fn job_at(&self, slot: usize) -> JobId {
+        self.slots.job(slot)
+    }
+
+    /// The slot of `job`'s entry, if the job has been seen.
+    pub fn slot_of(&self, job: JobId) -> Option<usize> {
+        self.slots.get(job)
     }
 
     /// Iterate entries in job order.
@@ -191,5 +208,16 @@ mod tests {
         l.entry(JobId(1));
         let jobs: Vec<JobId> = l.iter().map(|(j, _)| j).collect();
         assert_eq!(jobs, vec![JobId(1), JobId(9)]);
+    }
+
+    #[test]
+    fn slots_are_first_sight_ordered() {
+        let mut l = JobLedger::new();
+        l.entry(JobId(9)).record = 4;
+        l.entry(JobId(1));
+        assert_eq!((l.job_at(0), l.job_at(1)), (JobId(9), JobId(1)));
+        assert_eq!((l.slot_of(JobId(1)), l.slot_of(JobId(2))), (Some(1), None));
+        assert_eq!(l.entries().len(), 2);
+        assert_eq!(l.entries()[0].record, 4);
     }
 }

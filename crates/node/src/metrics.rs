@@ -20,8 +20,12 @@
 //!
 //! A control tick writes gauges for a whole ledger — every job the OST
 //! has ever seen, most of them idle — into one bucket, so those go in a
-//! row at a time ([`Metrics::set_records`], [`Metrics::set_allocations`]):
-//! the row, its bitmap words and the row count are found once per walk.
+//! row at a time (`Metrics::record_row`, `Metrics::allocation_row`):
+//! the row, its bitmap words and the row count are found once per walk,
+//! and the cells are named by *handle* ([`Metrics::gauge_slot`], resolved
+//! once per job and good for the collector's life), not looked up. An
+//! executor that knows its horizon says so
+//! ([`Metrics::reserve_buckets`]), and no matrix moves when a row is added.
 //! [`Metrics::fold_shards`] is the one place per-shard collectors become a
 //! run's, for both executors; it takes its first shard as it is, so a
 //! 1-shard run folds without copying a cell.
@@ -31,6 +35,9 @@ use adaptbf_model::{
 };
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+
+/// One gauge cell of a row: `(handle, value)`.
+pub(crate) type Cell = (usize, f64);
 
 /// One family of per-slot bucketed timelines (served / demand / records /
 /// allocations).
@@ -42,7 +49,7 @@ use std::collections::BTreeMap;
 /// add a cache miss. Per-slot logical lengths (`len[slot]` = last touched
 /// bucket + 1) reproduce the exact ragged shapes of the keyed
 /// implementation at fold time.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 struct SlotSeries {
     bucket: SimDuration,
     /// Slots per row. While the family holds no data it is simply the
@@ -55,6 +62,8 @@ struct SlotSeries {
     values: Vec<f64>,
     /// Rows in `values` (kept, not derived: every per-RPC add checks it).
     rows: usize,
+    /// Rows `values` keeps room for ([`Metrics::reserve_buckets`]).
+    reserved: usize,
     /// Per-slot logical series length in buckets (0 = untouched; such
     /// slots are excluded from the folded [`PerJobSeries`], exactly like
     /// a job that never got a map entry in the keyed implementation).
@@ -72,11 +81,7 @@ impl SlotSeries {
     fn new(bucket: SimDuration) -> Self {
         SlotSeries {
             bucket,
-            stride: 0,
-            values: Vec::new(),
-            rows: 0,
-            len: Vec::new(),
-            written: Vec::new(),
+            ..Self::default()
         }
     }
 
@@ -85,6 +90,8 @@ impl SlotSeries {
     fn reach(&mut self, idx: usize) {
         if idx >= self.rows {
             self.rows = idx + 1;
+            let room = self.rows.max(self.reserved) * self.stride;
+            self.values.reserve(room - self.values.len());
             self.values.resize(self.rows * self.stride, 0.0);
         }
     }
@@ -97,7 +104,7 @@ impl SlotSeries {
     /// Make room for `slots` slots, re-laying the matrix out if data
     /// already exists at a smaller stride — to at least twice that
     /// stride, so a run whose jobs appear one by one pays O(log jobs)
-    /// re-layouts, not one per job.
+    /// re-layouts, not one per job — each into room for the reserved rows.
     fn grow(&mut self, slots: usize) {
         if slots <= self.stride {
             return;
@@ -109,7 +116,7 @@ impl SlotSeries {
             slots
         };
         if rows > 0 {
-            let mut next = vec![0.0; rows * stride];
+            let mut next = vec![0.0; rows.max(self.reserved) * stride];
             for (old, new) in self
                 .values
                 .chunks_exact(self.stride)
@@ -117,6 +124,7 @@ impl SlotSeries {
             {
                 new[..self.stride].copy_from_slice(old);
             }
+            next.truncate(rows * stride);
             self.values = next;
             let (old_words, new_words) = (self.row_words(), stride.div_ceil(64));
             if new_words != old_words && !self.written.is_empty() {
@@ -164,8 +172,9 @@ impl SlotSeries {
     /// `idx`: the row, its bitmap words and the row count are found once
     /// for the walk instead of once per cell. The slots must already be
     /// inside the stride, so nothing re-lays the matrix mid-walk.
-    fn set_row(&mut self, idx: usize, cells: &[(usize, f64)]) {
-        if cells.is_empty() {
+    fn set_row(&mut self, idx: usize, cells: impl IntoIterator<Item = Cell>) {
+        let mut cells = cells.into_iter().peekable();
+        if cells.peek().is_none() {
             return;
         }
         self.reach(idx);
@@ -175,7 +184,7 @@ impl SlotSeries {
         }
         let row = &mut self.values[idx * self.stride..][..self.stride];
         let bits = &mut self.written[idx * words..][..words];
-        for &(slot, value) in cells {
+        for (slot, value) in cells {
             row[slot] = value;
             bits[slot / 64] |= 1 << (slot % 64);
             if self.len[slot] <= idx {
@@ -279,7 +288,7 @@ impl SlotSeries {
 
 /// Per-slot scalar counters, fused into one struct so the serve path
 /// touches a single cache line per RPC.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 struct SlotCounters {
     /// Total RPCs served.
     served: u64,
@@ -295,18 +304,6 @@ struct SlotCounters {
     /// completion instants after a shard merge, where release totals are
     /// only known post-merge.
     last_served: SimTime,
-}
-
-impl Default for SlotCounters {
-    fn default() -> Self {
-        SlotCounters {
-            served: 0,
-            released: 0,
-            has_release: false,
-            completion: None,
-            last_served: SimTime::ZERO,
-        }
-    }
 }
 
 /// All series and counters collected during one run, slot-indexed.
@@ -338,9 +335,10 @@ pub struct Metrics {
     cache_start: u64,
     cache_end: u64,
     cache_idx: usize,
-    /// A gauge row's `(slot, value)` cells between resolving the slots and
-    /// writing the row (scratch, kept across ticks).
-    row: Vec<(usize, f64)>,
+    /// Work counter behind the per-cycle cost tests:
+    /// [`Metrics::gauge_slot`] calls made.
+    #[cfg(test)]
+    pub(crate) gauge_lookups: u64,
 }
 
 impl Metrics {
@@ -360,7 +358,8 @@ impl Metrics {
             cache_start: 0,
             cache_end: bucket.as_nanos(),
             cache_idx: 0,
-            row: Vec::new(),
+            #[cfg(test)]
+            gauge_lookups: 0,
         }
     }
 
@@ -375,6 +374,17 @@ impl Metrics {
         self.slots.reserve(jobs);
         self.counters.reserve(jobs);
         self.latency.reserve(jobs);
+    }
+
+    /// The run spans `buckets` buckets: each timeline family keeps room
+    /// for that many rows from its first row on, across re-layouts too, so
+    /// adding a row never re-copies its matrix (untouched room costs
+    /// address space, not memory). Without the call, rows grow as added.
+    pub fn reserve_buckets(&mut self, buckets: usize) {
+        self.served.reserved = buckets;
+        self.demand.reserved = buckets;
+        self.records.reserved = buckets;
+        self.allocations.reserved = buckets;
     }
 
     /// Intern `job`, growing every per-slot vector to cover its slot.
@@ -443,43 +453,45 @@ impl Metrics {
     /// Record the controller's view of one job after a tick (records +
     /// allocations).
     pub fn on_allocation(&mut self, job: JobId, now: SimTime, record: i64, tokens: u64) {
-        self.set_records(now, [(job, record as f64)]);
-        self.set_allocations(now, [(job, tokens as f64)]);
+        let handle = self.slot(job);
+        self.record_row(now, [(handle, record as f64)]);
+        self.allocation_row(now, [(handle, tokens as f64)]);
     }
 
     /// Record only the lending/borrowing gauge (idle jobs whose records
     /// persist between allocations).
     pub fn set_record(&mut self, job: JobId, now: SimTime, record: f64) {
-        self.set_records(now, [(job, record)]);
+        let handle = self.slot(job);
+        self.record_row(now, [(handle, record)]);
+    }
+
+    /// The handle gauge rows name `job`'s cells by: resolved once, good
+    /// for this collector's life, meaningless to any other collector.
+    pub fn gauge_slot(&mut self, job: JobId) -> usize {
+        #[cfg(test)]
+        {
+            self.gauge_lookups += 1;
+        }
+        self.slot(job)
+    }
+
+    /// The job a handle stands for, if [`Metrics::gauge_slot`] issued it.
+    pub(crate) fn gauge_job(&self, handle: usize) -> Option<JobId> {
+        (handle < self.slots.len()).then(|| self.slots.job(handle))
     }
 
     /// Write one tick's lending/borrowing gauges — a whole ledger's worth,
-    /// most of it idle jobs — as one row.
-    pub fn set_records(&mut self, now: SimTime, cells: impl IntoIterator<Item = (JobId, f64)>) {
-        self.set_row(|m| &mut m.records, now, cells);
-    }
-
-    /// Write one tick's token-allocation gauges as one row.
-    pub fn set_allocations(&mut self, now: SimTime, cells: impl IntoIterator<Item = (JobId, f64)>) {
-        self.set_row(|m| &mut m.allocations, now, cells);
-    }
-
-    /// The jobs' slots are resolved first (a first-seen job may re-lay the
-    /// families out), then the row is written in one walk.
-    fn set_row(
-        &mut self,
-        family: fn(&mut Metrics) -> &mut SlotSeries,
-        now: SimTime,
-        cells: impl IntoIterator<Item = (JobId, f64)>,
-    ) {
+    /// most of it idle jobs — as one row of `(handle, value)` cells,
+    /// straight from the iterator into the row.
+    pub(crate) fn record_row(&mut self, now: SimTime, cells: impl IntoIterator<Item = Cell>) {
         let idx = self.bucket_idx(now);
-        let mut row = std::mem::take(&mut self.row);
-        row.clear();
-        for (job, value) in cells {
-            row.push((self.slot(job), value));
-        }
-        family(self).set_row(idx, &row);
-        self.row = row;
+        self.records.set_row(idx, cells);
+    }
+
+    /// Write one tick's token-allocation gauges as one row, likewise.
+    pub(crate) fn allocation_row(&mut self, now: SimTime, cells: impl IntoIterator<Item = Cell>) {
+        let idx = self.bucket_idx(now);
+        self.allocations.set_row(idx, cells);
     }
 
     /// Declare how much work a job releases within the horizon (enables
@@ -906,53 +918,147 @@ mod tests {
     }
 
     #[test]
-    fn a_row_write_equals_cell_by_cell_sets() {
-        // Six ticks each write a growing ledger's worth of gauges, zeros
-        // among them, into one bucket (one bucket is skipped). The jobs
-        // are first seen inside the walks, so resolving a row re-lays the
-        // matrix out mid-way, where the cell-by-cell side re-lays it out
-        // between two of its writes.
-        let (mut by_row, mut by_cell) = (m(), m());
-        // Values, written bits and logical length of every slot's column
-        // (the strides differ: only one side ever re-lays rows out).
-        let state = |x: &Metrics| -> Vec<(usize, Vec<(f64, bool)>)> {
-            let r = &x.records;
-            let cell = |slot, row| (r.values[row * r.stride + slot], r.is_written(slot, row));
-            (0..x.slots.len())
-                .map(|slot| {
-                    (
-                        r.len[slot],
-                        (0..r.rows).map(|row| cell(slot, row)).collect(),
-                    )
-                })
-                .collect()
+    fn a_handle_row_equals_a_job_row() {
+        // Six ticks (one bucket is skipped) each write a growing ledger's
+        // worth of gauges, zeros among them, three ways: rows by handle,
+        // each job's handle resolved the tick the job is first seen —
+        // append-only, as a node does — and reused ever after; cell by
+        // cell by job, latest job first; and cell by cell through the
+        // merge's primitive. The jobs are first seen mid-run, so every
+        // side re-lays its families out, at different moments and with
+        // different slot numberings.
+        let (mut by_handle, mut by_job, mut by_cell) = (m(), m(), m());
+        // Values, written bits and logical length of every job's columns.
+        type Columns = BTreeMap<JobId, [(usize, Vec<(f64, bool)>); 2]>;
+        let state = |x: &Metrics| -> Columns {
+            let column = |f: &SlotSeries, slot| {
+                let cell = |row| (f.values[row * f.stride + slot], f.is_written(slot, row));
+                (f.len[slot], (0..f.rows).map(cell).collect())
+            };
+            let columns = |slot| [column(&x.records, slot), column(&x.allocations, slot)];
+            x.slots.iter().map(|(s, job)| (job, columns(s))).collect()
         };
+        let mut handles: Vec<usize> = Vec::new();
         let mut relaid = 0;
         for tick in 0..6u32 {
             let now = SimTime::from_millis(100 * u64::from(tick + tick / 4));
-            let cells: Vec<(JobId, f64)> = (0..3 + 40 * tick)
-                .rev()
-                .map(|j| (JobId(j), f64::from((j + tick) % 4) - 1.0))
-                .collect();
-            let stride = by_row.records.stride;
-            by_row.set_records(now, cells.iter().copied());
-            relaid += u32::from(tick > 0 && by_row.records.stride != stride);
-            for &(job, value) in &cells {
-                let (slot, idx) = (by_cell.slot(job), by_cell.bucket_idx(now));
-                by_cell.records.set(slot, idx, value);
+            let record = |j: u32| i64::from((j + tick) % 4) - 1;
+            let jobs = 3 + 40 * tick;
+            let stride = by_handle.records.stride;
+            for j in handles.len() as u32..jobs {
+                handles.push(by_handle.gauge_slot(JobId(j)));
             }
-            assert_eq!(state(&by_row), state(&by_cell), "tick {tick}");
+            relaid += u32::from(tick > 0 && by_handle.records.stride != stride);
+            let cells = handles.iter().zip(0..).map(|(&h, j)| (h, record(j) as f64));
+            by_handle.record_row(now, cells.clone());
+            by_handle.allocation_row(now, cells.step_by(3).map(|(h, v)| (h, v + 1.0)));
+            for j in (0..jobs).rev() {
+                let (slot, idx) = (by_cell.slot(JobId(j)), by_cell.bucket_idx(now));
+                by_cell.records.set(slot, idx, record(j) as f64);
+                if j % 3 == 0 {
+                    by_job.on_allocation(JobId(j), now, record(j), (record(j) + 1) as u64);
+                    by_cell.allocations.set(slot, idx, (record(j) + 1) as f64);
+                } else {
+                    by_job.set_record(JobId(j), now, record(j) as f64);
+                }
+            }
+            assert_eq!(state(&by_handle), state(&by_job), "tick {tick}");
+            assert_eq!(state(&by_handle), state(&by_cell), "tick {tick}");
         }
-        assert!(relaid >= 3, "rows resolved across {relaid} re-layouts");
-        // What a merge copies out of either is the same, zeros included.
-        let (mut from_row, mut from_cell) = (m(), m());
-        from_row.on_allocation(JobId(6), SimTime::from_millis(300), 9, 9);
-        from_cell.on_allocation(JobId(6), SimTime::from_millis(300), 9, 9);
-        from_row.absorb(&by_row);
-        from_cell.absorb(&by_cell);
-        assert_eq!(state(&from_row), state(&from_cell));
-        assert_eq!(from_row.records(), by_cell.records());
-        assert_eq!(by_cell.records().get(JobId(6)).unwrap().get(3), 0.0);
+        assert!(relaid >= 3, "handles held across {relaid} re-layouts");
+        assert_eq!(by_handle.gauge_lookups, 203, "one lookup per job");
+        assert_eq!(by_handle.gauge_job(handles[7]), Some(JobId(7)));
+        assert_eq!(by_handle.gauge_job(203), None);
+        // What a merge copies out of each is the same, zeros included.
+        let absorbed = |from: &Metrics| {
+            let mut into = m();
+            into.on_allocation(JobId(6), SimTime::from_millis(300), 9, 9);
+            into.absorb(from);
+            (state(&into), into.records(), into.allocations())
+        };
+        assert_eq!(absorbed(&by_handle), absorbed(&by_job));
+        assert_eq!(absorbed(&by_handle), absorbed(&by_cell));
+        assert_eq!(absorbed(&by_handle).1, by_job.records());
+        assert_eq!(by_job.records().get(JobId(6)).unwrap().get(3), 0.0);
+        assert!(
+            by_job.allocations().get(JobId(1)).is_none(),
+            "never granted"
+        );
+    }
+
+    #[test]
+    fn reserving_buckets_changes_no_output() {
+        // Two shards of a run with serves, arrivals, gauges and jobs first
+        // seen mid-run, folded: every report shape is the same whether or
+        // not the shards were told the horizon.
+        let run = |reserve: bool| {
+            let shard = |k: u32| {
+                let mut sh = m();
+                if reserve {
+                    sh.reserve_buckets(31);
+                }
+                for step in 0..90u32 {
+                    let job = JobId((step * (k + 2) + k) % (5 + step / 4));
+                    let at = SimTime::from_millis(33 * u64::from(step));
+                    sh.on_arrival(job, at);
+                    if step % 3 != k {
+                        sh.on_served_at(job, at, SimTime::from_millis(20 * u64::from(step)));
+                    }
+                    if step % 5 == 0 {
+                        sh.on_allocation(job, at, i64::from(step % 7) - 3, u64::from(step % 4));
+                    }
+                }
+                sh
+            };
+            let released = (0..20).map(|j| (JobId(j), 3 + u64::from(j)));
+            let bucket = SimDuration::from_millis(100);
+            Metrics::fold_shards(
+                bucket,
+                [shard(0), shard(1)],
+                released,
+                SimTime::from_secs(3),
+            )
+        };
+        let (bare, told) = (run(false), run(true));
+        assert_eq!(told.total_served(), bare.total_served());
+        assert_eq!(told.served_by_job(), bare.served_by_job());
+        assert_eq!(told.released_by_job(), bare.released_by_job());
+        assert_eq!(told.completion_time(), bare.completion_time());
+        assert!(told.completion_time().values().any(|c| c.is_some()));
+        assert_eq!(told.latency_by_job(), bare.latency_by_job());
+        assert_eq!(told.last_service, bare.last_service);
+        assert_eq!(told.served(), bare.served());
+        assert_eq!(told.demand(), bare.demand());
+        assert_eq!(told.records(), bare.records());
+        assert_eq!(told.allocations(), bare.allocations());
+        assert_eq!(told.served().get(JobId(3)).unwrap().len(), 31);
+        // Told the horizon after its jobs are known, a collector's rows
+        // stay where they are for the whole run; a re-layout moves them
+        // once, to a place with the same room.
+        let mut metrics = m();
+        metrics.reserve_buckets(121);
+        let tick = |metrics: &mut Metrics, jobs: u32, bucket: u64| {
+            for job in (0..jobs).map(JobId) {
+                let at = SimTime::from_millis(100 * bucket);
+                metrics.on_arrival(job, at);
+                metrics.on_allocation(job, at, 1, 2);
+            }
+        };
+        tick(&mut metrics, 8, 0);
+        let rows = |x: &Metrics| [&x.demand, &x.records, &x.allocations].map(|f| f.values.as_ptr());
+        let before = rows(&metrics);
+        for bucket in 1..=100 {
+            tick(&mut metrics, 8, bucket);
+        }
+        assert_eq!(rows(&metrics), before, "100 appended rows, none moved");
+        tick(&mut metrics, 9, 100);
+        let relaid = rows(&metrics);
+        assert!(relaid.iter().zip(&before).all(|(a, b)| a != b));
+        for bucket in 101..=120 {
+            tick(&mut metrics, 9, bucket);
+        }
+        assert_eq!(rows(&metrics), relaid, "nor after the re-layout");
+        assert_eq!(metrics.records.rows, 121);
     }
 
     /// The merge walks as they were before the bucket-major order: slot

@@ -15,7 +15,9 @@
 //! vector: the cycle keeps each job's grant for the allocation gauges,
 //! reads the record gauges straight off the ledger, and — in debug builds
 //! only — runs the paper's algebra as an audit over the same stream, so
-//! every debug test run checks it on every cycle.
+//! every debug test run checks it on every cycle. Gauge cells go by the
+//! handle resolved when the ledger first held the job
+//! ([`Metrics::gauge_slot`]): a node writes to **one collector for life**.
 
 use crate::control::{ControllerDriver, ControllerOverhead};
 use crate::metrics::Metrics;
@@ -46,6 +48,9 @@ pub struct OstNode {
     /// The jobs a cycle allocated to and their grants, between the sink
     /// that sees them and the gauge row they become (scratch).
     granted: Vec<(JobId, f64)>,
+    /// The gauge handle of each ledger entry, by ledger slot: appended as
+    /// the ledger grows, never re-resolved (neither is reset by a crash).
+    handles: Vec<usize>,
 }
 
 impl OstNode {
@@ -80,6 +85,7 @@ impl OstNode {
             jobs: jobs.to_vec(),
             static_rate_total,
             granted: Vec::new(),
+            handles: Vec::new(),
         }
     }
 
@@ -116,9 +122,9 @@ impl OstNode {
     /// leaves everything untouched (stats keep accumulating for the next
     /// healthy cycle), [`CycleGate::StatsLost`] wipes `job_stats` first so
     /// the controller allocates over an empty active set. After the tick,
-    /// `metrics` gets the allocation gauges of every traced job and the
-    /// record gauge of every idle ledger entry (records of idle jobs
-    /// persist; their gauge lines stay continuous).
+    /// `metrics` — the same collector every time — gets the allocation
+    /// gauges of every traced job and the record gauge of every ledger
+    /// entry (idle jobs' records persist; their lines stay continuous).
     ///
     /// Returns whether a cycle ran — rule rates may have changed, so the
     /// embedder should re-dispatch. Always `false` under the baselines.
@@ -143,11 +149,21 @@ impl OstNode {
         if cfg!(debug_assertions) {
             audit.cycle(&outcome.trace, &driver.controller);
         }
-        metrics.set_allocations(now, granted.iter().copied());
+        let ledger = driver.controller.ledger();
+        let handles = &mut self.handles;
+        for slot in handles.len()..ledger.len() {
+            handles.push(metrics.gauge_slot(ledger.job_at(slot)));
+        }
+        debug_assert!(
+            (0..handles.len()).all(|s| metrics.gauge_job(handles[s]) == Some(ledger.job_at(s))),
+            "a node writes to one collector for its life"
+        );
+        let handle_of = |job| handles[ledger.slot_of(job).expect("granted jobs are entered")];
+        metrics.allocation_row(now, granted.iter().map(|&(job, v)| (handle_of(job), v)));
         // A traced job's ledger entry already holds its `record_after`, so
         // the ledger alone is the whole record row, idle jobs included.
-        let ledger = driver.controller.ledger();
-        metrics.set_records(now, ledger.iter().map(|(job, e)| (job, e.record as f64)));
+        let records = ledger.entries().iter().map(|e| e.record as f64);
+        metrics.record_row(now, handles.iter().copied().zip(records));
         true
     }
 
@@ -273,7 +289,7 @@ pub fn install_static_rules(
 ) {
     let total: u64 = jobs.iter().map(|&(_, n)| n).sum();
     let specs = jobs.iter().map(|&(job, nodes)| RuleSpec {
-        name: job.label(),
+        name: None,
         matcher: RpcMatcher::Job(job),
         rate_tps: rate_total * nodes as f64 / total as f64,
         weight: nodes.min(u32::MAX as u64) as u32,
@@ -435,6 +451,46 @@ mod tests {
     }
 
     #[test]
+    fn a_record_row_resolves_each_job_once() {
+        // 4,080 jobs enter the ledger in the first cycle and 16 more after
+        // a crash; lost, skipped and healthy cycles follow. Every cycle
+        // that runs writes the whole ledger's record row, and the collector
+        // is asked for a handle 4,096 times in all — not once per cell.
+        let mut node = adaptbf_node();
+        let mut metrics = Metrics::new(SimDuration::from_millis(100));
+        let at = |cycle: u64| SimTime::from_millis(100 * cycle);
+        for job in 1..=4080 {
+            offer(&mut node, job, 1, SimTime::ZERO);
+        }
+        assert!(node.control_cycle(at(1), CycleGate::Healthy, &mut metrics));
+        assert_eq!((node.handles.len(), metrics.gauge_lookups), (4080, 4080));
+        offer(&mut node, 7, 5, at(1));
+        assert!(node.control_cycle(at(2), CycleGate::StatsLost, &mut metrics));
+        assert!(!node.control_cycle(at(3), CycleGate::Skip, &mut metrics));
+        node.crash_reset();
+        for job in 4075..=4096 {
+            offer(&mut node, job, 1, at(3));
+        }
+        for cycle in 4..=6 {
+            offer(&mut node, 9, 400, at(cycle - 1));
+            assert!(node.control_cycle(at(cycle), CycleGate::Healthy, &mut metrics));
+        }
+        assert_eq!((node.handles.len(), metrics.gauge_lookups), (4096, 4096));
+        // The handles outlived all of it: each job's line is its own.
+        let (records, ledger) = (metrics.records(), node.ledger_records());
+        assert_eq!(ledger.len(), 4096);
+        for (job, record) in &ledger {
+            let line = records.get(*job).expect("every entry has a gauge line");
+            assert_eq!(line.get(6), *record as f64, "{job:?}");
+            let entered = if job.raw() <= 4080 { 1 } else { 4 };
+            assert_eq!(line.len(), 7, "{job:?}");
+            assert!((0..entered).all(|b| line.get(b) == 0.0), "{job:?}");
+        }
+        assert!(ledger.values().any(|r| *r != 0));
+        assert_eq!(records.get(JobId(7)).unwrap().get(3), 0.0, "skipped");
+    }
+
+    #[test]
     fn collect_sees_exactly_what_arrived_since_the_last_wipe() {
         // A lost read, then a crash, then re-arrivals from jobs old and
         // new: each wipe empties the period's stats, and the next read
@@ -516,7 +572,7 @@ mod tests {
         );
         let table = |node: &OstNode| -> Vec<(RuleId, String)> {
             let rules = node.scheduler.rules().rules();
-            rules.iter().map(|r| (r.id, r.name.clone())).collect()
+            rules.iter().map(|r| (r.id, r.name())).collect()
         };
         let built = table(&node);
         assert_eq!(built[0], (RuleId(0), "app1.node1".to_string()));

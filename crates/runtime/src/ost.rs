@@ -298,6 +298,8 @@ fn run_ost(
     seed: u64,
     payload: Bytes,
 ) -> OstFinal {
+    let buckets = horizon.bucket_index(shard.metrics().bucket) + 1;
+    shard.metrics().reserve_buckets(buckets);
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut busy: BinaryHeap<Reverse<InService>> = BinaryHeap::new();
     // Completion path per client process: the process's reply sender

@@ -140,7 +140,7 @@ pub struct LoopStats {
     pub peak_queue_depth: usize,
     /// Always 0: the loop handles every event singly. The field stays only
     /// because the frozen `benchmark/src/sim_run.rs` names it; it goes with
-    /// the next benchmark revision (ROADMAP item 4).
+    /// the next benchmark revision (ROADMAP item 2(e)).
     pub coalesced: u64,
     /// Epoch rounds the coupled protocol ran (0 when every shard drained
     /// independently). Deterministic for a given shard count, and
@@ -533,6 +533,7 @@ impl Cluster {
                 let proc_ids = std::mem::take(&mut shard_procs[s]);
                 let mut metrics = Metrics::new(self.cfg.bucket);
                 metrics.reserve_jobs(self.trace_meta.jobs.len());
+                metrics.reserve_buckets(shared.end.bucket_index(self.cfg.bucket) + 1);
                 let mut queue = EventQueue::new();
                 queue.reserve(shard_load[s] + 2 * ost_ids.len() + 16);
                 Shard {

@@ -6,9 +6,10 @@
 //! computed token rate to every active job's rule, and (4) sets the rule
 //! hierarchy weight from job priority so idle threads prefer high-priority
 //! queues — handed to the scheduler as **one transaction**
-//! ([`NrsTbfScheduler::transact`]), so a cycle's cost follows what
-//! changed, not what changed times what is parked. Jobs without rules are
-//! never starved — their RPCs ride the fallback queue.
+//! ([`NrsTbfScheduler::transact`]), in which a stop and a start are O(1)
+//! each whatever is parked (the backlog changes hands as one deque), and
+//! a rule goes by its job's label without the string being built. Jobs
+//! without rules are never starved — their RPCs ride the fallback queue.
 //!
 //! The daemon keeps no copy of which job has which rule: it reads that
 //! off the scheduler's rule table each cycle, so the two cannot disagree
@@ -99,9 +100,9 @@ impl RuleDaemon {
         self.ops_applied += (stops.len() + starts.len() + 2 * updates.len()) as u64;
 
         // One transaction for the whole cycle: one table rebuild for the
-        // stops, and the starts lift only their own jobs' parked RPCs.
+        // stops, and no RPC moved by a stop or a start.
         let specs = starts.iter().map(|&(job, rate_tps, weight)| RuleSpec {
-            name: job.label(),
+            name: None,
             matcher: RpcMatcher::Job(job),
             rate_tps,
             weight,

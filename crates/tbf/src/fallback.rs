@@ -1,410 +1,429 @@
-//! The fallback queue: one global FIFO of parked RPCs that also knows
-//! where each job's RPCs sit.
+//! The fallback queue: the RPCs of jobs no rule names, served in arrival
+//! order and handed over a job at a time.
 //!
-//! The RPCs of jobs no rule names wait here in arrival order and are
-//! served from the front. When a rule starts, everything parked for its
-//! job must leave — and under overload the crowd parked here is thousands
-//! of times larger than the few jobs a control cycle starts rules for. So
-//! every parked RPC carries a link to the previous parked RPC of its job,
-//! and the queue remembers each job's last one:
-//! [`FallbackQueue::take_job`] walks exactly that job's RPCs, leaving
-//! tombstones. [`FallbackQueue::pop_front`] skips a tombstone once; the
-//! ring is re-packed instead of grown whenever it is full and a quarter
-//! of it is tombstones, so they never cost a reallocation, and
-//! [`FallbackQueue::trim`] hands the ring's memory back once a batch of
-//! takes has left it mostly unused.
+//! A job's parked RPCs sit in its own *lane* — one `VecDeque<Rpc>` per
+//! scheduler slot — and the arrival order across jobs is a ring of *runs*
+//! `(slot, gen, count)`: "the next `count` RPCs come off `slot`'s lane".
+//! [`FallbackQueue::push_back`] appends to the lane and extends the back
+//! run or opens one; [`FallbackQueue::pop_front`] serves the front run's
+//! lane head. A rule change moves no RPC: [`FallbackQueue::take_job`] (a
+//! start) hands the lane's deque over whole and bumps the lane's `gen`,
+//! which makes the job's runs stale wherever they sit in the ring;
+//! [`FallbackQueue::park_job`] (a stop) installs the stopped queue's deque
+//! as the lane and appends one run. Both are O(1) whatever is parked.
 //!
-//! Positions are absolute and never reused: entry `i` of the ring sits at
-//! `base + i`, and everything below `base` is gone. Serving from the front
-//! only moves `base`, so it never touches a link or a tail — a link or
-//! tail that points below `base` simply reads as "none". Re-packing the
-//! ring moves `base` past every old position for the same reason. A link
-//! is a *distance* between two positions that are both in the ring, so it
-//! is bounded by the ring's length — how many RPCs are parked at once —
-//! and not by how many have ever been: positions may pass 2³² freely.
-//!
-//! Jobs are known by the scheduler's slots. The index costs one `u32`
-//! link per parked RPC and one `u64` tail per slot up to the highest that
-//! has parked. Only a re-pack has to ask for a parked RPC's slot again,
-//! which is why the two calls that can re-pack take the scheduler's
-//! `slot_of` lookup.
+//! Stale runs are dropped when they reach the front, and swept out of the
+//! whole ring by the take that leaves more than two runs per parked RPC —
+//! a live run counts at least one RPC, so by then most runs are stale and
+//! the sweep costs at most twice what it removes. That also bounds how
+//! many stale runs a lane can leave behind between sweeps, far below the
+//! 2³² takes it would need for a `gen` to come round again. A lane that
+//! empties gives back the buffer a burst grew past [`LANE_KEEP`] RPCs; a
+//! smaller one stays, so a job that trickles in unruled allocates once.
 
-use adaptbf_model::{JobId, Rpc};
+use adaptbf_model::Rpc;
 use std::collections::VecDeque;
 
-/// Packed to 4 so the link really costs 4 bytes, not 8 with padding (the
-/// ring is the scheduler's largest allocation under overload). Fields of a
-/// packed struct are copied in and out, never borrowed.
-#[derive(Debug, Clone, Copy)]
-#[repr(C, packed(4))]
-struct Parked {
-    /// `None` once lifted by [`FallbackQueue::take_job`] (a tombstone).
-    rpc: Option<Rpc>,
-    /// Distance back to the previous parked RPC of the same job (0 = this
-    /// is the job's first). May point below `base`: already served.
-    prev: u32,
+/// The largest buffer, in RPCs, an emptied lane keeps.
+const LANE_KEEP: usize = 8;
+
+#[derive(Debug, Default)]
+struct Lane {
+    fifo: VecDeque<Rpc>,
+    /// Bumped when the lane is taken; a run of an older `gen` is stale.
+    gen: u32,
 }
 
-/// See the module docs.
-#[derive(Debug)]
+/// The next `count` (≥ 1) parked RPCs, in arrival order, are the head of
+/// lane `slot` — if the lane is still at `gen`.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    slot: u32,
+    gen: u32,
+    count: usize,
+}
+
+/// See the module docs. Of every lane, the counts of its runs at its
+/// current `gen` sum to its length.
+#[derive(Debug, Default)]
 pub(crate) struct FallbackQueue {
-    ring: VecDeque<Parked>,
-    /// Position of `ring[0]`. Starts at 1 so that a tail of 0 is below it.
-    base: u64,
-    /// Entries of `ring` that are not tombstones.
-    live: usize,
-    /// Position of the last parked RPC of the job at each slot; stale
-    /// when below `base`.
-    tails: Vec<u64>,
-    /// Work counter behind the per-cycle cost tests: ring entries
-    /// [`FallbackQueue::take_job`] has visited.
+    lanes: Vec<Lane>,
+    runs: VecDeque<Run>,
+    /// RPCs parked, over all lanes.
+    len: usize,
+    /// Work counter behind the per-cycle cost tests: RPCs copied one by
+    /// one between deques (only parking onto a lane that holds RPCs does).
     #[cfg(test)]
-    pub(crate) lifted: u64,
+    pub(crate) rpcs_moved: u64,
 }
 
 impl FallbackQueue {
-    pub(crate) fn new() -> Self {
-        FallbackQueue {
-            ring: VecDeque::new(),
-            base: 1,
-            live: 0,
-            tails: Vec::new(),
-            #[cfg(test)]
-            lifted: 0,
-        }
-    }
-
-    /// An empty queue whose first position is `base` (≥ 1) — as if
-    /// `base − 1` RPCs had already passed through.
-    #[cfg(test)]
-    fn starting_at(base: u64) -> Self {
-        FallbackQueue {
-            base,
-            ..Self::new()
-        }
-    }
-
-    /// Parked RPCs.
+    /// RPCs parked.
     pub(crate) fn len(&self) -> usize {
-        self.live
+        self.len
     }
 
     /// Park `rpc`, whose job sits at `slot`, behind everything already
     /// here.
-    pub(crate) fn push_back(&mut self, slot: usize, rpc: Rpc, slot_of: impl Fn(JobId) -> usize) {
-        let len = self.ring.len();
-        if len == self.ring.capacity() && (len - self.live) * 4 >= len.max(1) {
-            self.repack(slot_of);
-        }
-        let parked = self.link(slot, rpc, self.base + self.ring.len() as u64);
-        self.ring.push_back(parked);
-        self.live += 1;
+    pub(crate) fn push_back(&mut self, slot: usize, rpc: Rpc) {
+        self.lane(slot).fifo.push_back(rpc);
+        self.append_run(slot, 1);
     }
 
-    /// `rpc` as the entry at `pos`, linked behind its job's current tail,
-    /// which it replaces.
-    #[inline]
-    fn link(&mut self, slot: usize, rpc: Rpc, pos: u64) -> Parked {
-        if slot >= self.tails.len() {
-            self.tails.resize(slot + 1, 0);
-        }
-        let tail = std::mem::replace(&mut self.tails[slot], pos);
-        let prev = if tail >= self.base {
-            u32::try_from(pos - tail).expect("fewer than 2^32 RPCs parked at once")
-        } else {
-            0
-        };
-        Parked {
-            rpc: Some(rpc),
-            prev,
-        }
-    }
-
-    /// Serve the longest-parked RPC.
-    pub(crate) fn pop_front(&mut self) -> Option<Rpc> {
-        while let Some(parked) = self.ring.pop_front() {
-            self.base += 1;
-            if let Some(rpc) = parked.rpc {
-                self.live -= 1;
-                return Some(rpc);
-            }
-        }
-        None
-    }
-
-    /// Parked RPCs in arrival order.
-    #[cfg(test)]
-    pub(crate) fn iter(&self) -> impl Iterator<Item = Rpc> + '_ {
-        self.ring.iter().filter_map(|p| p.rpc)
-    }
-
-    /// Empty the queue, yielding the parked RPCs in arrival order.
-    pub(crate) fn drain(&mut self) -> impl Iterator<Item = Rpc> + '_ {
-        self.base += self.ring.len() as u64;
-        self.live = 0;
-        self.ring.drain(..).filter_map(|p| p.rpc)
-    }
-
-    /// Lift every parked RPC of the job at `slot`, handing each to `lift`
-    /// — latest first. The cost is the job's own parked RPCs, not the
-    /// queue's.
-    pub(crate) fn take_job(&mut self, slot: usize, mut lift: impl FnMut(Rpc)) {
-        let Some(tail) = self.tails.get_mut(slot) else {
+    /// Park `fifo`, the whole backlog of the job at `slot`, behind
+    /// everything already here; the deque becomes the job's lane.
+    pub(crate) fn park_job(&mut self, slot: usize, fifo: VecDeque<Rpc>) {
+        let n = fifo.len();
+        if n == 0 {
             return;
-        };
-        let mut pos = std::mem::take(tail);
-        while pos >= self.base {
+        }
+        let lane = self.lane(slot);
+        if lane.fifo.is_empty() {
+            lane.fifo = fifo;
+        } else {
+            lane.fifo.extend(fifo);
             #[cfg(test)]
             {
-                self.lifted += 1;
+                self.rpcs_moved += n as u64;
             }
-            let parked = &mut self.ring[(pos - self.base) as usize];
-            let Parked { rpc, prev } = *parked;
-            parked.rpc = None;
-            self.live -= 1;
-            lift(rpc.expect("a job's chain links live RPCs"));
-            if prev == 0 {
-                break;
-            }
-            pos -= u64::from(prev);
+        }
+        self.append_run(slot, n);
+    }
+
+    fn lane(&mut self, slot: usize) -> &mut Lane {
+        if slot >= self.lanes.len() {
+            self.lanes.resize_with(slot + 1, Lane::default);
+        }
+        &mut self.lanes[slot]
+    }
+
+    /// The last `n` RPCs of lane `slot` arrived just now.
+    fn append_run(&mut self, slot: usize, n: usize) {
+        self.len += n;
+        let gen = self.lanes[slot].gen;
+        let slot = u32::try_from(slot).expect("slots are dense over u32 job ids");
+        match self.runs.back_mut() {
+            Some(run) if (run.slot, run.gen) == (slot, gen) => run.count += n,
+            _ => self.runs.push_back(Run {
+                slot,
+                gen,
+                count: n,
+            }),
         }
     }
 
-    /// After a batch of takes: when fewer than a third of the ring's
-    /// slots hold a parked RPC, re-pack it into an allocation of half as
-    /// much again as is parked (none, if nothing is) — under overload this
-    /// ring is the scheduler's largest allocation, and a burst that has
-    /// found its rules must not keep it at the burst's size.
-    pub(crate) fn trim(&mut self, slot_of: impl Fn(JobId) -> usize) {
-        if self.ring.capacity() > 3 * self.live {
-            self.repack(slot_of);
-            self.ring.shrink_to(self.live + self.live / 2);
+    /// Serve the longest-parked RPC; with its job's slot.
+    pub(crate) fn pop_front(&mut self) -> Option<(usize, Rpc)> {
+        loop {
+            let run = self.runs.front_mut()?;
+            let slot = run.slot as usize;
+            let lane = &mut self.lanes[slot];
+            if lane.gen != run.gen {
+                self.runs.pop_front();
+                continue;
+            }
+            let rpc = lane.fifo.pop_front();
+            run.count -= 1;
+            if run.count == 0 {
+                self.runs.pop_front();
+            }
+            if lane.fifo.is_empty() && lane.fifo.capacity() > LANE_KEEP {
+                lane.fifo = VecDeque::new();
+            }
+            self.len -= 1;
+            return Some((slot, rpc.expect("a live run counts RPCs in its lane")));
         }
     }
 
-    /// Drop the tombstones. O(ring): the parked RPCs are re-packed at
-    /// fresh positions, which makes every old link and tail stale, and
-    /// re-linked as they land.
-    fn repack(&mut self, slot_of: impl Fn(JobId) -> usize) {
-        self.base += self.ring.len() as u64;
-        let mut kept = 0;
-        for read in 0..self.ring.len() {
-            if let Some(rpc) = self.ring[read].rpc {
-                self.ring[kept] = self.link(slot_of(rpc.job), rpc, self.base + kept as u64);
-                kept += 1;
-            }
+    /// Everything parked for the job at `slot`, in arrival order, as the
+    /// deque it was parked in — O(1).
+    pub(crate) fn take_job(&mut self, slot: usize) -> VecDeque<Rpc> {
+        let Some(lane) = self.lanes.get_mut(slot).filter(|l| !l.fifo.is_empty()) else {
+            return VecDeque::new();
+        };
+        lane.gen = lane.gen.wrapping_add(1);
+        let fifo = std::mem::take(&mut lane.fifo);
+        self.len -= fifo.len();
+        if self.runs.len() > 2 * self.len {
+            let lanes = &self.lanes;
+            self.runs
+                .retain(|run| lanes[run.slot as usize].gen == run.gen);
         }
-        self.ring.truncate(kept);
-        debug_assert_eq!(kept, self.live);
+        fifo
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adaptbf_model::{ClientId, ProcId, RpcId, SimTime};
+    use adaptbf_model::{ClientId, JobId, ProcId, RpcId, SimTime};
     use proptest::prelude::*;
+
+    impl FallbackQueue {
+        /// Empty the queue, yielding the parked RPCs in arrival order (the
+        /// scheduler's crash path, `drain_pending`, is this loop).
+        fn drain(&mut self) -> impl Iterator<Item = Rpc> + '_ {
+            std::iter::from_fn(|| Some(self.pop_front()?.1))
+        }
+
+        /// The parked RPCs in arrival order.
+        pub(crate) fn iter(&self) -> impl Iterator<Item = Rpc> + '_ {
+            let mut seen = vec![0; self.lanes.len()];
+            let live = move |run: &&Run| self.lanes[run.slot as usize].gen == run.gen;
+            self.runs.iter().filter(live).flat_map(move |run| {
+                let from = seen[run.slot as usize];
+                seen[run.slot as usize] += run.count;
+                let lane = &self.lanes[run.slot as usize].fifo;
+                lane.range(from..seen[run.slot as usize]).copied()
+            })
+        }
+    }
 
     fn rpc(id: u64, job: u32) -> Rpc {
         Rpc::new(RpcId(id), JobId(job), ClientId(0), ProcId(0), SimTime::ZERO)
     }
 
     /// The tests' interner: a job's slot is its raw id.
-    fn slot_of(job: JobId) -> usize {
-        job.raw() as usize
-    }
-
     fn park(q: &mut FallbackQueue, rpc: Rpc) {
-        q.push_back(slot_of(rpc.job), rpc, slot_of);
+        q.push_back(rpc.job.raw() as usize, rpc);
     }
 
-    /// The ids `take_job` lifts for `job`, in lift order (latest first).
-    fn take(q: &mut FallbackQueue, job: u32) -> Vec<u64> {
-        let mut lifted = Vec::new();
-        q.take_job(job as usize, |r| lifted.push(r.id.raw()));
-        lifted
+    fn ids(rpcs: impl IntoIterator<Item = Rpc>) -> Vec<u64> {
+        rpcs.into_iter().map(|r| r.id.raw()).collect()
     }
 
     #[test]
-    fn the_index_costs_four_bytes_per_parked_rpc() {
-        assert_eq!(
-            std::mem::size_of::<Parked>(),
-            std::mem::size_of::<Rpc>() + 4
-        );
+    fn a_run_costs_sixteen_bytes_however_long() {
+        assert_eq!(std::mem::size_of::<Run>(), 16);
+        let mut q = FallbackQueue::default();
+        for i in 0..100 {
+            park(&mut q, rpc(i, u32::from(i >= 50)));
+        }
+        assert_eq!((q.len(), q.runs.len()), (100, 2));
     }
 
-    /// On a fresh queue, and on one 2³² RPCs have already passed through:
-    /// its positions no longer fit a `u32`, its links — distances — do.
     #[test]
-    fn take_job_lifts_only_that_job_and_fifo_survives() {
-        lifts_only_that_job(FallbackQueue::new());
-        lifts_only_that_job(FallbackQueue::starting_at(u64::from(u32::MAX) + 1));
-    }
-
-    fn lifts_only_that_job(mut q: FallbackQueue) {
+    fn take_job_hands_over_only_that_job_and_fifo_survives() {
+        let mut q = FallbackQueue::default();
         for i in 0..9 {
             park(&mut q, rpc(i, i as u32 % 3));
         }
-        assert!(q.ring.iter().all(|p| p.prev <= 3), "links are distances");
-        assert_eq!(q.pop_front(), Some(rpc(0, 0)));
-        // Latest first; RPC 0 was already served, so its link is not
-        // followed.
-        assert_eq!(take(&mut q, 0), vec![6, 3]);
-        assert_eq!(take(&mut q, 0), vec![], "nothing left to lift");
-        assert_eq!(take(&mut q, 77), vec![], "never parked");
-        let order: Vec<u64> = q.iter().map(|r| r.id.raw()).collect();
-        assert_eq!(order, vec![1, 2, 4, 5, 7, 8]);
+        assert_eq!(q.pop_front(), Some((0, rpc(0, 0))));
+        // Arrival order; RPC 0 was already served.
+        assert_eq!(ids(q.take_job(0)), vec![3, 6]);
+        assert_eq!(ids(q.take_job(0)), vec![], "nothing left to take");
+        assert_eq!(ids(q.take_job(77)), vec![], "never parked");
+        assert_eq!(ids(q.iter()), vec![1, 2, 4, 5, 7, 8]);
         assert_eq!(q.len(), 6);
-        // A later arrival of the lifted job starts a fresh chain.
+        // A later arrival of the taken job is behind everything.
         park(&mut q, rpc(9, 0));
-        assert_eq!(take(&mut q, 0), vec![9]);
-        assert_eq!(q.len(), 6);
+        assert_eq!(ids(q.iter()), vec![1, 2, 4, 5, 7, 8, 9]);
+        assert_eq!(ids(q.take_job(0)), vec![9]);
+        assert_eq!(ids(q.drain()), vec![1, 2, 4, 5, 7, 8]);
+        assert_eq!((q.pop_front(), q.len()), (None, 0));
     }
 
     #[test]
-    fn tombstones_are_repacked_instead_of_growing_the_ring() {
-        let mut q = FallbackQueue::new();
-        for i in 0..40 {
-            park(&mut q, rpc(i, u32::from(i >= 3)));
-        }
-        let capacity = q.ring.capacity();
-        take(&mut q, 1);
-        assert_eq!((q.len(), q.ring.len()), (3, 40), "tombstones stay put");
-        // Filling the ring up does not grow it: the push that finds it
-        // full re-packs it, and the next such push grows it (no tombstone
-        // is left to drop).
-        let room = capacity - 40;
-        for i in 0..=room as u64 {
-            park(&mut q, rpc(100 + i, 2));
-        }
-        assert_eq!((q.len(), q.ring.len()), (3 + room + 1, 3 + room + 1));
-        assert_eq!(q.ring.capacity(), capacity);
-        // The survivors' chains were rebuilt: job 0 is still liftable.
-        assert_eq!(take(&mut q, 0), vec![2, 1, 0]);
-        for i in 0..=room as u64 {
-            assert_eq!(q.pop_front().map(|r| r.id.raw()), Some(100 + i));
-        }
-        assert_eq!((q.pop_front(), q.len(), q.ring.len()), (None, 0, 0));
+    fn park_job_installs_the_deque_behind_everything_parked() {
+        let mut q = FallbackQueue::default();
+        park(&mut q, rpc(0, 1));
+        park(&mut q, rpc(1, 0));
+        let mut backlog = q.take_job(1);
+        backlog.push_back(rpc(2, 1));
+        let buffer = backlog.as_slices().0.as_ptr();
+        q.park_job(1, backlog);
+        assert_eq!(q.lanes[1].fifo.as_slices().0.as_ptr(), buffer, "no copy");
+        park(&mut q, rpc(3, 1));
+        assert_eq!((q.runs.len(), q.rpcs_moved), (3, 0), "one stale, two live");
+        assert_eq!(ids(q.iter()), vec![1, 0, 2, 3]);
+        // Parking onto a lane that holds RPCs is the one path that copies.
+        q.park_job(0, VecDeque::from([rpc(4, 0), rpc(5, 0)]));
+        assert_eq!(q.rpcs_moved, 2);
+        assert_eq!(ids(q.drain()), vec![1, 0, 2, 3, 4, 5]);
     }
 
     #[test]
-    fn trim_hands_back_what_a_lifted_burst_held() {
-        let mut q = FallbackQueue::new();
-        for i in 0..1000 {
-            park(&mut q, rpc(i, u32::from(i % 100 != 0)));
+    fn stale_runs_are_swept_and_an_emptied_lane_gives_its_buffer_back() {
+        let mut q = FallbackQueue::default();
+        // 200 one-RPC runs of job 1 between 200 of job 0.
+        for i in 0..400 {
+            park(&mut q, rpc(i, i as u32 % 2));
         }
-        take(&mut q, 1);
-        q.trim(slot_of);
-        assert_eq!((q.len(), q.ring.len()), (10, 10));
-        assert!(q.ring.capacity() < 100, "{} slots kept", q.ring.capacity());
-        let order: Vec<u64> = q.iter().map(|r| r.id.raw()).collect();
-        assert_eq!(order, (0..10).map(|i| i * 100).collect::<Vec<_>>());
-        take(&mut q, 0);
-        q.trim(slot_of);
-        assert_eq!((q.len(), q.ring.capacity()), (0, 0));
-        // Two thirds empty is not worth a re-pack.
-        for i in 0..64 {
-            park(&mut q, rpc(i, u32::from(i < 24)));
-        }
-        let capacity = q.ring.capacity();
-        take(&mut q, 0);
-        q.trim(slot_of);
-        assert_eq!((q.len(), q.ring.len()), (24, 64));
-        assert_eq!(q.ring.capacity(), capacity);
+        assert_eq!(q.runs.len(), 400);
+        let burst = q.take_job(1);
+        assert_eq!((burst.len(), q.len()), (200, 200));
+        assert_eq!(q.runs.len(), 400, "two runs per parked RPC: not yet");
+        park(&mut q, rpc(400, 2));
+        assert_eq!(ids(q.take_job(2)), vec![400]);
+        assert_eq!(q.runs.len(), 200, "swept: only live runs are left");
+        // Served down to nothing, job 0's lane gives the burst's buffer
+        // back; an idle queue's grown deque never becomes a lane.
+        assert!(q.lanes[0].fifo.capacity() >= 200);
+        assert_eq!(ids(q.drain()), (0..200).map(|i| i * 2).collect::<Vec<_>>());
+        assert_eq!(q.lanes[0].fifo.capacity(), 0);
+        // A trickle's buffer stays: the next arrival allocates nothing.
+        park(&mut q, rpc(401, 0));
+        assert_eq!(ids(q.drain()), vec![401]);
+        assert!((1..=LANE_KEEP).contains(&q.lanes[0].fifo.capacity()));
+        let mut idle = burst;
+        idle.clear();
+        q.park_job(1, idle);
+        assert_eq!(q.lanes[1].fifo.capacity(), 0);
+        assert_eq!((q.len(), q.runs.len()), (0, 0));
     }
 
-    /// Both queues under test, stepped together and compared after
-    /// every step.
+    /// The queue under test beside the obvious one — a `VecDeque` of
+    /// `(slot, RPC)` in arrival order — plus the backlogs taken and not
+    /// yet parked again (what ruled queues would hold).
+    #[derive(Default)]
     struct Pair {
         q: FallbackQueue,
-        model: VecDeque<Rpc>,
+        model: VecDeque<(usize, Rpc)>,
+        held: Vec<VecDeque<Rpc>>,
         next_id: u64,
     }
 
-    const JOBS: u32 = 6;
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Op {
+        Push(usize),
+        Pop,
+        Take(usize),
+        Park(usize),
+        Drain,
+    }
 
     impl Pair {
-        /// One operation from three random words; panics on any difference.
-        fn step(&mut self, op: u32, job: u32, n: usize) {
+        fn of(jobs: usize) -> Self {
+            Pair {
+                held: vec![VecDeque::new(); jobs],
+                ..Self::default()
+            }
+        }
+
+        fn fork(&self) -> Self {
+            let q = FallbackQueue {
+                lanes: (self.q.lanes.iter())
+                    .map(|l| Lane {
+                        fifo: l.fifo.clone(),
+                        gen: l.gen,
+                    })
+                    .collect(),
+                runs: self.q.runs.clone(),
+                len: self.q.len,
+                rpcs_moved: 0,
+            };
+            Pair {
+                q,
+                model: self.model.clone(),
+                held: self.held.clone(),
+                next_id: self.next_id,
+            }
+        }
+
+        /// Apply `op` to both; panics on any difference.
+        fn step(&mut self, op: Op) {
             let (q, model) = (&mut self.q, &mut self.model);
             match op {
-                // Arrivals: a run of one job, or a stride across jobs.
-                0..=4 => {
-                    for k in 0..n as u32 {
-                        let r = rpc(self.next_id, (job + k * (op & 1)) % JOBS);
-                        self.next_id += 1;
-                        park(q, r);
-                        model.push_back(r);
-                    }
+                Op::Push(job) => {
+                    let r = rpc(self.next_id, job as u32);
+                    self.next_id += 1;
+                    q.push_back(job, r);
+                    model.push_back((job, r));
                 }
-                5 | 6 => {
-                    for _ in 0..n {
-                        assert_eq!(q.pop_front(), model.pop_front());
-                    }
+                Op::Pop => assert_eq!(q.pop_front(), model.pop_front()),
+                Op::Take(job) => {
+                    let taken = q.take_job(job);
+                    let want = model.iter().filter(|e| e.0 == job).map(|e| e.1);
+                    assert!(taken.iter().copied().eq(want), "{op:?} took {taken:?}");
+                    model.retain(|e| e.0 != job);
+                    // Every take that leaves stale runs bounds them.
+                    assert!(taken.is_empty() || q.runs.len() <= 2 * q.len());
+                    self.held[job].extend(taken);
                 }
-                // Take one or two jobs (the second possibly the first again).
-                7..=10 => {
-                    let jobs = [JobId(job % JOBS), JobId((job + n as u32) % JOBS)];
-                    for j in &jobs[..1 + (op as usize & 1)] {
-                        let mut lifted = Vec::new();
-                        q.take_job(slot_of(*j), |r| lifted.push(r));
-                        lifted.reverse();
-                        let want: Vec<Rpc> =
-                            model.iter().filter(|r| r.job == *j).copied().collect();
-                        model.retain(|r| r.job != *j);
-                        assert_eq!(lifted, want);
-                    }
-                    if n & 1 == 1 {
-                        q.trim(slot_of);
-                    }
+                Op::Park(job) => {
+                    let backlog = std::mem::take(&mut self.held[job]);
+                    model.extend(backlog.iter().map(|r| (job, *r)));
+                    q.park_job(job, backlog);
                 }
-                _ => {
+                Op::Drain => {
                     let drained: Vec<Rpc> = q.drain().collect();
-                    assert_eq!(drained, model.drain(..).collect::<Vec<_>>());
+                    assert!(drained.into_iter().eq(model.drain(..).map(|e| e.1)));
                 }
             }
-            assert_eq!(q.len(), model.len());
-            assert!(q.iter().eq(model.iter().copied()), "iter() order differs");
+            assert_eq!(q.len(), model.len(), "after {op:?}");
+            assert!(q.iter().eq(model.iter().map(|e| e.1)), "order after {op:?}");
+            // The structure's own invariant: live runs count their lanes.
+            let mut counted = vec![0; q.lanes.len()];
+            for run in q
+                .runs
+                .iter()
+                .filter(|r| q.lanes[r.slot as usize].gen == r.gen)
+            {
+                assert!(run.count > 0, "empty live run after {op:?}");
+                counted[run.slot as usize] += run.count;
+            }
+            assert!(counted.into_iter().eq(q.lanes.iter().map(|l| l.fifo.len())));
         }
+    }
+
+    /// Every operation sequence of length ≤ 7 over 3 jobs, each step
+    /// checked against the model (depth-first, so a sequence's steps are
+    /// run once for all its extensions). A take of nothing and a park of
+    /// nothing are checked but not extended: they leave the queue exactly
+    /// as it was. The sweep of stale runs triggers from two runs up here,
+    /// and gets crossed by pushes, pops, parks and drains on either side.
+    #[test]
+    fn every_short_history_equals_a_plain_vecdeque() {
+        const JOBS: usize = 3;
+        fn walk(pair: &Pair, depth: usize, visited: &mut u64) {
+            *visited += 1;
+            if depth == 0 {
+                return;
+            }
+            let per_job = (0..JOBS).flat_map(|j| [Op::Push(j), Op::Take(j), Op::Park(j)]);
+            for op in per_job.chain([Op::Pop, Op::Drain]) {
+                let mut next = pair.fork();
+                next.step(op);
+                let nothing = match op {
+                    Op::Take(j) => next.held[j].len() == pair.held[j].len(),
+                    Op::Park(j) => pair.held[j].is_empty(),
+                    Op::Push(_) | Op::Pop | Op::Drain => false,
+                };
+                if !nothing {
+                    walk(&next, depth - 1, visited);
+                }
+            }
+        }
+        let mut visited = 0;
+        walk(&Pair::of(JOBS), 7, &mut visited);
+        assert!(visited > 300_000, "{visited} histories");
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// The indexed queue against a plain `VecDeque<Rpc>` over random
-        /// push / pop / take-jobs / drain histories: same pops, same
-        /// lifted RPCs per job (latest first), same
-        /// `iter()` order and `len` after every step. Every history
-        /// crosses at least one re-pack of tombstones with survivors, and
-        /// half of them start with 2³² RPCs already through the queue:
-        /// the `u32` links are distances inside the ring, so how far the
-        /// positions have run is nothing to them.
+        /// The same comparison over long random histories of six jobs:
+        /// bursts of one job, strides across jobs, takes and parks of
+        /// several jobs at a time, so hundreds of runs go stale and are
+        /// swept with live ones among them.
         #[test]
         fn equals_a_plain_vecdeque(
-            before in proptest::collection::vec((0u32..12, 0u32..JOBS, 1usize..12), 0..80),
-            after in proptest::collection::vec((0u32..12, 0u32..JOBS, 1usize..12), 1..80),
-            long_lived in any::<bool>(),
+            ops in proptest::collection::vec((0u32..12, 0usize..6, 1usize..12), 1..160),
         ) {
-            let base = if long_lived { u64::from(u32::MAX) + 1 } else { 1 };
-            let q = FallbackQueue::starting_at(base);
-            let mut pair = Pair { q, model: VecDeque::new(), next_id: 0 };
-            for (op, job, n) in before {
-                pair.step(op, job, n);
-            }
-            // Behind whatever is parked now and one survivor, park a run
-            // of one job that at least doubles the ring and fills it; lift
-            // the run; fill the ring again: the push that finds it full
-            // drops the tombstones instead of growing it.
-            pair.step(0, 0, 1);
-            let (len, capacity) = (pair.q.ring.len(), pair.q.ring.capacity());
-            pair.step(0, 1, len.max(capacity - len));
-            pair.step(8, 1, 2); // even: no trim, the tombstones stay
-            let capacity = pair.q.ring.capacity();
-            pair.step(0, 2, capacity - pair.q.ring.len() + 1);
-            prop_assert!(pair.q.len() > 1 && pair.q.ring.len() == pair.q.len(), "re-packed");
-            prop_assert_eq!(pair.q.ring.capacity(), capacity);
-            for (op, job, n) in after {
-                pair.step(op, job, n);
+            const JOBS: usize = 6;
+            let mut pair = Pair::of(JOBS);
+            for (op, job, n) in ops {
+                for k in 0..n {
+                    pair.step(match op {
+                        0..=2 => Op::Push(job),
+                        3 | 4 => Op::Push((job + k) % JOBS),
+                        5 | 6 => Op::Pop,
+                        7 | 8 if k < 3 => Op::Take((job + k) % JOBS),
+                        9 | 10 if k < 3 => Op::Park((job + k) % JOBS),
+                        11 if k == 0 => Op::Drain,
+                        _ => break,
+                    });
+                }
             }
         }
     }

@@ -23,7 +23,7 @@
 //!   It serves the earliest-deadline token-ready queue (ties broken by
 //!   rule weight, i.e. the hierarchy the daemon sets from job priority),
 //!   and owns the crate's one job interner: a job's slot indexes its
-//!   queue, its first rule, its fallback tail and its counters.
+//!   queue, its first rule, its fallback lane and its counters.
 //! * [`RuleDaemon`] — turns a period's allocations into one rule
 //!   transaction; it keeps no job→rule copy of its own.
 //!

@@ -73,11 +73,9 @@ impl TbfQueue {
         self.stamp
     }
 
-    /// Fast-forward the stamp to at least `stamp`. Schedulers use this
-    /// when re-creating a queue for a job whose earlier queue may still
-    /// have entries in the deadline heap: per-job stamps must stay
-    /// monotone across queue generations or a leftover entry could alias
-    /// the reborn queue once its stamp catches up.
+    /// Fast-forward the stamp to at least `stamp`: an earlier queue of the
+    /// job may still have entries in the deadline heap, and per-job stamps
+    /// must stay monotone across queues or one could alias this queue.
     pub fn advance_stamp(&mut self, stamp: u64) {
         self.stamp = self.stamp.max(stamp);
     }
@@ -111,11 +109,18 @@ impl TbfQueue {
         self.stamp += 1;
     }
 
-    /// Drain all queued RPCs (used when the governing rule is stopped and
-    /// the backlog must move to the fallback queue).
-    pub fn drain(&mut self) -> impl Iterator<Item = Rpc> + '_ {
+    /// Hand the whole backlog over as the deque it sits in (its rule
+    /// stopped and it parks in the fallback queue, or the OST crashed).
+    pub fn take_fifo(&mut self) -> VecDeque<Rpc> {
         self.stamp += 1;
-        self.fifo.drain(..)
+        std::mem::take(&mut self.fifo)
+    }
+
+    /// Adopt `fifo` — a backlog captured whole from the fallback queue —
+    /// as this (empty, never scheduled) queue's.
+    pub fn put_fifo(&mut self, fifo: VecDeque<Rpc>) {
+        debug_assert!(self.fifo.is_empty(), "a captured backlog founds its queue");
+        self.fifo = fifo;
     }
 
     /// Immutable view of the bucket (diagnostics).
@@ -202,7 +207,7 @@ mod tests {
         assert_ne!(q.stamp(), s2);
         let s3 = q.stamp();
         q.push(rpc(2));
-        let _: Vec<_> = q.drain().collect();
+        q.take_fifo();
         assert_ne!(q.stamp(), s3);
     }
 
@@ -223,12 +228,16 @@ mod tests {
     }
 
     #[test]
-    fn drain_empties_backlog() {
+    fn a_backlog_moves_whole_between_queues() {
         let mut q = queue(10.0);
         q.push(rpc(1));
         q.push(rpc(2));
-        let drained: Vec<_> = q.drain().collect();
-        assert_eq!(drained.len(), 2);
+        let taken = q.take_fifo();
+        assert_eq!(taken.len(), 2);
         assert!(q.is_empty());
+        let mut heir = queue(10.0);
+        heir.put_fifo(taken);
+        assert_eq!((heir.len(), heir.stamp()), (2, 0));
+        assert_eq!(heir.try_serve(t(0)).unwrap().id, RpcId(1));
     }
 }

@@ -24,9 +24,9 @@ use serde::{Deserialize, Serialize};
 pub struct TbfRule {
     /// Stable identifier assigned by the table at start time.
     pub id: RuleId,
-    /// Human-readable rule name (Lustre rules are named; the daemon names
-    /// them after the job label).
-    pub name: String,
+    /// The name the rule was given; `None` = its job's label, which is
+    /// what the daemon names every rule — so a start builds no string.
+    name: Option<String>,
     /// The job this rule names.
     pub matcher: RpcMatcher,
     /// Token refill rate in tokens/second.
@@ -37,6 +37,15 @@ pub struct TbfRule {
     pub weight: u32,
     /// The scheduler's slot for the named job.
     pub(crate) slot: usize,
+}
+
+impl TbfRule {
+    /// Human-readable rule name (Lustre rules are named): the one given,
+    /// else the label of the job the rule names, formatted on read.
+    pub fn name(&self) -> String {
+        let RpcMatcher::Job(job) = self.matcher;
+        self.name.clone().unwrap_or_else(|| job.label())
+    }
 }
 
 /// The ordered rule list of one OST's NRS TBF policy (runtime state; not
@@ -168,7 +177,7 @@ impl RuleTable {
 
     /// Rule by name (the daemon names rules after the job label).
     pub fn get_by_name(&self, name: &str) -> Option<&TbfRule> {
-        self.rules.iter().find(|r| r.name == name)
+        self.rules.iter().find(|r| r.name() == name)
     }
 
     /// All rules in match order.
@@ -195,7 +204,7 @@ mod tests {
     /// Start a rule for `job`, using the raw job id as its slot.
     fn start(t: &mut RuleTable, name: &str, job: u32) -> RuleId {
         let spec = RuleSpec {
-            name: name.into(),
+            name: Some(name.into()),
             matcher: RpcMatcher::Job(JobId(job)),
             rate_tps: 10.0,
             weight: 1,
@@ -204,7 +213,7 @@ mod tests {
     }
 
     fn first_name(t: &RuleTable, slot: usize) -> Option<&str> {
-        t.first(slot).map(|r| r.name.as_str())
+        t.first(slot).and_then(|r| r.name.as_deref())
     }
 
     #[test]
@@ -223,7 +232,7 @@ mod tests {
         t.compact();
         assert_eq!(t.len(), 1);
         assert_eq!((first_name(&t, 1), first_name(&t, 2)), (Some("b"), None));
-        assert_eq!(t.get(b).unwrap().name, "b");
+        assert_eq!(t.get(b).unwrap().name(), "b");
         assert!(t.get(a).is_none() && t.get(c).is_none());
     }
 
@@ -255,9 +264,18 @@ mod tests {
     #[test]
     fn lookup_by_name() {
         let mut t = RuleTable::default();
-        start(&mut t, "app1.node1", 1);
-        assert!(t.get_by_name("app1.node1").is_some());
-        assert!(t.get_by_name("nope").is_none());
+        start(&mut t, "first", 1);
+        // An unnamed rule goes by its job's label.
+        let spec = RuleSpec {
+            name: None,
+            matcher: RpcMatcher::Job(JobId(2)),
+            rate_tps: 10.0,
+            weight: 1,
+        };
+        let unnamed = t.start(2, spec);
+        assert_eq!(t.get_by_name("first").unwrap().id, RuleId(0));
+        assert_eq!(t.get_by_name("app2.node2").unwrap().id, unnamed);
+        assert!(t.get_by_name("app1.node1").is_none() && t.get_by_name("nope").is_none());
     }
 
     #[test]

@@ -23,28 +23,28 @@
 //! The scheduler owns the crate's only [`JobSlots`] interner. An enqueue
 //! interns once, and the dense slot (assigned at first sight, stable for
 //! the scheduler's lifetime) indexes everything the job has: its queue,
-//! the first rule naming it (in [`RuleTable`]), its tail in the fallback
-//! queue, its retired-stamp floor and its service counters — flat vectors,
-//! so the per-RPC path costs array indexing rather than hash or
-//! ordered-map walks. JobId-keyed shapes are folded only when
+//! the first rule naming it (in [`RuleTable`]), its lane in the fallback
+//! queue and its service counters — flat vectors, so the per-RPC path
+//! costs array indexing rather than hash or ordered-map walks.
+//! JobId-keyed shapes are folded only when
 //! [`NrsTbfScheduler::stats`] is read, from counters that live on the
 //! queues themselves, so the per-serve path performs no map updates.
 //!
-//! ## Rule changes move queues whole
+//! ## Rule changes move no RPC
 //!
 //! The daemon mutates every active job's rule once per observation
 //! period, so the unit of mutation is the period's whole batch
-//! ([`NrsTbfScheduler::transact`]). Because a rule names one job, a rule
-//! change never splits a queue: a stop hands the job's queue to the next
-//! rule naming the job, or empties it into the fallback queue; a start
-//! lifts exactly its job's parked RPCs out of the fallback queue through
-//! that queue's per-job index (the `fallback` module); a re-rate touches
-//! its job's one queue. A cycle therefore costs O(rules changed + RPCs
-//! they move) plus one rebuild of the rule table's positions — not that
-//! times the number of rules changed, and not the number of RPCs parked
-//! for other jobs. Heap entries of touched queues go stale via the queues'
-//! monotone stamps and are discarded lazily on pop — the heap is never
-//! rebuilt.
+//! ([`NrsTbfScheduler::transact`]). A rule names one job, so a rule change
+//! never splits a queue; a job's waiting RPCs sit in one `VecDeque`
+//! wherever they wait, so it never copies one either. A stop hands the
+//! job's queue to the next rule naming the job, or parks the queue's deque
+//! in the fallback queue as the job's lane, behind one new run; a start
+//! takes the lane's deque back as its queue's FIFO and pushes one heap
+//! entry — O(1) each, whatever is parked (the `fallback` module); a
+//! re-rate touches its job's one queue. A cycle costs O(rules changed)
+//! plus one rebuild of the rule table's positions. Heap entries of touched
+//! queues go stale via the queues' monotone stamps and are discarded
+//! lazily on pop — the heap is never rebuilt.
 
 use crate::fallback::FallbackQueue;
 use crate::heap::DeadlineHeap;
@@ -88,8 +88,9 @@ impl SchedulerStats {
 /// a value, so a transaction can carry any number of them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RuleSpec {
-    /// Human-readable rule name.
-    pub name: String,
+    /// Human-readable rule name; `None` names the rule after its job's
+    /// label (see [`TbfRule::name`]) without building the string.
+    pub name: Option<String>,
     /// The job the rule names.
     pub matcher: RpcMatcher,
     /// Token refill rate in tokens/second.
@@ -118,19 +119,13 @@ impl From<&TbfRule> for RuleBinding {
     }
 }
 
-/// The fallback queue's way back from a parked RPC to its job's slot
-/// (every enqueued RPC's job is interned before it can park).
-fn parked_slot(slots: &JobSlots) -> impl Fn(JobId) -> usize + '_ {
-    |job| slots.get(job).expect("a parked RPC's job is interned")
-}
-
 /// The Lustre-style NRS TBF scheduler for one OST.
 #[derive(Debug)]
 pub struct NrsTbfScheduler {
     config: TbfSchedulerConfig,
     rules: RuleTable,
     /// The crate's only job interner: every per-job vector below, the
-    /// rule table's `first` and the fallback queue's tails are indexed by
+    /// rule table's `first` and the fallback queue's lanes are indexed by
     /// its slots.
     slots: JobSlots,
     /// One optional queue per slot, bound to the first rule naming the
@@ -145,16 +140,14 @@ pub struct NrsTbfScheduler {
     // -- cold stats state: folded into `SchedulerStats` on read ----------
     served_ruled: u64,
     served_fallback: u64,
-    /// Per-slot counts of queues that have since been removed.
-    folded_served: Vec<u64>,
-    /// Per-slot stamp floor (+1) for re-created queues: a removed queue's
-    /// heap entries are never purged (lazy invalidation), so the next
-    /// queue for the same job must start its stamp *above* them or a
-    /// leftover entry would read as valid once the new stamp caught up.
-    /// 0 = no queue for this job was ever retired.
-    retired_stamps: Vec<u64>,
-    /// Per-slot fallback serve counts.
-    fallback_served: Vec<u64>,
+    /// Per-slot serves not counted on a live queue: from the fallback
+    /// queue, and by queues that have since been removed.
+    served_unqueued: Vec<u64>,
+    /// Stamp floor for re-created queues, above every removed queue's
+    /// last stamp: a removed queue's heap entries are never purged (lazy
+    /// invalidation), so its job's next queue must start its stamp above
+    /// them or one would read as valid once the new stamp caught up.
+    stamp_floor: u64,
 }
 
 impl NrsTbfScheduler {
@@ -166,13 +159,12 @@ impl NrsTbfScheduler {
             slots: JobSlots::new(),
             queues: Vec::new(),
             heap: DeadlineHeap::new(),
-            fallback: FallbackQueue::new(),
+            fallback: FallbackQueue::default(),
             ruled_backlog: 0,
             served_ruled: 0,
             served_fallback: 0,
-            folded_served: Vec::new(),
-            retired_stamps: Vec::new(),
-            fallback_served: Vec::new(),
+            served_unqueued: Vec::new(),
+            stamp_floor: 0,
         }
     }
 
@@ -181,9 +173,7 @@ impl NrsTbfScheduler {
     pub fn reserve_jobs(&mut self, jobs: usize) {
         self.slots.reserve(jobs);
         self.queues.reserve(jobs);
-        self.folded_served.reserve(jobs);
-        self.retired_stamps.reserve(jobs);
-        self.fallback_served.reserve(jobs);
+        self.served_unqueued.reserve(jobs);
     }
 
     /// Intern `job` and grow every per-slot vector to cover its slot.
@@ -193,9 +183,7 @@ impl NrsTbfScheduler {
         if slot >= self.queues.len() {
             let n = slot + 1;
             self.queues.resize_with(n, || None);
-            self.folded_served.resize(n, 0);
-            self.retired_stamps.resize(n, 0);
-            self.fallback_served.resize(n, 0);
+            self.served_unqueued.resize(n, 0);
         }
         slot
     }
@@ -212,11 +200,12 @@ impl NrsTbfScheduler {
     /// calling [`Self::stop_rule`] for each stop, [`Self::start_rule`] for
     /// each start and [`Self::apply_updates`] in that order; the cost is
     /// not. Each stop is O(1) and moves its job's queue whole — to the
-    /// next rule naming the job, else into the fallback queue — and the
-    /// table re-derives its positions once for all of them. Each start
-    /// lifts its job's parked RPCs, and only those, out of the fallback
-    /// queue; they enter their queues rule by rule in start order, in
-    /// arrival order within a rule.
+    /// next rule naming the job, else into the fallback queue, deque and
+    /// all — and the table re-derives its positions once for all of them.
+    /// Each start is O(1) too: what is parked for its job becomes its
+    /// queue's FIFO as the deque it is, and the queue enters the heap with
+    /// one push — in start order, which is the order the heap breaks
+    /// deadline ties in and so the dispatch order.
     ///
     /// The whole batch is validated up front: a stop or update naming a
     /// rule that is not installed, a rule stopped twice, an update to a
@@ -248,24 +237,19 @@ impl NrsTbfScheduler {
         // Only a start can do that — stopping or re-rating a rule never
         // makes a parked RPC ruled.
         let mut started = Vec::with_capacity(starts.len());
-        let mut captured: Vec<(usize, Rpc)> = Vec::new();
         for spec in starts {
             let RpcMatcher::Job(job) = spec.matcher;
             let slot = self.slot(job);
             started.push(self.rules.start(slot, spec));
             // Nothing is parked for a job that was already ruled, or
             // named twice by this batch.
-            let run = captured.len();
-            self.fallback
-                .take_job(slot, |rpc| captured.push((slot, rpc)));
-            captured[run..].reverse();
-        }
-        if !started.is_empty() {
-            // Before the captured RPCs grow their ruled queues.
-            self.fallback.trim(parked_slot(&self.slots));
-        }
-        for (slot, rpc) in captured {
-            self.admit(slot, rpc, now);
+            let parked = self.fallback.take_job(slot);
+            if !parked.is_empty() {
+                self.ruled_backlog += parked.len();
+                let queue = self.ruled_queue(slot, job, now);
+                queue.expect("just named by a rule").put_fifo(parked);
+                self.schedule(slot, now);
+            }
         }
 
         for &(id, rate_tps, weight) in updates {
@@ -323,7 +307,7 @@ impl NrsTbfScheduler {
         now: SimTime,
     ) -> RuleId {
         let spec = RuleSpec {
-            name: name.into(),
+            name: Some(name.into()),
             matcher,
             rate_tps,
             weight,
@@ -368,34 +352,43 @@ impl NrsTbfScheduler {
     }
 
     /// Queue `rpc`, whose job sits at `slot`, where the invariant says it
-    /// belongs: the job's ruled queue (created on demand) if a rule names
-    /// the job, else the fallback queue.
+    /// belongs: the job's ruled queue if a rule names the job, else the
+    /// fallback queue.
     fn admit(&mut self, slot: usize, rpc: Rpc, now: SimTime) {
-        if self.queues[slot].is_none() {
-            let Some(rule) = self.rules.first(slot) else {
-                self.fallback.push_back(slot, rpc, parked_slot(&self.slots));
-                return;
-            };
-            let depth = self.config.bucket_depth;
-            let mut queue = TbfQueue::new(rpc.job, rule.id, rule.weight, rule.rate_tps, depth, now);
-            let floor = self.retired_stamps[slot];
-            if floor > 0 {
-                queue.advance_stamp(floor);
-            }
-            self.queues[slot] = Some(queue);
-        }
-        let queue = self.queues[slot].as_mut().expect("just ensured");
+        let Some(queue) = self.ruled_queue(slot, rpc.job, now) else {
+            return self.fallback.push_back(slot, rpc);
+        };
         let was_empty = queue.is_empty();
         queue.push(rpc);
         self.ruled_backlog += 1;
         if was_empty {
-            let weight = queue.weight;
-            let stamp = queue.stamp();
-            if let Some(deadline) = queue.deadline(now) {
-                self.heap.push(rpc.job, deadline, weight, stamp);
-            }
-            // deadline == None (zero-rate rule): queue is parked until a
-            // rate change re-binds it back into the heap.
+            self.schedule(slot, now);
+        }
+    }
+
+    /// The queue of `job`, which sits at `slot` — created on demand, with
+    /// a full bucket, under the first rule naming the job; `None` if no
+    /// rule does.
+    #[inline]
+    fn ruled_queue(&mut self, slot: usize, job: JobId, now: SimTime) -> Option<&mut TbfQueue> {
+        if self.queues[slot].is_none() {
+            let (rule, depth) = (self.rules.first(slot)?, self.config.bucket_depth);
+            let mut queue = TbfQueue::new(job, rule.id, rule.weight, rule.rate_tps, depth, now);
+            queue.advance_stamp(self.stamp_floor);
+            self.queues[slot] = Some(queue);
+        }
+        self.queues[slot].as_mut()
+    }
+
+    /// Enter the queue at `slot`, whose head or rule just changed, into
+    /// the heap at its current stamp — unless it is empty, or can never
+    /// afford its head (zero rate, empty bucket) until a re-rate re-binds it.
+    #[inline]
+    fn schedule(&mut self, slot: usize, now: SimTime) {
+        let queue = self.queues[slot].as_mut().expect("scheduled queue exists");
+        if let Some(deadline) = queue.deadline(now) {
+            self.heap
+                .push(queue.job, deadline, queue.weight, queue.stamp());
         }
     }
 
@@ -421,13 +414,7 @@ impl NrsTbfScheduler {
                     .try_serve(now)
                     .expect("queue with expired deadline must hold a token");
                 self.ruled_backlog -= 1;
-                if !queue.is_empty() {
-                    let weight = queue.weight;
-                    let stamp = queue.stamp();
-                    if let Some(next_deadline) = queue.deadline(now) {
-                        self.heap.push(job, next_deadline, weight, stamp);
-                    }
-                }
+                self.schedule(slot, now);
                 // Per-job accounting already happened inside try_serve
                 // (the queue's own counter) — nothing else to update here.
                 self.served_ruled += 1;
@@ -435,25 +422,20 @@ impl NrsTbfScheduler {
             }
             // 2. a ruled queue exists but is throttled: fallback is served
             // opportunistically in the meantime.
-            if let Some(rpc) = self.fallback.pop_front() {
-                self.serve_from_fallback(rpc.job);
-                return SchedDecision::Serve(rpc);
-            }
-            return SchedDecision::WaitUntil(deadline);
+            let wait = SchedDecision::WaitUntil(deadline);
+            return self.serve_fallback().unwrap_or(wait);
         }
         // 3. no ruled work at all: serve fallback.
-        if let Some(rpc) = self.fallback.pop_front() {
-            self.serve_from_fallback(rpc.job);
-            return SchedDecision::Serve(rpc);
-        }
-        SchedDecision::Idle
+        self.serve_fallback().unwrap_or(SchedDecision::Idle)
     }
 
+    /// Serve the longest-parked RPC, if anything is parked.
     #[inline]
-    fn serve_from_fallback(&mut self, job: JobId) {
+    fn serve_fallback(&mut self) -> Option<SchedDecision> {
+        let (slot, rpc) = self.fallback.pop_front()?;
         self.served_fallback += 1;
-        let slot = self.slots.get(job).expect("interned when it was enqueued");
-        self.fallback_served[slot] += 1;
+        self.served_unqueued[slot] += 1;
+        Some(SchedDecision::Serve(rpc))
     }
 
     // ---- moving queues when rules change ---------------------------------
@@ -484,18 +466,14 @@ impl NrsTbfScheduler {
         }
         // The queue goes: its backlog has no rule left, or it is idle —
         // Lustre drops idle queues when their rule goes away, and a later
-        // RPC re-creates one under whatever rule then names the job.
+        // RPC re-creates one under whatever rule then names the job. The
+        // backlog parks as the deque it is, behind everything parked.
         let mut queue = self.queues[slot].take().expect("governed queue exists");
         self.ruled_backlog -= queue.len();
-        for rpc in queue.drain() {
-            self.fallback.push_back(slot, rpc, parked_slot(&self.slots));
-        }
-        // Fold its service counter into the stats base so `stats()` stays
-        // exact across queue churn, and record the stamp floor a future
-        // queue for this job must start above (this one's heap entries
-        // stay behind, invalidated only lazily).
-        self.folded_served[slot] += queue.served();
-        self.retired_stamps[slot] = queue.stamp() + 1;
+        self.fallback.park_job(slot, queue.take_fifo());
+        // Its heap entries stay behind, invalidated only lazily.
+        self.served_unqueued[slot] += queue.served();
+        self.stamp_floor = self.stamp_floor.max(queue.stamp() + 1);
     }
 
     /// The single re-binding primitive: move the queue at `slot` under
@@ -512,14 +490,7 @@ impl NrsTbfScheduler {
             return;
         }
         queue.rebind(binding.id, binding.weight, binding.rate_tps, now);
-        if !queue.is_empty() {
-            let stamp = queue.stamp();
-            if let Some(deadline) = queue.deadline(now) {
-                self.heap.push(queue.job, deadline, binding.weight, stamp);
-            }
-            // deadline == None (zero-rate rule): parked until a rate
-            // change re-binds it back into the heap.
-        }
+        self.schedule(slot, now);
     }
 
     /// Empty every queue — ruled and fallback — returning the drained
@@ -531,11 +502,11 @@ impl NrsTbfScheduler {
         let mut out = Vec::with_capacity(self.pending());
         for (_job, slot) in self.slots.sorted_by_job() {
             if let Some(queue) = self.queues[slot].as_mut() {
-                out.extend(queue.drain());
+                out.extend(queue.take_fifo());
             }
         }
         self.ruled_backlog = 0;
-        out.extend(self.fallback.drain());
+        out.extend(std::iter::from_fn(|| Some(self.fallback.pop_front()?.1)));
         out
     }
 
@@ -571,7 +542,7 @@ impl NrsTbfScheduler {
         let mut served_by_job = BTreeMap::new();
         for (job, slot) in self.slots.sorted_by_job() {
             let queue_served = self.queues[slot].as_ref().map_or(0, |q| q.served());
-            let total = self.folded_served[slot] + self.fallback_served[slot] + queue_served;
+            let total = self.served_unqueued[slot] + queue_served;
             if total > 0 {
                 served_by_job.insert(job, total);
             }
@@ -912,7 +883,7 @@ mod tests {
 
     fn job_spec(job: u32) -> RuleSpec {
         RuleSpec {
-            name: format!("j{job}"),
+            name: Some(format!("j{job}")),
             matcher: RpcMatcher::Job(JobId(job)),
             rate_tps: 10.0,
             weight: 1,
@@ -930,34 +901,59 @@ mod tests {
     }
 
     #[test]
-    fn starting_k_job_rules_classifies_each_captured_rpc_once() {
-        // A cycle starts rules for 16 of the 40 parked jobs. The work is
-        // one visit per *captured* RPC: the other 240 parked RPCs are
-        // neither looked at nor moved.
+    fn starting_k_job_rules_moves_no_rpc() {
+        // A cycle starts rules for 16 of the 40 parked jobs: each job's
+        // lane becomes its queue as the deque it is, and the other 240
+        // parked RPCs are neither looked at nor moved.
         let mut s = parked_400();
-        let ids = s.transact(&[], (0..16).map(job_spec), &[], t(0)).unwrap();
+        let pushes = s.heap.raw_len();
+        let ids = s
+            .transact(&[], (0..16).rev().map(job_spec), &[], t(0))
+            .unwrap();
         assert_eq!(ids.len(), 16);
-        assert_eq!(s.fallback.lifted, 160);
+        assert_eq!(s.fallback.rpcs_moved, 0);
         assert_eq!((s.pending_ruled(), s.pending_fallback()), (160, 240));
+        assert!((0..16).all(|job| s.queue_depth(JobId(job)) == 10));
         // The uncaptured backlog kept its arrival order.
         let parked: Vec<u64> = s.fallback.iter().map(|r| r.id.raw()).collect();
         assert_eq!(parked.len(), 240);
         assert!(parked.windows(2).all(|w| w[0] < w[1]));
         assert!(s.fallback.iter().all(|r| r.job.raw() >= 16));
+        // One heap push per started job, in start order: all 16 deadlines
+        // tie, and the heap breaks the tie by push order.
+        assert_eq!(s.heap.raw_len() - pushes, 16);
+        let served: Vec<u64> = (0..16)
+            .map(|_| match s.next(t(0)) {
+                SchedDecision::Serve(r) => r.id.raw(),
+                other => panic!("expected serve, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(served, (0..16).rev().collect::<Vec<u64>>());
     }
 
     #[test]
-    fn stopping_k_job_rules_rebuilds_the_index_once() {
+    fn stopping_k_job_rules_moves_no_rpc() {
         let mut s = sched();
         let ids = s.transact(&[], (0..16).map(job_spec), &[], t(0)).unwrap();
         for i in 0..64 {
             s.enqueue(rpc(i, i as u32 % 16), t(0));
         }
         let before = s.rules.index_rebuilds;
-        s.transact(&ids[..12], [], &[], t(0)).unwrap();
-        assert_eq!(s.rules.index_rebuilds - before, 1);
+        let stops: Vec<RuleId> = ids[..12].iter().rev().copied().collect();
+        s.transact(&stops, [], &[], t(0)).unwrap();
+        assert_eq!(s.rules.index_rebuilds - before, 1, "one compact");
+        assert_eq!(s.fallback.rpcs_moved, 0);
         assert_eq!(s.rules().len(), 4);
         assert_eq!((s.pending_ruled(), s.pending_fallback()), (16, 48));
+        // The fallback order is the order of the stops, FIFO within a job.
+        let parked: Vec<(u32, u64)> = (s.fallback.iter())
+            .map(|r| (r.job.raw(), r.id.raw()))
+            .collect();
+        let want: Vec<(u32, u64)> = (0..12u32)
+            .rev()
+            .flat_map(|job| (0..4).map(move |k| (job, u64::from(job) + 16 * k)))
+            .collect();
+        assert_eq!(parked, want);
     }
 
     #[test]

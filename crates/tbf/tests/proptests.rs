@@ -35,7 +35,7 @@ const TXN_JOBS: u32 = 12;
 /// A rule from two random words.
 fn txn_spec(a: u32, b: u32) -> RuleSpec {
     RuleSpec {
-        name: format!("r{a}.{b}"),
+        name: Some(format!("r{a}.{b}")),
         matcher: RpcMatcher::Job(JobId(a % TXN_JOBS)),
         rate_tps: 5.0 + (a % 40) as f64 * 5.0,
         weight: 1 + b % 4,
@@ -67,7 +67,7 @@ fn txn_history(ops: &[(u32, u32, u32)]) -> (NrsTbfScheduler, Vec<RuleId>, SimTim
             }
             6 | 7 => {
                 let r = txn_spec(a, b);
-                live.push(s.start_rule(r.name, r.matcher, r.rate_tps, r.weight, now));
+                live.push(s.start_rule(r.name.unwrap(), r.matcher, r.rate_tps, r.weight, now));
             }
             8 if !live.is_empty() => {
                 let id = live.remove(a as usize % live.len());
@@ -102,7 +102,7 @@ fn one_at_a_time(
     let started = starts
         .iter()
         .cloned()
-        .map(|r| s.start_rule(r.name, r.matcher, r.rate_tps, r.weight, now))
+        .map(|r| s.start_rule(r.name.unwrap(), r.matcher, r.rate_tps, r.weight, now))
         .collect();
     s.apply_updates(updates, now).unwrap();
     started

@@ -7,11 +7,17 @@
 # directory the driver uses, git-ignored; nothing under benchmark/ is
 # written), then runs `pairs` (default 10) pairs of fresh `--child rep`
 # processes at seed $AB_SEED (default 7), alternating which side goes
-# first. Prints, per metric, each side's median [quartiles], the ratio
-# change/parent and the change's wins/ties out of the pairs, then each
-# side's report digest. Exits 1 when a side's digest varies, or the two
-# sides' digests differ on a sim_* workload. Raw (uncalibrated) numbers:
-# the harness's calibrated medians still need a full `--seconds 16` run.
+# first. On a sim_* workload both sides are pinned to one CPU (the last
+# of this shell's affinity mask) when `taskset` can do that; the live_*
+# workloads run unpinned, as threaded as the benchmark runs them.
+# Prints, per metric, each side's median [quartiles] and three
+# ratios change/parent — of the medians, of each pair (median [quartiles]:
+# the two runs of a pair are seconds apart, so host drift cancels) and of
+# the two sides' best runs — with the change's wins/ties out of the pairs,
+# then each side's report digest. Exits 1 when a side's digest varies, or
+# the two sides' digests differ on a sim_* workload. Raw (uncalibrated)
+# numbers: the harness's calibrated medians still need a full
+# `--seconds 16` run.
 set -eu
 [ $# -ge 3 ] || { sed -n '2,5p' "$0" >&2; exit 2; }
 parent=$(cd "$1" && pwd)
@@ -27,8 +33,17 @@ for tree in "$parent" "$change"; do
         --manifest-path "$tree/benchmark/Cargo.toml"
 done
 
+pin=
+case $workload in
+sim_*)
+    cpu=$(taskset -cp $$ 2>/dev/null | sed 's/.*[-, ]//') || cpu=
+    if [ -n "$cpu" ] && taskset -c "$cpu" true 2>/dev/null; then
+        pin="taskset -c $cpu"
+    fi
+    ;;
+esac
 rep() { # <side> <tree> <pair>
-    (cd "$2" && .bench_build/release/adaptbf-benchmark --child rep \
+    (cd "$2" && $pin .bench_build/release/adaptbf-benchmark --child rep \
         --workload "$workload" --seed "$seed") >"$out/$1.$3"
 }
 i=1
@@ -64,11 +79,15 @@ for metric in rpcs_per_s:higher wall_s:lower cpu_us_per_rpc:lower peak_rss_mib:l
     [ -s "$out/p" ] || continue
     p=$(quartiles <"$out/p")
     c=$(quartiles <"$out/c")
-    printf '  %-16s parent %s  change %s  x%.3f' "$name" "$p" "$c" \
-        "$(echo "${c%% *} ${p%% *}" | awk '{ print $1 / $2 }')"
+    printf '  %-16s parent %s  change %s\n' "$name" "$p" "$c"
+    printf '  %-16s x%.3f of medians, x%s per pair, ' '' \
+        "$(echo "${c%% *} ${p%% *}" | awk '{ print $1 / $2 }')" \
+        "$(paste "$out/p" "$out/c" | awk '{ print $2 / $1 }' | quartiles)"
     paste "$out/p" "$out/c" | awk -v better="${metric#*:}" '
-        { if ($1 == $2) ties++; else if ((better == "higher") == ($2 > $1)) wins++ }
-        END { printf "  wins %d ties %d of %d\n", wins, ties, NR }'
+        { if ($1 == $2) ties++; else if ((better == "higher") == ($2 > $1)) wins++
+          if (NR == 1 || ((better == "higher") == ($1 > bp))) bp = $1
+          if (NR == 1 || ((better == "higher") == ($2 > bc))) bc = $2 }
+        END { printf "x%.3f of best runs; wins %d ties %d of %d\n", bc / bp, wins, ties, NR }'
 done
 
 status=0
