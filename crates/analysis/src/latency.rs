@@ -41,7 +41,10 @@ impl LatencyComparison {
     /// Build from a three-policy comparison.
     pub fn from_comparison(c: &Comparison) -> Self {
         let jobs: Vec<JobId> = c.no_bw.per_job.keys().copied().collect();
-        let get = |r: &RunReport, j: JobId| JobLatency::from_histogram(&r.metrics.latency(j));
+        let empty = LatencyHistogram::new();
+        let get = |r: &RunReport, j: JobId| {
+            JobLatency::from_histogram(r.metrics.latency_of(j).unwrap_or(&empty))
+        };
         let per_job = jobs
             .into_iter()
             .map(|j| {

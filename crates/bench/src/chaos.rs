@@ -36,7 +36,7 @@ use adaptbf_analysis::{conservation_ok, score_run, RunScore, Scorecard};
 use adaptbf_cli::exec::{execute, Executor};
 use adaptbf_model::{SimDuration, SimTime};
 use adaptbf_sim::report::report_body_digest;
-use adaptbf_sim::{plan_file_run, replay_cluster_config, replay_report, RunReport};
+use adaptbf_sim::{plan_file_run, replay_cluster_config, replay_report, RunReport, Timeline};
 use adaptbf_workload::dsl::faults_block_json;
 use adaptbf_workload::faults::PlanBounds;
 use adaptbf_workload::{scenarios, ScenarioFile};
@@ -574,7 +574,7 @@ fn oracle_digest(report: &RunReport) -> String {
     for (job, served) in m.served_by_job() {
         let _ = writeln!(out, "{job} served={served}");
     }
-    out.push_str(&adaptbf_sim::report::timeline_csv(&m.served()));
+    m.write_csv(Timeline::Served, &mut out);
     out
 }
 

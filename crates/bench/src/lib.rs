@@ -33,8 +33,8 @@
 pub mod chaos;
 
 use adaptbf_model::{AdapTbfConfig, SimDuration};
-use adaptbf_sim::report::{frequency_csv, gauge_csv, timeline_csv};
-use adaptbf_sim::{frequency_sweep, Comparison, FrequencyPoint};
+use adaptbf_sim::report::frequency_csv;
+use adaptbf_sim::{frequency_sweep, Comparison, FrequencyPoint, RunReport, Timeline};
 use adaptbf_workload::{scenarios, Scenario};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -91,6 +91,13 @@ pub fn write_artifact(name: &str, contents: &str) {
     println!("wrote {}", path.display());
 }
 
+/// One timeline family of a run as CSV.
+fn csv(report: &RunReport, family: Timeline) -> String {
+    let mut out = String::new();
+    report.metrics.write_csv(family, &mut out);
+    out
+}
+
 /// A figure built from one three-policy comparison.
 pub struct ComparisonFig {
     /// The three policy reports.
@@ -113,13 +120,13 @@ impl ComparisonFig {
         ] {
             write_artifact(
                 &format!("{prefix}_{}_timeline.csv", report.policy),
-                &timeline_csv(&report.metrics.served()),
+                &csv(report, Timeline::Served),
             );
         }
         // AdapTBF's allocation gauge (the dashed "allocated" line of Fig 3c).
         write_artifact(
             &format!("{prefix}_adaptbf_allocations.csv"),
-            &gauge_csv(&self.comparison.adaptbf.metrics.allocations()),
+            &csv(&self.comparison.adaptbf, Timeline::Allocations),
         );
     }
 
@@ -148,11 +155,11 @@ impl ComparisonFig {
 pub fn write_fig7_series(fig: &ComparisonFig) {
     write_artifact(
         "fig7_records.csv",
-        &gauge_csv(&fig.comparison.adaptbf.metrics.records()),
+        &csv(&fig.comparison.adaptbf, Timeline::Records),
     );
     write_artifact(
         "fig7_demand.csv",
-        &timeline_csv(&fig.comparison.adaptbf.metrics.demand()),
+        &csv(&fig.comparison.adaptbf, Timeline::Demand),
     );
 }
 

@@ -30,7 +30,7 @@ pub mod policy;
 pub mod report;
 
 pub use control::{ControllerDriver, ControllerOverhead};
-pub use metrics::Metrics;
+pub use metrics::{Metrics, Timeline};
 pub use node::{install_static_rules, OstNode};
 pub use policy::Policy;
 pub use report::{FaultStats, JobOutcome, RunReport};

@@ -10,8 +10,9 @@
 //! keeps them stable for the run): recording an event is an array index,
 //! not an ordered-map walk. The JobId-keyed shapes the reporting layer
 //! reads ([`BTreeMap`]s and [`PerJobSeries`]) are folded from the flat
-//! storage only at read time — `tests/report_golden.rs` pins the folded
-//! output byte-for-byte against the original map-backed implementation.
+//! storage only at read time; the timeline CSVs are not folded at all
+//! ([`Metrics::write_csv`]). `tests/report_golden.rs` pins the output
+//! byte-for-byte against the original map-backed implementation.
 //!
 //! Event timestamps are near-monotone (the event loop's clock never runs
 //! backwards), so the `time → bucket index` division is cached and most
@@ -35,6 +36,7 @@ use adaptbf_model::{
 };
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 /// One gauge cell of a row: `(handle, value)`.
 pub(crate) type Cell = (usize, f64);
@@ -286,6 +288,31 @@ impl SlotSeries {
     }
 }
 
+/// Append `v` exactly as `format!("{v:.1}")` would. An integral `v` of
+/// magnitude below 2^53 — every count, token and record, and every rate
+/// at a 100 ms bucket — is its integer plus `.0`, written here without the
+/// float formatter; `-0.0`, fractions, NaN and the infinities go through it.
+fn push_f1(out: &mut String, v: f64) {
+    let _ = if v.fract() != 0.0 || v.abs() >= 2f64.powi(53) || (v == 0.0 && v.is_sign_negative()) {
+        write!(out, "{v:.1}")
+    } else {
+        write!(out, "{}.0", v as i64)
+    };
+}
+
+/// One of the four timeline families a [`Metrics`] collects.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Timeline {
+    /// RPCs served per bucket; a counting family, rendered in RPC/s.
+    Served,
+    /// RPCs arriving at the OSS per bucket; a counting family, in RPC/s.
+    Demand,
+    /// Lending/borrowing record per bucket; a gauge, rendered raw.
+    Records,
+    /// Tokens allocated per bucket; a gauge, rendered raw.
+    Allocations,
+}
+
 /// Per-slot scalar counters, fused into one struct so the serve path
 /// touches a single cache line per RPC.
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
@@ -529,12 +556,9 @@ impl Metrics {
             .and_then(|slot| self.counters[slot].completion)
     }
 
-    /// Latency histogram for one job (empty if never served).
-    pub fn latency(&self, job: JobId) -> LatencyHistogram {
-        self.slots
-            .get(job)
-            .map(|slot| self.latency[slot].clone())
-            .unwrap_or_default()
+    /// Latency histogram for one job, `None` if the collector never saw it.
+    pub fn latency_of(&self, job: JobId) -> Option<&LatencyHistogram> {
+        self.slots.get(job).map(|slot| &self.latency[slot])
     }
 
     // ---- fold/read-time report shapes -----------------------------------
@@ -597,6 +621,50 @@ impl Metrics {
     /// The token-allocation gauge family, JobId-keyed.
     pub fn allocations(&self) -> PerJobSeries {
         self.allocations.to_per_job(&self.slots)
+    }
+
+    /// Append one timeline family to `out` as CSV in one pass over its
+    /// bucket-major matrix: `time_s`, the jobs that touched the family in
+    /// job order (a cell past a job's length reads 0) and, for the
+    /// counting families, which print RPC/s, `overall`, summed in job
+    /// order; gauges print raw values. Every cell is `{:.1}`.
+    pub fn write_csv(&self, family: Timeline, out: &mut String) {
+        let (series, rate) = match family {
+            Timeline::Served => (&self.served, true),
+            Timeline::Demand => (&self.demand, true),
+            Timeline::Records => (&self.records, false),
+            Timeline::Allocations => (&self.allocations, false),
+        };
+        out.push_str("time_s");
+        let mut columns = Vec::new();
+        for (job, slot) in self.slots.sorted_by_job() {
+            let n = series.len[slot];
+            if n > 0 {
+                let _ = write!(out, ",{job}");
+                columns.push((slot, n));
+            }
+        }
+        out.push_str(if rate { ",overall\n" } else { "\n" });
+        let bucket = series.bucket.as_secs_f64();
+        // `v * 1.0` is `v`, bit for bit: the gauges print as written.
+        let scale = if rate { 1.0 / bucket } else { 1.0 };
+        let rows = columns.iter().map(|&(_, n)| n).max().unwrap_or(0);
+        for r in 0..rows {
+            push_f1(out, r as f64 * bucket);
+            let row = &series.values[r * series.stride..][..series.stride];
+            let mut overall = 0.0;
+            for &(slot, n) in &columns {
+                let v = if r < n { row[slot] } else { 0.0 };
+                overall += v;
+                out.push(',');
+                push_f1(out, v * scale);
+            }
+            if rate {
+                out.push(',');
+                push_f1(out, overall * scale);
+            }
+            out.push('\n');
+        }
     }
 
     /// Merge another collector into this one (the sharded executor's
@@ -794,7 +862,8 @@ mod tests {
         assert_eq!(a.served_of(JobId(2)), 1);
         assert_eq!(a.last_service, SimTime::from_millis(250));
         assert_eq!(a.served().get(JobId(1)).unwrap().values, vec![1.0, 1.0]);
-        assert_eq!(a.latency(JobId(1)).count() + a.latency(JobId(2)).count(), 2);
+        let count = |job| a.latency_of(job).map_or(0, |l| l.count());
+        assert_eq!(count(JobId(1)) + count(JobId(2)), 2);
         assert_eq!(a.demand().get(JobId(2)).unwrap().get(1), 1.0);
     }
 
@@ -878,8 +947,8 @@ mod tests {
             inline.demand().get(JobId(2)).unwrap().values
         );
         assert_eq!(
-            folded.latency(JobId(1)).count(),
-            inline.latency(JobId(1)).count()
+            folded.latency_of(JobId(1)).map(|l| l.count()),
+            inline.latency_of(JobId(1)).map(|l| l.count())
         );
     }
 
@@ -1140,5 +1209,205 @@ mod tests {
         assert!(metrics.served_by_job().is_empty());
         assert!(metrics.latency_by_job().is_empty());
         assert_eq!(metrics.demand().jobs(), vec![JobId(4)]);
+    }
+
+    /// The CSV renderers of the `PerJobSeries` era, kept verbatim as the
+    /// reference [`Metrics::write_csv`] must equal byte for byte: fold,
+    /// clone, align, aggregate, one `format!` per cell.
+    fn reference_timeline_csv(series: &PerJobSeries) -> String {
+        let mut series = series.clone();
+        series.align();
+        let jobs = series.jobs();
+        let agg = series.aggregate();
+        let mut out = String::from("time_s");
+        for job in &jobs {
+            out.push_str(&format!(",{job}"));
+        }
+        out.push_str(",overall\n");
+        let scale = 1.0 / agg.bucket.as_secs_f64();
+        for i in 0..agg.len() {
+            let t = i as f64 * agg.bucket.as_secs_f64();
+            out.push_str(&format!("{t:.1}"));
+            for job in &jobs {
+                let v = series.get(*job).map_or(0.0, |s| s.get(i));
+                out.push_str(&format!(",{:.1}", v * scale));
+            }
+            out.push_str(&format!(",{:.1}\n", agg.get(i) * scale));
+        }
+        out
+    }
+
+    fn reference_gauge_csv(series: &PerJobSeries) -> String {
+        let mut series = series.clone();
+        series.align();
+        let jobs = series.jobs();
+        let n = series.max_len();
+        let bucket = jobs
+            .first()
+            .and_then(|j| series.get(*j))
+            .map_or(0.1, |s| s.bucket.as_secs_f64());
+        let mut out = String::from("time_s");
+        for job in &jobs {
+            out.push_str(&format!(",{job}"));
+        }
+        out.push('\n');
+        for i in 0..n {
+            out.push_str(&format!("{:.1}", i as f64 * bucket));
+            for job in &jobs {
+                out.push_str(&format!(
+                    ",{:.1}",
+                    series.get(*job).map_or(0.0, |s| s.get(i))
+                ));
+            }
+            out.push('\n');
+        }
+        out
+    }
+
+    const FAMILIES: [Timeline; 4] = [
+        Timeline::Served,
+        Timeline::Demand,
+        Timeline::Records,
+        Timeline::Allocations,
+    ];
+
+    /// `(streamed, reference)` renders of one family.
+    fn both_csvs(metrics: &Metrics, family: Timeline) -> (String, String) {
+        let mut streamed = String::new();
+        metrics.write_csv(family, &mut streamed);
+        let reference = match family {
+            Timeline::Served => reference_timeline_csv(&metrics.served()),
+            Timeline::Demand => reference_timeline_csv(&metrics.demand()),
+            Timeline::Records => reference_gauge_csv(&metrics.records()),
+            Timeline::Allocations => reference_gauge_csv(&metrics.allocations()),
+        };
+        (streamed, reference)
+    }
+
+    #[test]
+    fn csv_rates_counting_families_and_keeps_gauges_raw() {
+        let mut metrics = m();
+        for _ in 0..10 {
+            metrics.on_served(JobId(1), SimTime::ZERO);
+        }
+        for _ in 0..5 {
+            metrics.on_served(JobId(2), SimTime::from_millis(150));
+        }
+        metrics.set_record(JobId(1), SimTime::ZERO, -36.0);
+        let csv = |family| {
+            let mut out = String::new();
+            metrics.write_csv(family, &mut out);
+            out
+        };
+        assert_eq!(
+            csv(Timeline::Served),
+            "time_s,job1,job2,overall\n0.0,100.0,0.0,100.0\n0.1,0.0,50.0,50.0\n"
+        );
+        assert_eq!(csv(Timeline::Records), "time_s,job1\n0.0,-36.0\n");
+        assert_eq!(csv(Timeline::Demand), "time_s,overall\n");
+        assert_eq!(csv(Timeline::Allocations), "time_s\n");
+    }
+
+    #[test]
+    fn integer_fast_path_prints_what_the_float_formatter_prints() {
+        let two53 = 9_007_199_254_740_992.0_f64;
+        let values = [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            -36.0,
+            two53 - 1.0,
+            -(two53 - 1.0),
+            two53,
+            two53 + 1.0,
+            two53 + 2.0,
+            -two53,
+            1e16,
+            0.05,
+            0.25,
+            2.5,
+            -2.5,
+            0.1 * 3.0,
+            1.0 / 3.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        for v in values {
+            let mut out = String::from("x");
+            push_f1(&mut out, v);
+            assert_eq!(out, format!("x{v:.1}"), "{v:e}");
+        }
+    }
+
+    #[test]
+    fn streamed_csv_equals_the_per_job_series_render() {
+        // Seeded random collectors: 2-5 shards, each seeing a few of 40
+        // jobs whose ids run against their first-sight order, serving and
+        // arriving in ragged runs, writing gauges that are negative, -0.0
+        // or fractional; some shards write no gauges at all (an empty
+        // family), some are finalized and some not. Each shard alone, the
+        // absorbed sum and a fold must all render as the reference does,
+        // at bucket widths whose rates and time stamps are fractional too.
+        let mut state = 0x5eed_u64;
+        let mut next = move |n: u64| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        };
+        let gauges = [-3.0, -0.0, 0.0, 0.05, 2.5, 7.0, -1.25e6, 1e16];
+        let mut seen = [false; 4];
+        for case in 0..48 {
+            let bucket = SimDuration::from_millis([100, 250, 70, 1000][case % 4]);
+            let shard = |next: &mut dyn FnMut(u64) -> u64| {
+                let mut sh = Metrics::new(bucket);
+                let with_gauges = next(3) != 0;
+                for _ in 0..next(120) {
+                    let job = JobId(1000 - 25 * next(40) as u32);
+                    let at = SimTime::from_millis(next(3000));
+                    match next(5) {
+                        0 | 1 => sh.on_arrival(job, at),
+                        2 => sh.on_served(job, at),
+                        3 if with_gauges => {
+                            let v = gauges[next(gauges.len() as u64) as usize];
+                            sh.set_record(job, at, v);
+                        }
+                        4 if with_gauges => sh.on_allocation(job, at, next(9) as i64 - 4, next(50)),
+                        _ => {
+                            sh.gauge_slot(job);
+                        }
+                    }
+                }
+                if next(2) == 0 {
+                    sh.finalize(SimTime::from_millis(next(4000)));
+                }
+                sh
+            };
+            let shards: Vec<Metrics> = (0..2 + next(4)).map(|_| shard(&mut next)).collect();
+            let mut absorbed = Metrics::new(bucket);
+            for sh in &shards {
+                absorbed.absorb(sh);
+            }
+            let folded =
+                Metrics::fold_shards(bucket, shards.clone(), [], SimTime::from_millis(next(5000)));
+            for metrics in shards.iter().chain([&absorbed, &folded]) {
+                for family in FAMILIES {
+                    let (streamed, reference) = both_csvs(metrics, family);
+                    assert_eq!(streamed, reference, "case {case} {family:?}");
+                    seen[0] |= streamed == "time_s\n";
+                    seen[1] |= streamed.contains(",-0.0");
+                    seen[2] |= streamed.contains(",-1250000.0");
+                    seen[3] |= streamed.lines().any(|l| {
+                        l.split(',')
+                            .skip(1)
+                            .any(|c| c.parse::<f64>().is_ok_and(|v| v.fract() != 0.0))
+                    });
+                }
+            }
+        }
+        assert_eq!(seen, [true; 4], "empty family, -0.0, negative, fraction");
     }
 }

@@ -57,7 +57,7 @@ pub struct LiveTuning {
     pub max_batch: usize,
     /// Read by nothing. It stays only because the frozen
     /// `benchmark/src/live_run.rs` names it in a struct literal; it goes
-    /// with the next benchmark revision (ROADMAP item 4).
+    /// with the next benchmark revision (ROADMAP item 2(e)).
     pub pin_threads: bool,
 }
 

@@ -281,7 +281,7 @@ mod tests {
             Some(SimTime::from_millis(80)),
             "released work completed across shards"
         );
-        assert_eq!(folded.latency(JobId(1)).count(), 2);
+        assert_eq!(folded.latency_of(JobId(1)).map(|l| l.count()), Some(2));
     }
 
     #[test]

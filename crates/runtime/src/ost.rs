@@ -706,7 +706,7 @@ mod tests {
 
         let (folded, _) = metrics.fold(vec![shard.finish()], SimTime::from_secs(10));
         assert_eq!(folded.served_of(JobId(1)), 5);
-        let latency = folded.latency(JobId(1));
+        let latency = folded.latency_of(JobId(1)).expect("job 1 served");
         assert_eq!(latency.count(), 5);
         // True latencies are 10–15 ms (chained finishes 10, 11, 12, 13 ms
         // plus the 20 ms finish issued at 5 ms); the histogram's

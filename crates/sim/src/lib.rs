@@ -44,7 +44,7 @@ pub mod report;
 pub mod run_grid;
 pub mod spec;
 
-pub use adaptbf_node::{FaultStats, Policy};
+pub use adaptbf_node::{FaultStats, Policy, Timeline};
 pub use adaptbf_workload::faults::{ChurnSpec, CrashSpec, DegradeSpec, FaultPlan, StallSpec};
 pub use cluster::Cluster;
 pub use experiment::{Comparison, Experiment, JobOutcome, RunReport};

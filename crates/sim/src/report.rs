@@ -3,8 +3,8 @@
 
 use crate::cluster::ClusterConfig;
 use crate::experiment::{ComparisonRow, Experiment};
-use adaptbf_model::{AdapTbfConfig, PerJobSeries, SimDuration};
-use adaptbf_node::Policy;
+use adaptbf_model::{AdapTbfConfig, SimDuration};
+use adaptbf_node::{Policy, Timeline};
 use adaptbf_workload::Scenario;
 
 /// One point of the Figure 9 sweep.
@@ -51,60 +51,6 @@ pub fn frequency_sweep_on(
     })
 }
 
-/// Render a per-job timeline family as CSV: `time_s,job1,job2,...,overall`,
-/// values in RPC/s per bucket.
-pub fn timeline_csv(series: &PerJobSeries) -> String {
-    let mut series = series.clone();
-    series.align();
-    let jobs = series.jobs();
-    let agg = series.aggregate();
-    let mut out = String::from("time_s");
-    for job in &jobs {
-        out.push_str(&format!(",{job}"));
-    }
-    out.push_str(",overall\n");
-    let scale = 1.0 / agg.bucket.as_secs_f64();
-    for i in 0..agg.len() {
-        let t = i as f64 * agg.bucket.as_secs_f64();
-        out.push_str(&format!("{t:.1}"));
-        for job in &jobs {
-            let v = series.get(*job).map_or(0.0, |s| s.get(i));
-            out.push_str(&format!(",{:.1}", v * scale));
-        }
-        out.push_str(&format!(",{:.1}\n", agg.get(i) * scale));
-    }
-    out
-}
-
-/// Render a gauge timeline family (records, allocations) as CSV with raw
-/// values (no rate conversion).
-pub fn gauge_csv(series: &PerJobSeries) -> String {
-    let mut series = series.clone();
-    series.align();
-    let jobs = series.jobs();
-    let n = series.max_len();
-    let bucket = jobs
-        .first()
-        .and_then(|j| series.get(*j))
-        .map_or(0.1, |s| s.bucket.as_secs_f64());
-    let mut out = String::from("time_s");
-    for job in &jobs {
-        out.push_str(&format!(",{job}"));
-    }
-    out.push('\n');
-    for i in 0..n {
-        out.push_str(&format!("{:.1}", i as f64 * bucket));
-        for job in &jobs {
-            out.push_str(&format!(
-                ",{:.1}",
-                series.get(*job).map_or(0.0, |s| s.get(i))
-            ));
-        }
-        out.push('\n');
-    }
-    out
-}
-
 /// Deterministic digest of everything the reporting layer reads out of a
 /// run: totals, per-job outcomes with latency percentiles, the audited
 /// fault-stats partition, and all four series CSVs.
@@ -113,20 +59,23 @@ pub fn gauge_csv(series: &PerJobSeries) -> String {
 /// byte-identical — the chaos lab uses this as its record/replay oracle
 /// and golden tests pin it on disk.
 pub fn report_digest(report: &crate::RunReport) -> String {
-    format!(
-        "== {} / {} ==\n{}",
-        report.scenario,
-        report.policy,
-        report_body_digest(report)
-    )
+    let mut out = format!("== {} / {} ==\n", report.scenario, report.policy);
+    write_body_digest(report, &mut out);
+    out
 }
 
 /// [`report_digest`] without the scenario/policy header line — what
 /// record/replay equality compares (a replayed report renames its
 /// scenario, the behaviour underneath must not move).
 pub fn report_body_digest(report: &crate::RunReport) -> String {
-    use std::fmt::Write as _;
     let mut out = String::new();
+    write_body_digest(report, &mut out);
+    out
+}
+
+/// The body both digests share, appended to `out`.
+fn write_body_digest(report: &crate::RunReport, out: &mut String) {
+    use std::fmt::Write as _;
     let m = &report.metrics;
     let _ = writeln!(out, "total_served={}", m.total_served());
     let _ = writeln!(out, "last_service_ns={}", m.last_service.as_nanos());
@@ -137,7 +86,8 @@ pub fn report_body_digest(report: &crate::RunReport) -> String {
         fs.resent, fs.lost_in_service, fs.rerouted, fs.parked, fs.undelivered
     );
     for (job, outcome) in &report.per_job {
-        let latency = m.latency(*job);
+        let latency = m.latency_of(*job);
+        let ns = |p: f64| latency.map_or(0, |l| l.percentile(p).as_nanos());
         let _ = writeln!(
             out,
             "{job} served={} released={} completed={} completion_ns={} \
@@ -148,15 +98,20 @@ pub fn report_body_digest(report: &crate::RunReport) -> String {
             outcome
                 .completion
                 .map_or_else(|| "-".to_string(), |t| t.as_nanos().to_string()),
-            latency.median().as_nanos(),
-            latency.p99().as_nanos(),
+            ns(0.5),
+            ns(0.99),
         );
     }
-    let _ = writeln!(out, "-- served --\n{}", timeline_csv(&m.served()));
-    let _ = writeln!(out, "-- demand --\n{}", timeline_csv(&m.demand()));
-    let _ = writeln!(out, "-- records --\n{}", gauge_csv(&m.records()));
-    let _ = writeln!(out, "-- allocations --\n{}", gauge_csv(&m.allocations()));
-    out
+    for (title, family) in [
+        ("served", Timeline::Served),
+        ("demand", Timeline::Demand),
+        ("records", Timeline::Records),
+        ("allocations", Timeline::Allocations),
+    ] {
+        let _ = writeln!(out, "-- {title} --");
+        m.write_csv(family, out);
+        out.push('\n');
+    }
 }
 
 /// Render the per-job comparison bars (Figures 4/6/8) as an ASCII table.
@@ -198,27 +153,7 @@ pub fn frequency_csv(points: &[FrequencyPoint]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adaptbf_model::{JobId, SimTime};
-
-    #[test]
-    fn timeline_csv_shape() {
-        let mut fam = PerJobSeries::new(SimDuration::from_millis(100));
-        fam.add(JobId(1), SimTime::ZERO, 10.0);
-        fam.add(JobId(2), SimTime::from_millis(150), 5.0);
-        let csv = timeline_csv(&fam);
-        let mut lines = csv.lines();
-        assert_eq!(lines.next().unwrap(), "time_s,job1,job2,overall");
-        assert_eq!(lines.next().unwrap(), "0.0,100.0,0.0,100.0");
-        assert_eq!(lines.next().unwrap(), "0.1,0.0,50.0,50.0");
-    }
-
-    #[test]
-    fn gauge_csv_keeps_raw_values() {
-        let mut fam = PerJobSeries::new(SimDuration::from_millis(100));
-        fam.set(JobId(1), SimTime::ZERO, -36.0);
-        let csv = gauge_csv(&fam);
-        assert!(csv.contains("0.0,-36.0"), "{csv}");
-    }
+    use adaptbf_model::JobId;
 
     #[test]
     fn comparison_table_includes_overall() {

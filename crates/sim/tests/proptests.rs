@@ -373,7 +373,7 @@ proptest! {
         }
         // Latency samples equal served counts.
         for (job, count) in &out.metrics.served_by_job() {
-            prop_assert_eq!(out.metrics.latency(*job).count(), *count);
+            prop_assert_eq!(out.metrics.latency_of(*job).map_or(0, |l| l.count()), *count);
         }
     }
 
@@ -514,7 +514,7 @@ proptest! {
         for j in [0u32, 1, 5, 9, u32::MAX - 1, 3_000_000_000] {
             let job = JobId(j);
             prop_assert_eq!(
-                flat.latency(job),
+                flat.latency_of(job).cloned().unwrap_or_default(),
                 reference.latency_by_job.get(&job).cloned().unwrap_or_default()
             );
             prop_assert_eq!(

@@ -18,6 +18,11 @@
 # the two sides' digests differ on a sim_* workload. Raw (uncalibrated)
 # numbers: the harness's calibrated medians still need a full
 # `--seconds 16` run.
+#
+# AB_PIN_MALLOC=1 runs both sides with MALLOC_MMAP_THRESHOLD_=131072,
+# which fixes glibc's otherwise dynamic mmap (and trim) threshold: a
+# peak_rss_mib difference that holds both with and without it is the
+# code's, one that only shows without it is the allocator's.
 set -eu
 [ $# -ge 3 ] || { sed -n '2,5p' "$0" >&2; exit 2; }
 parent=$(cd "$1" && pwd)
@@ -33,6 +38,9 @@ for tree in "$parent" "$change"; do
         --manifest-path "$tree/benchmark/Cargo.toml"
 done
 
+if [ "${AB_PIN_MALLOC:-0}" = 1 ]; then
+    export MALLOC_MMAP_THRESHOLD_=131072
+fi
 pin=
 case $workload in
 sim_*)
@@ -70,8 +78,9 @@ quartiles() { # values on stdin -> "median [q1..q3]", nearest rank
         printf "%.6g [%.6g..%.6g]", med, q1, q3 }'
 }
 
-printf '%s, seed %s, %s pairs (parent %s, change %s)\n' \
-    "$workload" "$seed" "$pairs" "$parent" "$change"
+printf '%s, seed %s, %s pairs (parent %s, change %s)%s\n' \
+    "$workload" "$seed" "$pairs" "$parent" "$change" \
+    "${MALLOC_MMAP_THRESHOLD_:+, MALLOC_MMAP_THRESHOLD_=$MALLOC_MMAP_THRESHOLD_}"
 for metric in rpcs_per_s:higher wall_s:lower cpu_us_per_rpc:lower peak_rss_mib:lower; do
     name=${metric%:*}
     field parent "$name" >"$out/p"

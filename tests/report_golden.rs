@@ -14,8 +14,7 @@
 
 use adaptbf::model::SimDuration;
 use adaptbf::sim::cluster::ClusterConfig;
-use adaptbf::sim::report::{gauge_csv, timeline_csv};
-use adaptbf::sim::{Experiment, Policy, RunReport};
+use adaptbf::sim::{Experiment, Policy, RunReport, Timeline};
 use adaptbf::workload::{scenarios, Scenario};
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -117,7 +116,11 @@ fn digest(report: &RunReport) -> String {
     let _ = writeln!(out, "total_served={}", m.total_served());
     let _ = writeln!(out, "last_service_ns={}", m.last_service.as_nanos());
     for (job, outcome) in &report.per_job {
-        let latency = m.latency(*job);
+        let (p50, p99) = m
+            .latency_of(*job)
+            .map_or((SimDuration::ZERO, SimDuration::ZERO), |l| {
+                (l.median(), l.p99())
+            });
         let _ = writeln!(
             out,
             "{job} served={} released={} completed={} completion_ns={} \
@@ -128,14 +131,20 @@ fn digest(report: &RunReport) -> String {
             outcome
                 .completion
                 .map_or_else(|| "-".to_string(), |t| t.as_nanos().to_string()),
-            latency.median().as_nanos(),
-            latency.p99().as_nanos(),
+            p50.as_nanos(),
+            p99.as_nanos(),
         );
     }
-    let _ = writeln!(out, "-- served --\n{}", timeline_csv(&m.served()));
-    let _ = writeln!(out, "-- demand --\n{}", timeline_csv(&m.demand()));
-    let _ = writeln!(out, "-- records --\n{}", gauge_csv(&m.records()));
-    let _ = writeln!(out, "-- allocations --\n{}", gauge_csv(&m.allocations()));
+    for (title, family) in [
+        ("served", Timeline::Served),
+        ("demand", Timeline::Demand),
+        ("records", Timeline::Records),
+        ("allocations", Timeline::Allocations),
+    ] {
+        let _ = writeln!(out, "-- {title} --");
+        m.write_csv(family, &mut out);
+        out.push('\n');
+    }
     out
 }
 
