@@ -72,6 +72,8 @@ pub fn windowed_proportionality(
     window_buckets: usize,
 ) -> Vec<(usize, f64)> {
     assert!(window_buckets >= 1);
+    let mut served = served.clone();
+    served.align();
     let len = served.max_len();
     let jobs: Vec<JobId> = priorities.keys().copied().collect();
     let mut out = Vec::new();

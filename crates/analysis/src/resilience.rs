@@ -225,14 +225,22 @@ pub fn resilience(
 ) -> ResilienceSummary {
     assert!(from < until, "empty fault window");
     assert!((0.0..1.0).contains(&tolerance), "tolerance is a fraction");
-    let served = report.metrics.served();
+    let mut served = report.metrics.served();
+    served.align();
     let bucket = report.metrics.bucket;
     let jobs = served.jobs();
     let n = served.max_len();
     // Per-bucket all-jobs totals, computed once: the baseline/dip/recovery
     // loops below probe O(jobs × buckets) shares and must not re-sum the
     // whole job set on every probe.
-    let totals = served.aggregate().values;
+    let mut totals = vec![0.0f64; n];
+    for job in &jobs {
+        if let Some(series) = served.get(*job) {
+            for (i, total) in totals.iter_mut().enumerate() {
+                *total += series.get(i);
+            }
+        }
+    }
     let share_of = |job: JobId, i: usize| -> Option<f64> {
         if totals[i] <= 0.0 {
             return None;
