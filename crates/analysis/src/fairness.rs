@@ -30,12 +30,9 @@ pub fn jains_index(values: &[f64]) -> f64 {
 /// is exactly proportional to its node share.
 pub fn priority_fairness(report: &RunReport, scenario: &Scenario) -> f64 {
     let normalized: Vec<f64> = scenario
-        .job_ids()
-        .iter()
-        .map(|job| {
-            let p = scenario.static_priority(*job).max(f64::EPSILON);
-            report.job_throughput(*job) / p
-        })
+        .static_priorities()
+        .into_iter()
+        .map(|(job, p)| report.job_throughput(job) / p.max(f64::EPSILON))
         .collect();
     jains_index(&normalized)
 }
@@ -72,8 +69,6 @@ pub fn windowed_proportionality(
     window_buckets: usize,
 ) -> Vec<(usize, f64)> {
     assert!(window_buckets >= 1);
-    let mut served = served.clone();
-    served.align();
     let len = served.max_len();
     let jobs: Vec<JobId> = priorities.keys().copied().collect();
     let mut out = Vec::new();

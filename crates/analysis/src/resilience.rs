@@ -7,7 +7,7 @@
 //! so it works on live runs and replays alike and needs no extra hooks in
 //! the simulator.
 
-use adaptbf_model::{JobId, SimTime};
+use adaptbf_model::{BucketSeries, JobId, SimTime};
 use adaptbf_sim::RunReport;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -225,38 +225,29 @@ pub fn resilience(
 ) -> ResilienceSummary {
     assert!(from < until, "empty fault window");
     assert!((0.0..1.0).contains(&tolerance), "tolerance is a fraction");
-    let mut served = report.metrics.served();
-    served.align();
+    let served = report.metrics.served();
     let bucket = report.metrics.bucket;
-    let jobs = served.jobs();
     let n = served.max_len();
     // Per-bucket all-jobs totals, computed once: the baseline/dip/recovery
     // loops below probe O(jobs × buckets) shares and must not re-sum the
     // whole job set on every probe.
-    let mut totals = vec![0.0f64; n];
-    for job in &jobs {
-        if let Some(series) = served.get(*job) {
-            for (i, total) in totals.iter_mut().enumerate() {
-                *total += series.get(i);
-            }
-        }
-    }
-    let share_of = |job: JobId, i: usize| -> Option<f64> {
+    let totals = served.aggregate().values;
+    let share_of = |series: &BucketSeries, i: usize| -> Option<f64> {
         if totals[i] <= 0.0 {
             return None;
         }
-        Some(served.get(job).map_or(0.0, |s| s.get(i)) / totals[i])
+        Some(series.get(i) / totals[i])
     };
     let first_in_window = from.bucket_index(bucket);
     let first_after = until.as_nanos().div_ceil(bucket.as_nanos()) as usize;
 
     let mut per_job = BTreeMap::new();
-    for &job in &jobs {
+    for (job, series) in served.iter() {
         // Baseline: mean share over pre-window buckets with service.
         let mut sum = 0.0;
         let mut count = 0usize;
         for i in 0..first_in_window.min(n) {
-            if let Some(share) = share_of(job, i) {
+            if let Some(share) = share_of(series, i) {
                 sum += share;
                 count += 1;
             }
@@ -267,7 +258,7 @@ pub fn resilience(
         let baseline = sum / count as f64;
         let mut dip = f64::INFINITY;
         for i in first_in_window..first_after.min(n) {
-            if let Some(share) = share_of(job, i) {
+            if let Some(share) = share_of(series, i) {
                 dip = dip.min(share);
             }
         }
@@ -276,7 +267,7 @@ pub fn resilience(
         }
         let mut recovered_at = None;
         for i in first_after..n {
-            if let Some(share) = share_of(job, i) {
+            if let Some(share) = share_of(series, i) {
                 if share >= (1.0 - tolerance) * baseline {
                     recovered_at = Some(SimTime(i as u64 * bucket.as_nanos()));
                     break;

@@ -20,11 +20,7 @@ pub struct PolicyAnalysis {
 }
 
 fn analyze_one(report: &RunReport, scenario: &Scenario) -> PolicyAnalysis {
-    let priorities: BTreeMap<JobId, f64> = scenario
-        .job_ids()
-        .into_iter()
-        .map(|j| (j, scenario.static_priority(j)))
-        .collect();
+    let priorities: BTreeMap<JobId, f64> = scenario.static_priorities().into_iter().collect();
     PolicyAnalysis {
         throughput_tps: report.overall_throughput_tps(),
         priority_fairness: priority_fairness(report, scenario),

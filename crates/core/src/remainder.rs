@@ -28,8 +28,11 @@ pub struct Integerized {
     pub grants: Vec<u64>,
     /// How many ±1 fix-ups were applied to meet the target.
     pub adjustments: u64,
-    /// The fix-up's visiting order (scratch).
-    order: Vec<usize>,
+    /// The fix-up's visiting order as `(remainder key, job)` (scratch).
+    order: Vec<(u64, usize)>,
+    /// Comparisons the leftover selection made (the O(n) test's counter).
+    #[cfg(test)]
+    compares: u64,
 }
 
 /// Convert real-valued raw shares into whole-token grants summing exactly
@@ -47,6 +50,7 @@ pub fn integerize(raw: &[f64], carry: &mut [f64], target: u64, out: &mut Integer
         grants,
         adjustments,
         order,
+        ..
     } = out;
     grants.clear();
     *adjustments = 0;
@@ -69,43 +73,43 @@ pub fn integerize(raw: &[f64], carry: &mut [f64], target: u64, out: &mut Integer
         carry[i] = v - f;
     }
 
-    // Largest-remainder fix-up to meet the step budget exactly. Jobs are
-    // visited in remainder order via one sort (O(n log n)); each round
-    // touches each job at most once, and with consistent budgets a single
-    // round suffices.
+    // Largest-remainder fix-up to meet the step budget exactly: rounds
+    // over the jobs in remainder order, each touching each job at most
+    // once; with consistent budgets a single round suffices.
     let mut total: u64 = grants.iter().sum();
+    order.clear();
     if total < target {
-        order.clear();
-        order.extend(0..n);
-        // Descending remainder, index ascending for determinism on ties.
-        order.sort_by(|&a, &b| {
-            carry[b]
-                .partial_cmp(&carry[a])
-                .unwrap()
-                .then_with(|| a.cmp(&b))
-        });
-        let mut k = 0;
-        while total < target {
-            let i = order[k % n];
-            grants[i] += 1;
-            carry[i] -= 1.0;
-            total += 1;
-            *adjustments += 1;
-            k += 1;
+        // `m` leftover tokens are ⌊m/n⌋ rounds plus one for the first
+        // `m mod n` jobs in descending remainder (index ascending on ties)
+        // — a set an O(n) selection finds. Each job's carry still drops by
+        // 1.0 once per token, so the floats are those of a sorted walk.
+        let m = target - total;
+        let (rounds, extra) = (m / n as u64, (m % n as u64) as usize);
+        order.extend((0..n).map(|i| (descending(carry[i]), i)));
+        if extra > 0 {
+            order.select_nth_unstable_by(extra - 1, |a, b| {
+                #[cfg(test)]
+                {
+                    out.compares += 1;
+                }
+                a.cmp(b)
+            });
         }
+        for (k, &(_, i)) in order.iter().enumerate() {
+            for _ in 0..rounds + u64::from(k < extra) {
+                grants[i] += 1;
+                carry[i] -= 1.0;
+            }
+        }
+        *adjustments = m;
     } else if total > target {
-        order.clear();
-        order.extend(0..n);
-        // Ascending remainder among jobs that can afford a decrement.
-        order.sort_by(|&a, &b| {
-            carry[a]
-                .partial_cmp(&carry[b])
-                .unwrap()
-                .then_with(|| a.cmp(&b))
-        });
+        // Ascending remainder (index ascending on ties) among jobs that can
+        // afford a decrement.
+        order.extend((0..n).map(|i| (!descending(carry[i]), i)));
+        order.sort_unstable();
         let mut k = 0;
         while total > target {
-            let i = order[k % n];
+            let (_, i) = order[k % n];
             k += 1;
             if grants[i] == 0 {
                 continue;
@@ -120,6 +124,14 @@ pub fn integerize(raw: &[f64], carry: &mut [f64], target: u64, out: &mut Integer
         *adjustments as usize <= n + 1,
         "excessive fix-ups ({adjustments}) indicate inconsistent budgeting"
     );
+}
+
+/// A key whose unsigned order is `x`'s descending order: IEEE bits with
+/// every bit but the sign flipped for `x ≥ 0`, none for `x < 0` (`-0.0`
+/// is folded into `0.0` first, as `partial_cmp` has them equal).
+fn descending(x: f64) -> u64 {
+    let bits = (x + 0.0).to_bits();
+    bits ^ (!((bits as i64 >> 63) as u64) >> 1)
 }
 
 /// Floor-only variant used when remainder fairness is disabled (ablation):
@@ -237,5 +249,113 @@ mod tests {
         let out = integerized(&[99.7], &mut carry, 100);
         assert_eq!(out.grants, vec![100]);
         assert!((carry[0] - (-0.3)).abs() < 1e-9);
+    }
+
+    /// The fix-up as it was written first, two comparison sorts: the
+    /// reference the keyed selection and sort must match grant for grant
+    /// and carry bit for bit.
+    fn by_sort(raw: &[f64], carry: &mut [f64], target: u64) -> (Vec<u64>, u64) {
+        let n = raw.len();
+        let mut grants = Vec::new();
+        for i in 0..n {
+            let v = raw[i] + carry[i];
+            let f = v.floor().max(0.0);
+            grants.push(f as u64);
+            carry[i] = v - f;
+        }
+        let mut total: u64 = grants.iter().sum();
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by(|&a, &b| {
+            carry[b]
+                .partial_cmp(&carry[a])
+                .unwrap()
+                .then_with(|| a.cmp(&b))
+        });
+        let (mut k, mut adjustments) = (0, 0);
+        while total < target {
+            let i = order[k % n];
+            grants[i] += 1;
+            carry[i] -= 1.0;
+            total += 1;
+            adjustments += 1;
+            k += 1;
+        }
+        order.sort_by(|&a, &b| {
+            carry[a]
+                .partial_cmp(&carry[b])
+                .unwrap()
+                .then_with(|| a.cmp(&b))
+        });
+        while total > target {
+            let i = order[k % n];
+            k += 1;
+            if grants[i] == 0 {
+                continue;
+            }
+            grants[i] -= 1;
+            carry[i] += 1.0;
+            total -= 1;
+            adjustments += 1;
+        }
+        (grants, adjustments)
+    }
+
+    /// A seeded xorshift stream.
+    fn stream(mut state: u64) -> impl FnMut(u64) -> u64 {
+        move |bound| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        }
+    }
+
+    #[test]
+    fn selection_matches_the_sort_on_seeded_inputs() {
+        let mut next = stream(0x9e37_79b9_7f4a_7c15);
+        let mut out = Integerized::default();
+        for case in 0..3000 {
+            let n = 1 + next(40) as usize;
+            // Coarse quarters make ties; carries span (-1, 1).
+            let raw: Vec<f64> = (0..n).map(|_| next(40) as f64 / 4.0).collect();
+            let carry: Vec<f64> = (0..n)
+                .map(|_| match next(10) {
+                    0 => -0.0,
+                    1 => 0.0,
+                    k => (k as f64 - 5.5) / 4.0,
+                })
+                .collect();
+            let floors: u64 = (0..n)
+                .map(|i| (raw[i] + carry[i]).floor().max(0.0) as u64)
+                .sum();
+            // Leftovers of 0..=n+1 (m ≥ n included), and some excess.
+            // Zeros of both signs tie with each other.
+            let target = (floors + next(n as u64 + 2)).saturating_sub(next(3));
+            let (mut fast, mut slow) = (carry.clone(), carry.clone());
+            integerize(&raw, &mut fast, target, &mut out);
+            let (grants, adjustments) = by_sort(&raw, &mut slow, target);
+            assert_eq!(
+                (&out.grants, out.adjustments),
+                (&grants, adjustments),
+                "{case}"
+            );
+            let bits = |c: &[f64]| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&fast), bits(&slow), "case {case}");
+            assert_eq!(out.grants.iter().sum::<u64>(), target, "case {case}");
+        }
+    }
+
+    #[test]
+    fn the_leftover_selection_is_linear() {
+        let mut next = stream(7);
+        let n = 1 << 14;
+        let raw: Vec<f64> = (0..n).map(|_| next(1 << 20) as f64 / 1024.0).collect();
+        let floors: u64 = raw.iter().map(|v| v.floor() as u64).sum();
+        let mut out = Integerized::default();
+        // The median rank is the selection's hardest index.
+        integerize(&raw, &mut vec![0.0; n], floors + n as u64 / 2, &mut out);
+        let per_job = out.compares as f64 / n as f64;
+        // A comparison sort needs log2(n!) / n ≈ 12.6 per job here.
+        assert!(per_job < 4.0, "{per_job:.2} comparisons per job");
     }
 }

@@ -102,24 +102,6 @@ impl BucketSeries {
         self.values.iter().sum()
     }
 
-    /// Mean of bucket values over the series' populated length.
-    pub fn mean(&self) -> f64 {
-        if self.values.is_empty() {
-            0.0
-        } else {
-            self.total() / self.values.len() as f64
-        }
-    }
-
-    /// Ensure the series spans at least `until`, padding with zeros. Keeps
-    /// timelines from different jobs aligned for CSV export.
-    pub fn pad_until(&mut self, until: SimTime) {
-        let idx = until.bucket_index(self.bucket);
-        if idx >= self.values.len() {
-            self.values.resize(idx + 1, 0.0);
-        }
-    }
-
     /// Value at bucket `i`, zero if beyond the recorded range.
     pub fn get(&self, i: usize) -> f64 {
         self.values.get(i).copied().unwrap_or(0.0)
@@ -134,16 +116,9 @@ impl BucketSeries {
     pub fn is_empty(&self) -> bool {
         self.values.is_empty()
     }
-
-    /// Convert per-bucket counts into a rate per second.
-    pub fn to_rate_per_sec(&self) -> Vec<f64> {
-        let scale = 1.0 / self.bucket.as_secs_f64();
-        self.values.iter().map(|v| v * scale).collect()
-    }
 }
 
-/// A keyed family of [`BucketSeries`], one per job (ordered for stable CSV
-/// output).
+/// A keyed family of [`BucketSeries`], one per job, in job order.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct PerJobSeries {
     series: BTreeMap<JobId, BucketSeries>,
@@ -242,6 +217,7 @@ mod tests {
         s.add(SimTime::from_millis(110), 5.0);
         assert_eq!(s.values, vec![3.0, 5.0]);
         assert_eq!(s.total(), 8.0);
+        assert_eq!(s.get(99), 0.0, "past the end reads 0.0");
     }
 
     #[test]
@@ -250,22 +226,6 @@ mod tests {
         s.set(SimTime::from_millis(50), 4.0);
         s.set(SimTime::from_millis(60), 7.0);
         assert_eq!(s.get(0), 7.0);
-    }
-
-    #[test]
-    fn rate_conversion() {
-        let mut s = BucketSeries::new(b100());
-        s.add(SimTime::ZERO, 10.0); // 10 RPCs in 100 ms = 100 RPC/s
-        assert_eq!(s.to_rate_per_sec(), vec![100.0]);
-    }
-
-    #[test]
-    fn pad_and_get_beyond_range() {
-        let mut s = BucketSeries::new(b100());
-        s.add(SimTime::ZERO, 1.0);
-        s.pad_until(SimTime::from_millis(450));
-        assert_eq!(s.len(), 5);
-        assert_eq!(s.get(99), 0.0);
     }
 
     #[test]
@@ -294,14 +254,5 @@ mod tests {
         f.add(JobId(3), SimTime::ZERO, 1.0);
         f.add(JobId(1), SimTime::ZERO, 1.0);
         assert_eq!(f.jobs(), vec![JobId(1), JobId(3)]);
-    }
-
-    #[test]
-    fn mean_over_buckets() {
-        let mut s = BucketSeries::new(b100());
-        s.add(SimTime::ZERO, 2.0);
-        s.add(SimTime::from_millis(100), 4.0);
-        assert_eq!(s.mean(), 3.0);
-        assert!(BucketSeries::new(b100()).mean() == 0.0);
     }
 }

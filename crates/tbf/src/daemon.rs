@@ -14,7 +14,9 @@
 //! The daemon keeps no copy of which job has which rule: it reads that
 //! off the scheduler's rule table each cycle, so the two cannot disagree
 //! — a scheduler replaced after an OST crash simply has no rules, and the
-//! next cycle creates them.
+//! next cycle creates them. A cycle costs O(rules + allocations): the
+//! allocated jobs mark their scheduler slots, and one walk of the table
+//! finds the rules whose job is unmarked.
 
 use crate::matcher::RpcMatcher;
 use crate::rule::TbfRule;
@@ -27,9 +29,12 @@ pub struct RuleDaemon {
     ops_applied: u64,
     /// Per-cycle scratch (the daemon runs every observation period on
     /// every OST; these avoid a handful of allocations per cycle).
-    stops_scratch: Vec<RuleId>,
-    starts_scratch: Vec<(JobId, f64, u32)>,
-    updates_scratch: Vec<(RuleId, f64, u32)>,
+    stops: Vec<RuleId>,
+    starts: Vec<(JobId, f64, u32)>,
+    updates: Vec<(RuleId, f64, u32)>,
+    /// `scheduler slot → the last cycle that allocated to its job`.
+    allocated_in: Vec<u64>,
+    cycle: u64,
 }
 
 impl RuleDaemon {
@@ -54,10 +59,8 @@ impl RuleDaemon {
         weights: &[(JobId, u32)],
         now: SimTime,
     ) {
-        // Real asserts, not debug: the stale-rule and weight lookups below
-        // binary-search these slices, and silently wrong results in a
-        // release build would stop live rules / reset token buckets. The
-        // check is O(active jobs) once per observation period — noise.
+        // Real asserts, not debug: the weights are read by walking both
+        // slices in step. O(active jobs) once per period — noise.
         assert!(
             allocations.windows(2).all(|w| w[0].job < w[1].job),
             "allocations must be ascending in JobId"
@@ -66,53 +69,53 @@ impl RuleDaemon {
             weights.windows(2).all(|w| w[0].0 < w[1].0),
             "weights must be ascending in JobId"
         );
-        // 1. Stop rules for jobs with no allocation this period, in job
-        // order (the table lists them in start order).
-        let mut stops = std::mem::take(&mut self.stops_scratch);
-        stops.clear();
-        let rules = scheduler.rules();
-        let job_of = |rule: &TbfRule| {
-            let RpcMatcher::Job(job) = rule.matcher;
-            job
-        };
-        let idle = |rule: &&TbfRule| {
-            let job = job_of(rule);
-            allocations.binary_search_by_key(&job, |a| a.job).is_err()
-        };
-        stops.extend(rules.rules().iter().filter(idle).map(|rule| rule.id));
-        stops.sort_unstable_by_key(|&id| (job_of(rules.get(id).expect("listed rule")), id));
-
-        // 2/3. Create rules for newly active jobs; re-rate the rest.
-        let mut starts = std::mem::take(&mut self.starts_scratch);
-        let mut updates = std::mem::take(&mut self.updates_scratch);
-        starts.clear();
-        updates.clear();
+        // 1. Create rules for newly active jobs; re-rate the rest; mark
+        // the slot of every job that has an allocation this cycle.
+        self.cycle += 1;
+        self.starts.clear();
+        self.updates.clear();
+        let mut weights = weights.iter().peekable();
         for alloc in allocations {
-            let weight = weights
-                .binary_search_by_key(&alloc.job, |w| w.0)
-                .map(|i| weights[i].1)
-                .unwrap_or(1);
-            match scheduler.rule_of(alloc.job) {
-                Some(rule) => updates.push((rule.id, alloc.rate_tps, weight)),
-                None => starts.push((alloc.job, alloc.rate_tps, weight)),
+            while weights.next_if(|w| w.0 < alloc.job).is_some() {}
+            let weight = weights.next_if(|w| w.0 == alloc.job).map_or(1, |w| w.1);
+            let slot = scheduler.slot_of(alloc.job);
+            if let Some(slot) = slot {
+                let len = self.allocated_in.len().max(slot + 1);
+                self.allocated_in.resize(len, 0);
+                self.allocated_in[slot] = self.cycle;
+            }
+            match slot.and_then(|slot| scheduler.rules().first(slot)) {
+                Some(rule) => self.updates.push((rule.id, alloc.rate_tps, weight)),
+                None => self.starts.push((alloc.job, alloc.rate_tps, weight)),
             }
         }
-        self.ops_applied += (stops.len() + starts.len() + 2 * updates.len()) as u64;
+
+        // 2. Stop the rules of jobs with no allocation this cycle: one walk
+        // of the table finds them in start order, and the few that went
+        // idle are put in job order.
+        let (rules, cycle, allocated_in) = (scheduler.rules(), self.cycle, &self.allocated_in);
+        let idle = |rule: &&TbfRule| allocated_in.get(rule.slot) != Some(&cycle);
+        let stops = &mut self.stops;
+        stops.clear();
+        stops.extend(rules.rules().iter().filter(idle).map(|rule| rule.id));
+        let job_of = |id: RuleId| {
+            let RpcMatcher::Job(job) = rules.get(id).expect("listed rule").matcher;
+            job
+        };
+        stops.sort_unstable_by_key(|&id| (job_of(id), id));
+        self.ops_applied += (stops.len() + self.starts.len() + 2 * self.updates.len()) as u64;
 
         // One transaction for the whole cycle: one table rebuild for the
         // stops, and no RPC moved by a stop or a start.
-        let specs = starts.iter().map(|&(job, rate_tps, weight)| RuleSpec {
+        let specs = self.starts.iter().map(|&(job, rate_tps, weight)| RuleSpec {
             name: None,
             matcher: RpcMatcher::Job(job),
             rate_tps,
             weight,
         });
         scheduler
-            .transact(&stops, specs, &updates, now)
+            .transact(&self.stops, specs, &self.updates, now)
             .expect("allocated rates are finite and non-negative");
-        self.stops_scratch = stops;
-        self.starts_scratch = starts;
-        self.updates_scratch = updates;
     }
 
     /// Total rule operations performed (overhead accounting).
@@ -132,6 +135,10 @@ mod tests {
             tokens,
             rate_tps: tokens as f64 * 10.0,
         }
+    }
+
+    fn rule_of(s: &NrsTbfScheduler, job: u32) -> Option<&TbfRule> {
+        s.rules().first(s.slot_of(JobId(job))?)
     }
 
     fn weights(pairs: &[(u32, u32)]) -> Vec<(JobId, u32)> {
@@ -160,9 +167,9 @@ mod tests {
         let mut d = RuleDaemon::new();
         let w = weights(&[(1, 1)]);
         d.apply(&mut s, &[alloc(1, 30)], &w, SimTime::ZERO);
-        let id_before = s.rule_of(JobId(1)).unwrap().id;
+        let id_before = rule_of(&s, 1).unwrap().id;
         d.apply(&mut s, &[alloc(1, 90)], &w, SimTime::from_millis(100));
-        assert_eq!(s.rule_of(JobId(1)).unwrap().id, id_before, "no churn");
+        assert_eq!(rule_of(&s, 1).unwrap().id, id_before, "no churn");
         assert_eq!(s.rules().get(id_before).unwrap().rate_tps, 900.0);
     }
 
@@ -183,7 +190,7 @@ mod tests {
             SimTime::from_millis(100),
         );
         assert_eq!(s.rules().len(), 1);
-        assert!(s.rule_of(JobId(1)).is_none() && s.rule_of(JobId(2)).is_some());
+        assert!(rule_of(&s, 1).is_none() && rule_of(&s, 2).is_some());
     }
 
     #[test]
@@ -221,7 +228,7 @@ mod tests {
         let mut fresh = NrsTbfScheduler::new(TbfSchedulerConfig::default());
         d.apply(&mut fresh, &[alloc(1, 50)], &w, SimTime::from_millis(100));
         assert_eq!(fresh.rules().len(), 1);
-        assert_eq!(fresh.rule_of(JobId(1)).unwrap().rate_tps, 500.0);
+        assert_eq!(rule_of(&fresh, 1).unwrap().rate_tps, 500.0);
     }
 
     #[test]

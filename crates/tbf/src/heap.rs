@@ -1,233 +1,258 @@
-//! The deadline heap: queues ordered by the time they next hold a token.
+//! The deadline heap: ruled queues ordered by the time they next hold a
+//! token.
 //!
 //! Lustre keeps TBF queues in a binary heap keyed by deadline so the
 //! scheduler always serves the queue whose token arrives soonest (paper
-//! Section II-A). Entries here use *lazy invalidation*: each queue carries a
-//! monotone stamp, entries remember the stamp they were pushed with, and
-//! stale entries are discarded on pop. Ties on deadline are broken by the
-//! rule hierarchy weight (higher first), then by insertion sequence for
-//! determinism.
+//! Section II-A). This heap is *indexed*: it holds at most one entry per
+//! queue slot and knows where each sits, so a queue whose head or rule
+//! changes is re-keyed in place ([`DeadlineHeap::set`]) and one that can no
+//! longer be served is taken out ([`DeadlineHeap::remove`]). No entry is
+//! ever stale, and the top is always the queue to serve. Ties on deadline
+//! go to the higher rule hierarchy weight, then to the entry keyed first.
 
-use adaptbf_model::{JobId, SimTime};
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use adaptbf_model::SimTime;
 
-/// One heap entry describing a queue's scheduled deadline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One queue's place in the heap.
+#[derive(Debug, Clone, Copy)]
 struct Entry {
     deadline: SimTime,
-    /// Higher weight wins ties (hierarchy from job priority).
     weight: u32,
-    /// Push sequence for a stable, deterministic total order.
+    slot: u32,
+    /// Sequence of the [`DeadlineHeap::set`] that keyed the entry.
     seq: u64,
-    job: JobId,
-    stamp: u64,
 }
 
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert deadline so the earliest pops
-        // first, then prefer higher weight, then earlier sequence.
-        other
-            .deadline
-            .cmp(&self.deadline)
-            .then_with(|| self.weight.cmp(&other.weight))
-            .then_with(|| other.seq.cmp(&self.seq))
+impl Entry {
+    /// Whether `self` is served before `other`, without short-circuits:
+    /// which of two children goes first is a coin toss a branch predictor
+    /// loses, so the sift compiles it to flag arithmetic instead.
+    #[inline]
+    fn before(&self, other: &Entry) -> bool {
+        let (tie, same_weight) = (self.deadline == other.deadline, self.weight == other.weight);
+        let later_seq = same_weight & (self.seq < other.seq);
+        (self.deadline < other.deadline) | (tie & ((self.weight > other.weight) | later_seq))
     }
 }
 
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// A deadline-ordered heap of TBF queues with lazy invalidation.
+/// A deadline-ordered heap of TBF queues, at most one entry per slot.
 #[derive(Debug, Default)]
 pub struct DeadlineHeap {
-    heap: BinaryHeap<Entry>,
+    heap: Vec<Entry>,
+    /// `slot → position in heap + 1` (0 = no entry).
+    pos: Vec<u32>,
     next_seq: u64,
 }
 
 impl DeadlineHeap {
-    /// New empty heap.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Schedule (or re-schedule) `job`'s queue at `deadline`. The `stamp`
-    /// must be the queue's current stamp; any later queue mutation makes
-    /// this entry stale.
-    pub fn push(&mut self, job: JobId, deadline: SimTime, weight: u32, stamp: u64) {
-        let seq = self.next_seq;
+    /// Key the queue at `slot` at `deadline` and `weight`: insert its
+    /// entry, or move the one it has. The entry takes a fresh sequence
+    /// number either way, so it goes behind the entries it ties with.
+    pub fn set(&mut self, slot: usize, deadline: SimTime, weight: u32) {
+        let (slot32, seq) = (slot as u32, self.next_seq);
         self.next_seq += 1;
-        self.heap.push(Entry {
+        let entry = Entry {
             deadline,
             weight,
+            slot: slot32,
             seq,
-            job,
-            stamp,
-        });
-    }
-
-    /// Pop the earliest-deadline entry whose stamp still matches the
-    /// queue's current stamp (as reported by `current_stamp`). Stale
-    /// entries are discarded along the way.
-    pub fn pop_valid(
-        &mut self,
-        mut current_stamp: impl FnMut(JobId) -> Option<u64>,
-    ) -> Option<(JobId, SimTime)> {
-        while let Some(e) = self.heap.pop() {
-            if current_stamp(e.job) == Some(e.stamp) {
-                return Some((e.job, e.deadline));
-            }
+        };
+        if slot >= self.pos.len() {
+            self.pos.resize(slot + 1, 0);
         }
-        None
-    }
-
-    /// Peek the earliest valid entry without removing it.
-    pub fn peek_valid(
-        &mut self,
-        mut current_stamp: impl FnMut(JobId) -> Option<u64>,
-    ) -> Option<(JobId, SimTime)> {
-        while let Some(e) = self.heap.peek().copied() {
-            if current_stamp(e.job) == Some(e.stamp) {
-                return Some((e.job, e.deadline));
+        match self.pos[slot] {
+            0 => {
+                self.heap.push(entry);
+                self.sift_up(self.heap.len() - 1, entry);
             }
-            self.heap.pop();
+            p => self.refill(p as usize - 1, entry),
         }
-        None
     }
 
-    /// Remove the top entry unconditionally. Callers that have just
-    /// validated the top via [`DeadlineHeap::peek_valid`] use this to skip
-    /// a second validation walk over the same entry.
-    pub fn pop_top(&mut self) {
-        self.heap.pop();
+    /// Take the queue at `slot` out of the heap, if it is in it.
+    pub fn remove(&mut self, slot: usize) {
+        if !self.contains(slot) {
+            return;
+        }
+        let i = std::mem::take(&mut self.pos[slot]) as usize - 1;
+        let last = self.heap.pop().expect("an entry is listed");
+        if i < self.heap.len() {
+            self.refill(i, last);
+        }
     }
 
-    /// Number of entries currently stored (including stale ones).
-    pub fn raw_len(&self) -> usize {
+    /// The slot and deadline of the queue to serve next.
+    #[inline]
+    pub fn peek(&self) -> Option<(usize, SimTime)> {
+        self.heap.first().map(|e| (e.slot as usize, e.deadline))
+    }
+
+    /// Whether the queue at `slot` has an entry.
+    pub fn contains(&self, slot: usize) -> bool {
+        self.pos.get(slot).is_some_and(|&p| p > 0)
+    }
+
+    /// Number of entries: the schedulable queues.
+    pub fn len(&self) -> usize {
         self.heap.len()
     }
 
-    /// Whether no entries are stored at all.
+    /// Whether no queue is schedulable.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
 
-    /// Drop every entry. The scheduler itself never rebuilds the heap —
-    /// stale entries are discarded lazily via stamps — so this is only
-    /// for wholesale resets by embedders (and tests).
+    /// Drop every entry, in O(entries).
     pub fn clear(&mut self) {
-        self.heap.clear();
+        for e in self.heap.drain(..) {
+            self.pos[e.slot as usize] = 0;
+        }
+    }
+
+    /// Put `entry` where the entry at `i` was, moving it up or down.
+    fn refill(&mut self, i: usize, entry: Entry) {
+        if self.heap[i].before(&entry) {
+            self.sift_down(i, entry);
+        } else {
+            self.sift_up(i, entry);
+        }
+    }
+
+    /// Fill the hole at `i` with `entry`, moving the hole up while `entry`
+    /// precedes its parent.
+    fn sift_up(&mut self, mut i: usize, entry: Entry) {
+        while i > 0 && entry.before(&self.heap[(i - 1) / 2]) {
+            self.place(i, self.heap[(i - 1) / 2]);
+            i = (i - 1) / 2;
+        }
+        self.place(i, entry);
+    }
+
+    /// Fill the hole at `i` with `entry`, which may follow the hole's
+    /// children. A served queue's next deadline usually lies behind most
+    /// others, so the hole goes down to a leaf first — one comparison per
+    /// level, between the children — and `entry` climbs back from there.
+    fn sift_down(&mut self, mut i: usize, entry: Entry) {
+        let n = self.heap.len();
+        while 2 * i + 1 < n {
+            let (left, right) = (2 * i + 1, 2 * i + 2);
+            let child = left + usize::from(right < n && self.heap[right].before(&self.heap[left]));
+            self.place(i, self.heap[child]);
+            i = child;
+        }
+        self.sift_up(i, entry);
+    }
+
+    #[inline]
+    fn place(&mut self, i: usize, entry: Entry) {
+        self.pos[entry.slot as usize] = i as u32 + 1;
+        self.heap[i] = entry;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
 
     fn t(ms: u64) -> SimTime {
         SimTime::from_millis(ms)
     }
 
-    #[test]
-    fn earliest_deadline_pops_first() {
-        let mut h = DeadlineHeap::new();
-        let stamps: HashMap<JobId, u64> = [(JobId(1), 0), (JobId(2), 0), (JobId(3), 0)]
-            .into_iter()
-            .collect();
-        h.push(JobId(1), t(300), 1, 0);
-        h.push(JobId(2), t(100), 1, 0);
-        h.push(JobId(3), t(200), 1, 0);
-        let look = |j: JobId| stamps.get(&j).copied();
-        assert_eq!(h.pop_valid(look).unwrap().0, JobId(2));
-        assert_eq!(h.pop_valid(look).unwrap().0, JobId(3));
-        assert_eq!(h.pop_valid(look).unwrap().0, JobId(1));
-        assert!(h.pop_valid(look).is_none());
+    /// Pop the top entry's slot.
+    fn pop(h: &mut DeadlineHeap) -> Option<usize> {
+        let (slot, _) = h.peek()?;
+        h.remove(slot);
+        Some(slot)
     }
 
     #[test]
-    fn weight_breaks_deadline_ties() {
-        let mut h = DeadlineHeap::new();
-        let stamps: HashMap<JobId, u64> = [(JobId(1), 0), (JobId(2), 0)].into_iter().collect();
-        h.push(JobId(1), t(100), 1, 0);
-        h.push(JobId(2), t(100), 5, 0);
-        let look = |j: JobId| stamps.get(&j).copied();
+    fn earliest_deadline_pops_first() {
+        let mut h = DeadlineHeap::default();
+        h.set(1, t(300), 1);
+        h.set(2, t(100), 1);
+        h.set(3, t(200), 1);
+        assert_eq!(h.peek(), Some((2, t(100))));
         assert_eq!(
-            h.pop_valid(look).unwrap().0,
-            JobId(2),
-            "higher weight first"
+            [pop(&mut h), pop(&mut h), pop(&mut h), pop(&mut h)],
+            [Some(2), Some(3), Some(1), None]
         );
     }
 
     #[test]
-    fn seq_breaks_full_ties_deterministically() {
-        let mut h = DeadlineHeap::new();
-        let stamps: HashMap<JobId, u64> = [(JobId(1), 0), (JobId(2), 0)].into_iter().collect();
-        h.push(JobId(1), t(100), 1, 0);
-        h.push(JobId(2), t(100), 1, 0);
-        let look = |j: JobId| stamps.get(&j).copied();
-        assert_eq!(h.pop_valid(look).unwrap().0, JobId(1), "earlier push first");
+    fn weight_then_keying_order_break_deadline_ties() {
+        let mut h = DeadlineHeap::default();
+        h.set(1, t(100), 1);
+        h.set(2, t(100), 5);
+        h.set(3, t(100), 1);
+        assert_eq!(pop(&mut h), Some(2), "higher weight first");
+        assert_eq!(pop(&mut h), Some(1), "keyed earlier first");
+        // Re-keying a queue at the same key sends it behind its ties.
+        h.set(1, t(100), 1);
+        h.set(3, t(100), 1);
+        assert_eq!(pop(&mut h), Some(1));
     }
 
     #[test]
-    fn stale_entries_are_skipped() {
-        let mut h = DeadlineHeap::new();
-        let mut stamps: HashMap<JobId, u64> = [(JobId(1), 0), (JobId(2), 0)].into_iter().collect();
-        h.push(JobId(1), t(50), 1, 0);
-        h.push(JobId(2), t(100), 1, 0);
-        // Queue 1 mutated; its entry is now stale.
-        stamps.insert(JobId(1), 1);
-        let look = |j: JobId| stamps.get(&j).copied();
-        assert_eq!(h.pop_valid(look).unwrap().0, JobId(2));
-    }
-
-    #[test]
-    fn removed_queue_entries_are_skipped() {
-        let mut h = DeadlineHeap::new();
-        let stamps: HashMap<JobId, u64> = [(JobId(2), 0)].into_iter().collect();
-        h.push(JobId(1), t(50), 1, 0); // queue 1 no longer exists
-        h.push(JobId(2), t(100), 1, 0);
-        let look = |j: JobId| stamps.get(&j).copied();
-        assert_eq!(h.pop_valid(look).unwrap().0, JobId(2));
-    }
-
-    #[test]
-    fn peek_discards_stale_but_keeps_valid() {
-        let mut h = DeadlineHeap::new();
-        let mut stamps: HashMap<JobId, u64> = [(JobId(1), 0), (JobId(2), 0)].into_iter().collect();
-        h.push(JobId(1), t(50), 1, 0);
-        stamps.insert(JobId(1), 3);
-        h.push(JobId(2), t(100), 1, 0);
-        {
-            let look = |j: JobId| stamps.get(&j).copied();
-            assert_eq!(h.peek_valid(look).unwrap(), (JobId(2), t(100)));
-        }
-        // Stale entry was dropped by the peek, valid one remains.
-        assert_eq!(h.raw_len(), 1);
-    }
-
-    #[test]
-    fn pop_top_removes_the_peeked_entry() {
-        let mut h = DeadlineHeap::new();
-        let stamps: HashMap<JobId, u64> = [(JobId(1), 0), (JobId(2), 0)].into_iter().collect();
-        h.push(JobId(1), t(50), 1, 0);
-        h.push(JobId(2), t(100), 1, 0);
-        let look = |j: JobId| stamps.get(&j).copied();
-        assert_eq!(h.peek_valid(look).unwrap().0, JobId(1));
-        h.pop_top();
-        assert_eq!(h.peek_valid(look).unwrap().0, JobId(2));
-        assert_eq!(h.raw_len(), 1);
-    }
-
-    #[test]
-    fn clear_empties_heap() {
-        let mut h = DeadlineHeap::new();
-        h.push(JobId(1), t(50), 1, 0);
+    fn a_slot_holds_one_entry_however_often_it_is_keyed() {
+        let mut h = DeadlineHeap::default();
+        h.set(1, t(50), 1);
+        h.set(2, t(100), 1);
+        h.set(1, t(150), 1);
+        assert_eq!(h.len(), 2);
+        assert_eq!(h.peek(), Some((2, t(100))));
+        h.set(1, t(10), 1);
+        assert_eq!(h.peek(), Some((1, t(10))));
+        h.remove(1);
+        h.remove(1);
+        h.remove(7);
+        assert_eq!((h.len(), h.contains(1), h.contains(2)), (1, false, true));
         h.clear();
-        assert!(h.is_empty());
+        assert!(h.is_empty() && !h.contains(2));
+        h.set(2, t(5), 1);
+        assert_eq!(h.peek(), Some((2, t(5))));
+    }
+
+    /// Random `set`/`remove`/`clear` sequences against a sorted `Vec` of
+    /// `(deadline, -weight, seq, slot)`, one element per slot: after every
+    /// step the heap's top and size must be the model's.
+    #[test]
+    fn matches_a_sorted_vec_model() {
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |bound: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % bound
+        };
+        for _ in 0..50 {
+            let mut h = DeadlineHeap::default();
+            let mut model: Vec<(SimTime, i64, u64, usize)> = Vec::new();
+            let mut seq = 0u64;
+            for _ in 0..400 {
+                let slot = next(24) as usize;
+                match next(20) {
+                    0..=11 => {
+                        // Few distinct deadlines and weights: many ties.
+                        let (deadline, weight) = (t(next(8)), next(3) as u32);
+                        h.set(slot, deadline, weight);
+                        model.retain(|e| e.3 != slot);
+                        model.push((deadline, -i64::from(weight), seq, slot));
+                        seq += 1;
+                    }
+                    12..=18 => {
+                        h.remove(slot);
+                        model.retain(|e| e.3 != slot);
+                    }
+                    _ => {
+                        h.clear();
+                        model.clear();
+                    }
+                }
+                model.sort_unstable();
+                let top = model.first().map(|e| (e.3, e.0));
+                assert_eq!(h.peek(), top);
+                assert_eq!(h.len(), model.len());
+                assert!((0..24).all(|s| h.contains(s) == model.iter().any(|e| e.3 == s)));
+            }
+        }
     }
 }

@@ -14,8 +14,8 @@
 //!   is the knob AdapTBF's Rule Management Daemon turns). Lustre's NID,
 //!   opcode and conjunction rules are out — see [`matcher`] for why.
 //! * [`TbfQueue`] — one FIFO of RPCs per ruled job with its bucket.
-//! * [`DeadlineHeap`] — the binary heap ordering queues by the time they
-//!   will next hold enough tokens to dispatch ("deadline").
+//! * [`DeadlineHeap`] — the indexed binary heap, one entry per schedulable
+//!   queue, ordered by when it next holds a token to dispatch ("deadline").
 //! * [`NrsTbfScheduler`] — ties it together. The invariant: a job's
 //!   waiting RPCs are all in its queue if a rule names the job, else all
 //!   in the unruled FCFS fallback queue, which is served opportunistically

@@ -6,49 +6,35 @@
 //! orders queues by it.
 
 use crate::bucket::TokenBucket;
-use adaptbf_model::{JobId, Rpc, RuleId, SimTime};
+use adaptbf_model::{Rpc, RuleId, SimTime};
 use std::collections::VecDeque;
 
 /// One TBF queue: the RPC backlog of one traffic class under one rule.
 #[derive(Debug, Clone)]
 pub struct TbfQueue {
-    /// Classification key (AdapTBF classifies by JobID).
-    pub job: JobId,
     /// The rule currently governing this queue.
     pub rule: RuleId,
     /// Hierarchy weight copied from the rule (heap tie-breaker).
     pub weight: u32,
     fifo: VecDeque<Rpc>,
     bucket: TokenBucket,
-    /// Monotone stamp; bumped on any change that invalidates a heap entry.
-    stamp: u64,
     served: u64,
 }
 
 impl TbfQueue {
     /// New queue governed by `rule` with a fresh (full) bucket.
-    pub fn new(
-        job: JobId,
-        rule: RuleId,
-        weight: u32,
-        rate_tps: f64,
-        depth: u64,
-        now: SimTime,
-    ) -> Self {
+    pub fn new(rule: RuleId, weight: u32, rate_tps: f64, depth: u64, now: SimTime) -> Self {
         TbfQueue {
-            job,
             rule,
             weight,
             fifo: VecDeque::new(),
             bucket: TokenBucket::new(rate_tps, depth, now),
-            stamp: 0,
             served: 0,
         }
     }
 
-    /// Append an RPC (FCFS order). Appending does not bump the stamp: the
-    /// head — and therefore the deadline any heap entry was computed from —
-    /// is unchanged.
+    /// Append an RPC (FCFS order). The head — and therefore the deadline
+    /// the queue's heap entry was keyed at — is unchanged.
     pub fn push(&mut self, rpc: Rpc) {
         self.fifo.push_back(rpc);
     }
@@ -68,18 +54,6 @@ impl TbfQueue {
         self.served
     }
 
-    /// Current heap-invalidation stamp.
-    pub fn stamp(&self) -> u64 {
-        self.stamp
-    }
-
-    /// Fast-forward the stamp to at least `stamp`: an earlier queue of the
-    /// job may still have entries in the deadline heap, and per-job stamps
-    /// must stay monotone across queues or one could alias this queue.
-    pub fn advance_stamp(&mut self, stamp: u64) {
-        self.stamp = self.stamp.max(stamp);
-    }
-
     /// The queue's deadline: earliest time the head RPC could be served.
     /// `None` when the queue is empty or can never afford its head
     /// (zero-rate rule with an empty bucket).
@@ -92,7 +66,6 @@ impl TbfQueue {
     pub fn try_serve(&mut self, now: SimTime) -> Option<Rpc> {
         let cost = self.fifo.front()?.token_cost();
         if self.bucket.try_consume(cost, now) {
-            self.stamp += 1;
             self.served += 1;
             self.fifo.pop_front()
         } else {
@@ -106,13 +79,11 @@ impl TbfQueue {
         self.rule = rule;
         self.weight = weight;
         self.bucket.set_rate(rate_tps, now);
-        self.stamp += 1;
     }
 
     /// Hand the whole backlog over as the deque it sits in (its rule
     /// stopped and it parks in the fallback queue, or the OST crashed).
     pub fn take_fifo(&mut self) -> VecDeque<Rpc> {
-        self.stamp += 1;
         std::mem::take(&mut self.fifo)
     }
 
@@ -132,7 +103,7 @@ impl TbfQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adaptbf_model::{ClientId, ProcId, RpcId};
+    use adaptbf_model::{ClientId, JobId, ProcId, RpcId};
 
     fn t(ms: u64) -> SimTime {
         SimTime::from_millis(ms)
@@ -143,7 +114,7 @@ mod tests {
     }
 
     fn queue(rate: f64) -> TbfQueue {
-        TbfQueue::new(JobId(1), RuleId(0), 1, rate, 3, t(0))
+        TbfQueue::new(RuleId(0), 1, rate, 3, t(0))
     }
 
     #[test]
@@ -183,7 +154,7 @@ mod tests {
 
     #[test]
     fn deadline_none_for_zero_rate_empty_bucket() {
-        let mut q = TbfQueue::new(JobId(1), RuleId(0), 1, 0.0, 3, t(0));
+        let mut q = TbfQueue::new(RuleId(0), 1, 0.0, 3, t(0));
         for i in 0..4 {
             q.push(rpc(i));
         }
@@ -192,23 +163,6 @@ mod tests {
             assert!(q.try_serve(t(0)).is_some());
         }
         assert_eq!(q.deadline(t(0)), None, "zero-rate queue can never serve");
-    }
-
-    #[test]
-    fn stamp_changes_on_head_mutations_only() {
-        let mut q = queue(10.0);
-        let s0 = q.stamp();
-        q.push(rpc(1));
-        assert_eq!(q.stamp(), s0, "appending must not invalidate heap entries");
-        let _ = q.try_serve(t(0));
-        assert_ne!(q.stamp(), s0);
-        let s2 = q.stamp();
-        q.rebind(RuleId(1), 2, 50.0, t(0));
-        assert_ne!(q.stamp(), s2);
-        let s3 = q.stamp();
-        q.push(rpc(2));
-        q.take_fifo();
-        assert_ne!(q.stamp(), s3);
     }
 
     #[test]
@@ -237,7 +191,7 @@ mod tests {
         assert!(q.is_empty());
         let mut heir = queue(10.0);
         heir.put_fifo(taken);
-        assert_eq!((heir.len(), heir.stamp()), (2, 0));
+        assert_eq!(heir.len(), 2);
         assert_eq!(heir.try_serve(t(0)).unwrap().id, RpcId(1));
     }
 }

@@ -163,7 +163,7 @@ impl RuleTable {
     }
 
     #[inline]
-    fn position(&self, id: RuleId) -> Option<usize> {
+    pub(crate) fn position(&self, id: RuleId) -> Option<usize> {
         match self.index.get(id.raw() as usize) {
             Some(0) | None => None,
             Some(&p) => Some((p - 1) as usize),

@@ -39,12 +39,13 @@
 //! wherever they wait, so it never copies one either. A stop hands the
 //! job's queue to the next rule naming the job, or parks the queue's deque
 //! in the fallback queue as the job's lane, behind one new run; a start
-//! takes the lane's deque back as its queue's FIFO and pushes one heap
-//! entry — O(1) each, whatever is parked (the `fallback` module); a
-//! re-rate touches its job's one queue. A cycle costs O(rules changed)
-//! plus one rebuild of the rule table's positions. Heap entries of touched
-//! queues go stale via the queues' monotone stamps and are discarded
-//! lazily on pop — the heap is never rebuilt.
+//! takes the lane's deque back as its queue's FIFO and enters the queue in
+//! the heap — O(1) each, whatever is parked (the `fallback` module); a
+//! re-rate touches its job's one queue and re-keys its one heap entry. A
+//! cycle costs O(rules changed) plus one rebuild of the rule table's
+//! positions. The deadline heap is indexed by slot and holds exactly one
+//! entry per schedulable queue: a queue that changes is re-keyed in place
+//! and one that goes is taken out, so no entry is ever stale.
 
 use crate::fallback::FallbackQueue;
 use crate::heap::DeadlineHeap;
@@ -53,6 +54,7 @@ use crate::queue::TbfQueue;
 use crate::rule::{RuleTable, TbfRule};
 use adaptbf_model::{JobId, JobSlots, ModelError, Rpc, RuleId, SimTime, TbfSchedulerConfig};
 use std::collections::BTreeMap;
+use std::mem::replace;
 
 /// What the scheduler tells an idle I/O thread to do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -143,11 +145,9 @@ pub struct NrsTbfScheduler {
     /// Per-slot serves not counted on a live queue: from the fallback
     /// queue, and by queues that have since been removed.
     served_unqueued: Vec<u64>,
-    /// Stamp floor for re-created queues, above every removed queue's
-    /// last stamp: a removed queue's heap entries are never purged (lazy
-    /// invalidation), so its job's next queue must start its stamp above
-    /// them or one would read as valid once the new stamp caught up.
-    stamp_floor: u64,
+    /// Per-rule-position marks of the stops [`Self::validate`] is checking
+    /// (scratch, all false between transactions).
+    stopping: Vec<bool>,
 }
 
 impl NrsTbfScheduler {
@@ -158,13 +158,13 @@ impl NrsTbfScheduler {
             rules: RuleTable::default(),
             slots: JobSlots::new(),
             queues: Vec::new(),
-            heap: DeadlineHeap::new(),
+            heap: DeadlineHeap::default(),
             fallback: FallbackQueue::default(),
             ruled_backlog: 0,
             served_ruled: 0,
             served_fallback: 0,
             served_unqueued: Vec::new(),
-            stamp_floor: 0,
+            stopping: Vec::new(),
         }
     }
 
@@ -203,9 +203,9 @@ impl NrsTbfScheduler {
     /// next rule naming the job, else into the fallback queue, deque and
     /// all — and the table re-derives its positions once for all of them.
     /// Each start is O(1) too: what is parked for its job becomes its
-    /// queue's FIFO as the deque it is, and the queue enters the heap with
-    /// one push — in start order, which is the order the heap breaks
-    /// deadline ties in and so the dispatch order.
+    /// queue's FIFO as the deque it is, and the queue enters the heap — in
+    /// start order, which is the order the heap breaks deadline ties in
+    /// and so the dispatch order.
     ///
     /// The whole batch is validated up front: a stop or update naming a
     /// rule that is not installed, a rule stopped twice, an update to a
@@ -246,7 +246,7 @@ impl NrsTbfScheduler {
             let parked = self.fallback.take_job(slot);
             if !parked.is_empty() {
                 self.ruled_backlog += parked.len();
-                let queue = self.ruled_queue(slot, job, now);
+                let queue = self.ruled_queue(slot, now);
                 queue.expect("just named by a rule").put_fifo(parked);
                 self.schedule(slot, now);
             }
@@ -263,26 +263,32 @@ impl NrsTbfScheduler {
     }
 
     /// The up-front check of [`Self::transact`] — the only place a
-    /// batch's ids and rates are checked.
+    /// batch's ids and rates are checked, in O(stops + starts + updates):
+    /// each stop marks its rule, so a second stop or an update of a
+    /// stopped rule finds the mark; the marks are wiped before returning.
     fn validate(
-        &self,
+        &mut self,
         stops: &[RuleId],
         starts: &[RuleSpec],
         updates: &[(RuleId, f64, u32)],
     ) -> Result<(), ModelError> {
-        let missing = |id: RuleId| Err(ModelError::not_found("rule", id));
-        let mut stopped = stops.to_vec();
-        stopped.sort_unstable();
-        if let Some(twice) = stopped.windows(2).find(|w| w[0] == w[1]) {
-            return missing(twice[0]);
+        self.stopping.resize(self.rules.len(), false);
+        let (rules, stopping) = (&self.rules, &mut self.stopping);
+        let mut mark = |id: &&RuleId| {
+            rules
+                .position(**id)
+                .is_some_and(|p| !replace(&mut stopping[p], true))
+        };
+        let marked = stops.iter().take_while(&mut mark).count();
+        let live = |id: &RuleId| rules.position(*id).is_some_and(|p| !stopping[p]);
+        let bad = stops
+            .get(marked)
+            .or_else(|| updates.iter().map(|u| &u.0).find(|id| !live(id)));
+        for id in &stops[..marked] {
+            stopping[rules.position(*id).expect("marked above")] = false;
         }
-        if let Some(&id) = stops.iter().find(|id| self.rules.get(**id).is_none()) {
-            return missing(id);
-        }
-        for (id, _, _) in updates {
-            if self.rules.get(*id).is_none() || stopped.binary_search(id).is_ok() {
-                return missing(*id);
-            }
+        if let Some(&id) = bad {
+            return Err(ModelError::not_found("rule", id));
         }
         let valid = |rate: f64| rate >= 0.0 && rate.is_finite();
         let rates = starts.iter().map(|s| s.rate_tps);
@@ -337,9 +343,9 @@ impl NrsTbfScheduler {
         &self.rules
     }
 
-    /// The rule governing `job`: the first one naming it.
-    pub(crate) fn rule_of(&self, job: JobId) -> Option<&TbfRule> {
-        self.rules.first(self.slots.get(job)?)
+    /// The slot of `job`, if the scheduler has seen it.
+    pub(crate) fn slot_of(&self, job: JobId) -> Option<usize> {
+        self.slots.get(job)
     }
 
     // ---- data path -------------------------------------------------------
@@ -355,7 +361,7 @@ impl NrsTbfScheduler {
     /// belongs: the job's ruled queue if a rule names the job, else the
     /// fallback queue.
     fn admit(&mut self, slot: usize, rpc: Rpc, now: SimTime) {
-        let Some(queue) = self.ruled_queue(slot, rpc.job, now) else {
+        let Some(queue) = self.ruled_queue(slot, now) else {
             return self.fallback.push_back(slot, rpc);
         };
         let was_empty = queue.is_empty();
@@ -366,50 +372,38 @@ impl NrsTbfScheduler {
         }
     }
 
-    /// The queue of `job`, which sits at `slot` — created on demand, with
-    /// a full bucket, under the first rule naming the job; `None` if no
-    /// rule does.
+    /// The queue of the job at `slot` — created on demand, with a full
+    /// bucket, under the first rule naming the job; `None` if no rule
+    /// does.
     #[inline]
-    fn ruled_queue(&mut self, slot: usize, job: JobId, now: SimTime) -> Option<&mut TbfQueue> {
+    fn ruled_queue(&mut self, slot: usize, now: SimTime) -> Option<&mut TbfQueue> {
         if self.queues[slot].is_none() {
             let (rule, depth) = (self.rules.first(slot)?, self.config.bucket_depth);
-            let mut queue = TbfQueue::new(job, rule.id, rule.weight, rule.rate_tps, depth, now);
-            queue.advance_stamp(self.stamp_floor);
+            let queue = TbfQueue::new(rule.id, rule.weight, rule.rate_tps, depth, now);
             self.queues[slot] = Some(queue);
         }
         self.queues[slot].as_mut()
     }
 
-    /// Enter the queue at `slot`, whose head or rule just changed, into
-    /// the heap at its current stamp — unless it is empty, or can never
-    /// afford its head (zero rate, empty bucket) until a re-rate re-binds it.
+    /// Key the queue at `slot`, whose head or rule just changed, in the
+    /// heap at its new deadline — or take it out when it is empty, or can
+    /// never afford its head (zero rate, empty bucket) until a re-rate
+    /// re-binds it.
     #[inline]
     fn schedule(&mut self, slot: usize, now: SimTime) {
         let queue = self.queues[slot].as_mut().expect("scheduled queue exists");
-        if let Some(deadline) = queue.deadline(now) {
-            self.heap
-                .push(queue.job, deadline, queue.weight, queue.stamp());
+        match queue.deadline(now) {
+            Some(deadline) => self.heap.set(slot, deadline, queue.weight),
+            None => self.heap.remove(slot),
         }
     }
 
     /// Ask for the next unit of work at `now`.
     pub fn next(&mut self, now: SimTime) -> SchedDecision {
         // 1. earliest-deadline token-ready ruled queue.
-        let slots = &self.slots;
-        let queues = &self.queues;
-        let peek = self.heap.peek_valid(|j| {
-            slots
-                .get(j)
-                .and_then(|s| queues[s].as_ref())
-                .map(|q| q.stamp())
-        });
-        if let Some((job, deadline)) = peek {
+        if let Some((slot, deadline)) = self.heap.peek() {
             if deadline <= now {
-                // The peek already discarded stale entries; the top is the
-                // validated one — no second validation walk needed.
-                self.heap.pop_top();
-                let slot = self.slots.get(job).expect("valid heap entry");
-                let queue = self.queues[slot].as_mut().expect("valid heap entry");
+                let queue = self.queues[slot].as_mut().expect("heap entries are live");
                 let rpc = queue
                     .try_serve(now)
                     .expect("queue with expired deadline must hold a token");
@@ -471,16 +465,13 @@ impl NrsTbfScheduler {
         let mut queue = self.queues[slot].take().expect("governed queue exists");
         self.ruled_backlog -= queue.len();
         self.fallback.park_job(slot, queue.take_fifo());
-        // Its heap entries stay behind, invalidated only lazily.
+        self.heap.remove(slot);
         self.served_unqueued[slot] += queue.served();
-        self.stamp_floor = self.stamp_floor.max(queue.stamp() + 1);
     }
 
     /// The single re-binding primitive: move the queue at `slot` under
-    /// `binding` (a rule naming its job) iff anything actually changed.
-    /// Rebinding bumps the queue's stamp — lazily invalidating its heap
-    /// entries — so a fresh entry is pushed for a non-empty queue; an
-    /// untouched queue keeps its still-valid entry.
+    /// `binding` (a rule naming its job) iff anything actually changed,
+    /// re-keying its heap entry; an untouched queue keeps its entry.
     fn rebind_queue(&mut self, slot: usize, binding: RuleBinding, now: SimTime) {
         let queue = self.queues[slot].as_mut().expect("queue exists");
         let changed = queue.rule != binding.id
@@ -505,6 +496,7 @@ impl NrsTbfScheduler {
                 out.extend(queue.take_fifo());
             }
         }
+        self.heap.clear();
         self.ruled_backlog = 0;
         out.extend(std::iter::from_fn(|| Some(self.fallback.pop_front()?.1)));
         out
@@ -819,12 +811,10 @@ mod tests {
     }
 
     #[test]
-    fn stale_heap_entries_never_alias_recreated_queues() {
-        // A removed queue's heap entries are invalidated lazily, so a
-        // re-created queue for the same job must start its stamp above
-        // them. Without that, the buried entry below (stamp 3, deadline
-        // ~100 ms) would read as valid once the new queue's stamp caught
-        // up — popping a deadline whose token doesn't exist yet.
+    fn a_queue_keeps_one_heap_entry_through_rebind_stop_and_restart() {
+        // Serve, re-rate, stop (the queue goes) and restart job 1's rule:
+        // the heap holds one entry exactly while the queue has work, keyed
+        // at the deadline under its current rule.
         let mut s = sched();
         let a = s.start_rule("j1", RpcMatcher::Job(JobId(1)), 10.0, 1, t(0));
         for i in 0..4 {
@@ -833,28 +823,74 @@ mod tests {
         for _ in 0..3 {
             assert!(matches!(s.next(t(0)), SchedDecision::Serve(_)));
         }
-        // Rebind buries the stamp-3 entry (deadline ~100 ms) as stale.
+        // Throttled: the entry was re-keyed to ~100 ms, not duplicated.
+        expect_wait(s.next(t(0)), 100);
+        assert_eq!(s.heap.len(), 1);
         s.apply_updates(&[(a, 1000.0, 1)], t(0)).unwrap();
+        assert_eq!(s.heap.len(), 1);
         assert!(matches!(s.next(t(2)), SchedDecision::Serve(_)));
-        // Queue now empty: stopping the rule removes it; the buried
-        // entry stays behind.
+        assert!(s.heap.is_empty(), "an empty queue has no entry");
+        // Stopping the rule removes the queue; a new rule re-creates it.
         s.stop_rule(a, t(2)).unwrap();
         s.start_rule("j1b", RpcMatcher::Job(JobId(1)), 10.0, 1, t(2));
         for i in 10..14 {
             s.enqueue(rpc(i, 1), t(2));
         }
-        // Serve the fresh burst: the new queue's serve count reaches the
-        // buried entry's stamp value.
         for _ in 0..3 {
             assert!(matches!(s.next(t(2)), SchedDecision::Serve(_)));
         }
-        // True next token arrives ~102 ms; the buried ~100 ms entry must
-        // not be honored.
+        // The next token arrives at ~102 ms; the old queue's ~100 ms
+        // deadline left the heap with its entry.
         match s.next(t(101)) {
             SchedDecision::WaitUntil(at) => assert!(at > t(101), "future deadline"),
-            other => panic!("stale entry must not validate: got {other:?}"),
+            other => panic!("expected a wait, got {other:?}"),
         }
+        assert_eq!(s.heap.len(), 1);
         assert!(matches!(s.next(t(103)), SchedDecision::Serve(_)));
+        assert!(s.heap.is_empty());
+    }
+
+    /// After every step of a seeded random run — enqueues, serves, clock
+    /// steps, starts (second rules for a job included), stops, re-rates
+    /// (zero rates included) and drains — the heap holds exactly one entry
+    /// per schedulable ruled queue: one that is non-empty and can afford
+    /// its head some day.
+    #[test]
+    fn the_heap_holds_one_entry_per_schedulable_queue() {
+        let mut rng = 0x2545_f491_4f6c_dd1du64;
+        let mut next = |bound: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % bound
+        };
+        let mut s = sched();
+        let mut now = t(0);
+        for step in 0..5000u64 {
+            let job = JobId(next(6) as u32);
+            let rate = [0.0, 10.0, 1000.0][next(3) as usize];
+            match next(12) {
+                0..=3 => s.enqueue(rpc(step, job.raw()), now),
+                4..=6 => drop(s.next(now)),
+                7 => now = SimTime(now.as_nanos() + next(50_000_000)),
+                8 => drop(s.start_rule("r", RpcMatcher::Job(job), rate, 1, now)),
+                9 | 10 => match s.slot_of(job).and_then(|slot| s.rules.first(slot)) {
+                    Some(&TbfRule { id, .. }) if next(2) == 0 => s.stop_rule(id, now).unwrap(),
+                    Some(&TbfRule { id, .. }) => {
+                        s.apply_updates(&[(id, rate, next(3) as u32)], now).unwrap()
+                    }
+                    None => {}
+                },
+                _ => drop(s.drain_pending()),
+            }
+            let mut schedulable = 0;
+            for (slot, queue) in s.queues.iter().enumerate() {
+                let live = queue.clone().is_some_and(|mut q| q.deadline(now).is_some());
+                assert_eq!(s.heap.contains(slot), live, "step {step}, slot {slot}");
+                schedulable += usize::from(live);
+            }
+            assert_eq!(s.heap.len(), schedulable, "step {step}");
+        }
     }
 
     #[test]
@@ -906,7 +942,7 @@ mod tests {
         // lane becomes its queue as the deque it is, and the other 240
         // parked RPCs are neither looked at nor moved.
         let mut s = parked_400();
-        let pushes = s.heap.raw_len();
+        assert!(s.heap.is_empty());
         let ids = s
             .transact(&[], (0..16).rev().map(job_spec), &[], t(0))
             .unwrap();
@@ -919,9 +955,9 @@ mod tests {
         assert_eq!(parked.len(), 240);
         assert!(parked.windows(2).all(|w| w[0] < w[1]));
         assert!(s.fallback.iter().all(|r| r.job.raw() >= 16));
-        // One heap push per started job, in start order: all 16 deadlines
-        // tie, and the heap breaks the tie by push order.
-        assert_eq!(s.heap.raw_len() - pushes, 16);
+        // One heap entry per started job, keyed in start order: all 16
+        // deadlines tie, and the heap breaks the tie by keying order.
+        assert_eq!(s.heap.len(), 16);
         let served: Vec<u64> = (0..16)
             .map(|_| match s.next(t(0)) {
                 SchedDecision::Serve(r) => r.id.raw(),

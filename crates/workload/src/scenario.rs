@@ -42,15 +42,21 @@ impl Scenario {
         }
     }
 
-    /// The static priority `p_x = n_x / Σn` over *all* jobs in the scenario
-    /// — what an administrator would configure for the Static BW baseline
-    /// (Section IV-C).
-    pub fn static_priority(&self, job: JobId) -> f64 {
+    /// The static priority `p_x = n_x / Σn` of every job, over *all* jobs
+    /// in the scenario, in declaration order — what an administrator would
+    /// configure for the Static BW baseline (Section IV-C). One pass sums
+    /// the nodes, so scoring every job costs O(jobs), not O(jobs²).
+    pub fn static_priorities(&self) -> Vec<(JobId, f64)> {
         let total: u64 = self.jobs.iter().map(|j| j.nodes).sum();
-        self.jobs
-            .iter()
-            .find(|j| j.id == job)
-            .map_or(0.0, |j| j.nodes as f64 / total as f64)
+        let share = |j: &JobSpec| (j.id, j.nodes as f64 / total as f64);
+        self.jobs.iter().map(share).collect()
+    }
+
+    /// One job's entry of [`Self::static_priorities`]; 0.0 for a job the
+    /// scenario does not have.
+    pub fn static_priority(&self, job: JobId) -> f64 {
+        let mut priorities = self.static_priorities().into_iter();
+        priorities.find(|&(j, _)| j == job).map_or(0.0, |(_, p)| p)
     }
 
     /// Node count for one job.
@@ -111,6 +117,20 @@ mod tests {
         assert!((s.static_priority(JobId(4)) - 0.5).abs() < 1e-9);
         assert!((s.static_priority(JobId(1)) - 0.1).abs() < 1e-9);
         assert_eq!(s.static_priority(JobId(99)), 0.0);
+    }
+
+    #[test]
+    fn all_priorities_at_once_match_one_at_a_time() {
+        let jobs = (1..=40)
+            .map(|i| job(i * 3 % 41, u64::from(i % 7 + 1)))
+            .collect();
+        let s = Scenario::new("t", "", jobs, SimDuration::from_secs(1));
+        let all = s.static_priorities();
+        assert_eq!(all.iter().map(|p| p.0).collect::<Vec<_>>(), s.job_ids());
+        for (job, p) in &all {
+            assert_eq!(p.to_bits(), s.static_priority(*job).to_bits());
+        }
+        assert!((all.iter().map(|p| p.1).sum::<f64>() - 1.0).abs() < 1e-12);
     }
 
     #[test]
